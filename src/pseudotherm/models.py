@@ -10,6 +10,11 @@ propagator and the work-statistics pipeline:
     metric_rate(v, dv)   d(metric)/dt given dv/dt (zero when static)
     metric_is_static     True when the metric ignores the drive
 
+hamiltonian, hermitian_frame and the metric methods also take a 1-D array
+of control values and then return the stack of the scalar results, (k, d, d)
+matrices or (k,) numbers, so the propagator can build a block of steps in
+one call.
+
 The two-level system drives an imaginary detuning, the oscillator drives
 its trap frequency with a fixed imaginary momentum shift, and the
 tight-binding chain is static (its control value is ignored).
@@ -28,6 +33,25 @@ from .tolerances import DEFAULT
 __all__ = ["TwoLevel", "Oscillator", "HatanoNelson", "relaxation_time"]
 
 
+def _two_by_two(shape, m00, m01, m10, m11) -> np.ndarray:
+    """[[m00, m01], [m10, m11]] for entries of the given shape: (*shape, 2, 2)."""
+    out = np.empty(shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = m00
+    out[..., 0, 1] = m01
+    out[..., 1, 0] = m10
+    out[..., 1, 1] = m11
+    return out
+
+
+def _per_value(matrix: np.ndarray, v) -> np.ndarray:
+    """A control-independent matrix: itself for scalar v, a read-only stack for an array."""
+    return matrix if np.ndim(v) == 0 else np.broadcast_to(matrix, np.shape(v) + matrix.shape)
+
+
+def _scalar_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
 @dataclass(frozen=True)
 class TwoLevel:
     """Two-state system with real coupling and imaginary detuning.
@@ -42,29 +66,30 @@ class TwoLevel:
     dimension = 2
     metric_is_static = False
 
-    def hamiltonian(self, v: float) -> np.ndarray:
-        return np.array([[1j * v, self.coupling], [self.coupling, -1j * v]], dtype=complex)
+    def hamiltonian(self, v) -> np.ndarray:
+        iv = 1j * np.asarray(v)
+        return _two_by_two(iv.shape, iv, self.coupling, self.coupling, -iv)
 
     def eigenvalues_closed_form(self, v: float) -> np.ndarray:
         root = np.emath.sqrt(self.coupling**2 - v**2)
         return np.sort_complex(np.array([-root, root]))
 
-    def metric(self, v: float) -> np.ndarray:
-        mu = v / self.coupling
-        return np.array([[2.0, -2j * mu], [2j * mu, 2.0]], dtype=complex)
+    def metric(self, v) -> np.ndarray:
+        mu = np.asarray(v) / self.coupling
+        return _two_by_two(mu.shape, 2.0, -2j * mu, 2j * mu, 2.0)
 
-    def metric_inverse(self, v: float) -> np.ndarray:
-        mu = v / self.coupling
+    def metric_inverse(self, v) -> np.ndarray:
+        mu = np.asarray(v) / self.coupling
         det = 2.0 * (1.0 - mu * mu)
-        return np.array([[1.0, 1j * mu], [-1j * mu, 1.0]], dtype=complex) / det
+        return _two_by_two(mu.shape, 1.0, 1j * mu, -1j * mu, 1.0) / det[..., None, None]
 
-    def metric_rate(self, v: float, dv_dt: float) -> np.ndarray:
-        s = dv_dt / self.coupling
-        return np.array([[0.0, -2j * s], [2j * s, 0.0]], dtype=complex)
+    def metric_rate(self, v, dv_dt) -> np.ndarray:
+        s = np.asarray(dv_dt) / self.coupling
+        return _two_by_two(np.broadcast_shapes(np.shape(v), s.shape), 0.0, -2j * s, 2j * s, 0.0)
 
-    def metric_min_eigenvalue(self, v: float) -> float:
+    def metric_min_eigenvalue(self, v):
         # metric eigenvalues are 2 (1 +/- v/coupling)
-        return 2.0 * (1.0 - abs(v) / self.coupling)
+        return _scalar_or_array(2.0 * (1.0 - np.abs(v) / self.coupling))
 
 
 @dataclass(frozen=True)
@@ -139,36 +164,39 @@ class Oscillator:
     def _x_squared(self) -> np.ndarray:
         return self._padded_squares[0]
 
-    def hamiltonian(self, omega: float) -> np.ndarray:
+    def _potential(self, omega) -> np.ndarray:
+        return (0.5 * self.mass * np.asarray(omega) ** 2)[..., None, None] * self._x_squared
+
+    def hamiltonian(self, omega) -> np.ndarray:
         kin = (
             self._p_squared
             - 2j * self.shift * self.momentum
             - self.shift**2 * np.eye(self.n_basis)
         ) / (2.0 * self.mass)
-        return kin + 0.5 * self.mass * omega**2 * self._x_squared
+        return kin + self._potential(omega)
 
-    def hermitian_frame(self, omega: float) -> np.ndarray:
-        return self._p_squared / (2.0 * self.mass) + 0.5 * self.mass * omega**2 * self._x_squared
+    def hermitian_frame(self, omega) -> np.ndarray:
+        return self._p_squared / (2.0 * self.mass) + self._potential(omega)
 
     def position_exponential(self, c: float) -> np.ndarray:
         """exp(c X) through the spectral decomposition of truncated X."""
         vals, vecs = self._x_eig
         return (vecs * np.exp(c * vals)) @ vecs.conj().T
 
-    def metric(self, v: float = 0.0) -> np.ndarray:
-        return self.position_exponential(2.0 * self.shift)
+    def metric(self, v=0.0) -> np.ndarray:
+        return _per_value(self.position_exponential(2.0 * self.shift), v)
 
-    def metric_inverse(self, v: float = 0.0) -> np.ndarray:
-        return self.position_exponential(-2.0 * self.shift)
+    def metric_inverse(self, v=0.0) -> np.ndarray:
+        return _per_value(self.position_exponential(-2.0 * self.shift), v)
 
-    def metric_rate(self, v: float, dv_dt: float) -> np.ndarray:
-        return np.zeros((self.n_basis, self.n_basis), dtype=complex)
+    def metric_rate(self, v, dv_dt) -> np.ndarray:
+        shape = np.broadcast_shapes(np.shape(v), np.shape(dv_dt))
+        return np.zeros(shape + (self.n_basis, self.n_basis), dtype=complex)
 
-    def metric_min_eigenvalue(self, v: float = 0.0) -> float:
+    def metric_min_eigenvalue(self, v=0.0):
         vals, _ = self._x_eig
-        return float(np.exp(2.0 * self.shift * vals.min())) if self.shift >= 0 else float(
-            np.exp(2.0 * self.shift * vals.max())
-        )
+        edge = vals.min() if self.shift >= 0 else vals.max()
+        return _scalar_or_array(np.full(np.shape(v), np.exp(2.0 * self.shift * edge)))
 
     def ladder_energies(self, omega: float, count: int | None = None) -> np.ndarray:
         n = self.n_basis if count is None else count
@@ -207,7 +235,7 @@ class HatanoNelson:
     def dimension(self) -> int:
         return self.length
 
-    def hamiltonian(self, v: float = 0.0) -> np.ndarray:
+    def hamiltonian(self, v=0.0) -> np.ndarray:
         L = self.length
         fwd = -(self.hopping / 2.0) * np.exp(self.asymmetry)
         bwd = -(self.hopping / 2.0) * np.exp(-self.asymmetry)
@@ -220,7 +248,7 @@ class HatanoNelson:
             H[0, L - 1] = bwd
         if self.potential:
             H[np.arange(L), np.arange(L)] = np.asarray(self.potential, dtype=float)
-        return H
+        return _per_value(H, v)
 
     def diagonal_metric(self) -> np.ndarray | None:
         """Closed-form diag(e^{2 asymmetry x}) metric; open chains only."""
@@ -240,14 +268,15 @@ class HatanoNelson:
         op = linalg.build_metric(eigsys)
         return op.g, op.g_inverse
 
-    def metric(self, v: float = 0.0) -> np.ndarray:
-        return self._metric_pair[0]
+    def metric(self, v=0.0) -> np.ndarray:
+        return _per_value(self._metric_pair[0], v)
 
-    def metric_inverse(self, v: float = 0.0) -> np.ndarray:
-        return self._metric_pair[1]
+    def metric_inverse(self, v=0.0) -> np.ndarray:
+        return _per_value(self._metric_pair[1], v)
 
-    def metric_rate(self, v: float, dv_dt: float) -> np.ndarray:
-        return np.zeros((self.length, self.length), dtype=complex)
+    def metric_rate(self, v, dv_dt) -> np.ndarray:
+        shape = np.broadcast_shapes(np.shape(v), np.shape(dv_dt))
+        return np.zeros(shape + (self.length, self.length), dtype=complex)
 
 
 def relaxation_time(eigenvalues) -> float:

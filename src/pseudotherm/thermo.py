@@ -481,8 +481,11 @@ class CycleReport:
 
 
 def _leg_spectra(h_of, values: np.ndarray):
-    """Batched eigen-data along one leg: H_k, E_k, right vectors, duals."""
-    H = np.stack([np.asarray(h_of(float(v)), dtype=complex) for v in values])
+    """Batched eigen-data along one leg: H_k, E_k, right vectors, duals.
+
+    h_of maps the array of control values to the (k, d, d) stack.
+    """
+    H = np.asarray(h_of(values), dtype=complex)
     E, VR = np.linalg.eig(H)
     VLh = np.linalg.inv(VR)
     return H, E, VR, VLh
@@ -589,7 +592,13 @@ def quasistatic_cycle(
         raise ValueError("need T_hot > T_cold > 0")
     if len(leg_points) != 4:
         raise ValueError("leg_points must be (A, B, C, D) control values")
-    h_of = model.hamiltonian if hasattr(model, "hamiltonian") else model
+    if hasattr(model, "hamiltonian"):
+        h_of = model.hamiltonian  # models take the whole array of control values
+    else:
+
+        def h_of(values):
+            return np.stack([np.asarray(model(float(v)), dtype=complex) for v in values])
+
     n = max(int(steps) // 4, 100)
     vA, vB, vC, vD = (float(v) for v in leg_points)
     beta_h, beta_c = 1.0 / T_hot, 1.0 / T_cold

@@ -2,23 +2,32 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudotherm import (
+    DEFAULT,
     HatanoNelson,
+    NotConvergedError,
     Oscillator,
     Protocol,
     ProtocolRangeError,
     SingularMetricError,
+    TruncationWarning,
     TwoLevel,
     gauge_field,
     hamiltonian_at,
     propagate,
+    two_time_work,
     unitarity_residual,
 )
+from pseudotherm.dynamics import _BLOCK
 
 from conftest import SIGMA_X
 
@@ -185,3 +194,112 @@ def test_step_seed_is_respected():
     res = propagate(model, proto, steps=100)
     assert res.steps_used >= 100
     assert res.steps_used % 100 == 0  # refinement only ever doubles the seed
+
+
+@pytest.mark.parametrize(
+    "proto",
+    [
+        Protocol.linear(0.2, 0.9, 1.5),
+        Protocol.erf(0.1, 0.6, 0.7, window=2.5),
+        Protocol.tabulated([(0.0, 0.0), (0.4, 1.0), (1.0, 0.5), (2.0, 0.5)]),
+    ],
+)
+def test_protocol_accepts_arrays_of_times(proto):
+    ts = np.linspace(proto.t_start, proto.t_end, 23)
+    npt.assert_array_equal(proto.value(ts), [proto.value(float(t)) for t in ts])
+    npt.assert_array_equal(proto.rate(ts), [proto.rate(float(t)) for t in ts])
+    assert isinstance(proto.value(float(ts[3])), float)
+    assert isinstance(proto.rate(float(ts[3])), float)
+    outside = np.append(ts, proto.t_end + 0.1)
+    with pytest.raises(ProtocolRangeError):
+        proto.value(outside)
+    with pytest.raises(ProtocolRangeError):
+        proto.rate(outside[::-1])
+
+
+# acceptance disabled: propagate(steps=s) returns the run at 2 s steps
+NO_ACCEPTANCE = dict(entry_tol=10.0, unitarity_gate=1e6)
+
+
+def test_magnus_step_is_fourth_order():
+    model = TwoLevel()
+    proto = Protocol.linear(0.0, 0.7, 1.0)
+    ref = propagate(model, proto, steps=2048, **NO_ACCEPTANCE).U
+    errors = [
+        float(np.max(np.abs(propagate(model, proto, steps=s, **NO_ACCEPTANCE).U - ref)))
+        for s in (8, 16, 32)
+    ]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 12.0 <= coarse / fine <= 20.0
+
+
+def test_hermitian_frame_steps_are_exactly_unitary():
+    model = Oscillator(omega_ref=1.0, shift=0.5, n_basis=16)
+    proto = Protocol.linear(1.0, 1.4, 1.0)
+    res = propagate(model, proto, steps=8, gauge_precondition=True, **NO_ACCEPTANCE)
+    assert res.steps_used == 16
+    assert max(defect for _, defect in res.checkpoints) <= 1e-12
+
+
+def test_block_boundaries_do_not_matter():
+    model = TwoLevel()
+    proto = Protocol.erf(0.0, 0.6, 0.5, window=3.0)
+    fine = propagate(model, proto, entry_tol=1e-13)
+    for seed in (_BLOCK - 1, _BLOCK, _BLOCK + 1):
+        res = propagate(model, proto, steps=seed, entry_tol=1e-10)
+        assert res.steps_used % seed == 0
+        assert np.max(np.abs(res.U - fine.U)) <= 1e-10
+
+
+def test_unreachable_checkpoint_gate_fails_loudly():
+    # the raw shifted oscillator with every level propagated: the entries
+    # converge, but the truncated basis corner keeps the checkpoints near
+    # 3e3 at every step count, so refinement must stop instead of spinning
+    # toward max_steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        with pytest.raises(NotConvergedError, match="unitarity gate"):
+            two_time_work(
+                Oscillator(omega_ref=2.0, shift=1.0, n_basis=30),
+                Protocol.erf(2.0, 2.8, 0.5, window=2.0),
+                1.0,
+                entry_tol=1e-9,
+                gauge_precondition=False,
+                tol=DEFAULT.with_(spectrum_imag=10.0, population_cutoff=0.0),
+                unitarity_gate=10.0,
+            )
+
+
+def _two_level_ramp(kind: str, end: float, tau: float) -> Protocol:
+    return Protocol.linear(0.0, end, tau) if kind == "linear" else Protocol.erf(0.0, end, tau)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(("linear", "erf")),
+    end=st.floats(0.0, 0.9),
+    tau=st.floats(0.2, 5.0),
+    split=st.floats(0.1, 0.9),
+)
+def test_random_two_level_ramps_compose_within_gate(kind, end, tau, split):
+    model = TwoLevel()
+    proto = _two_level_ramp(kind, end, tau)
+    t_mid = proto.t_start + split * (proto.t_end - proto.t_start)
+    full = propagate(model, proto, entry_tol=1e-10)
+    first = propagate(model, proto, entry_tol=1e-10, t1=t_mid)
+    second = propagate(model, proto, entry_tol=1e-10, t0=t_mid)
+    npt.assert_allclose(second.U @ first.U, full.U, rtol=0, atol=1e-8)
+    gate = DEFAULT.propagation * max(1.0, float(np.linalg.norm(full.g_start)))
+    assert max(defect for _, defect in full.checkpoints) <= gate
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    kind=st.sampled_from(("linear", "erf")),
+    end=st.floats(1.01, 2.0),
+    sign=st.sampled_from((-1.0, 1.0)),
+    tau=st.floats(0.2, 5.0),
+)
+def test_random_two_level_ramps_through_the_exceptional_point_raise(kind, end, sign, tau):
+    with pytest.raises(SingularMetricError):
+        propagate(TwoLevel(), _two_level_ramp(kind, sign * end, tau))

@@ -218,3 +218,31 @@ def test_relaxation_time_diverges_near_critical_point():
     t_near = relaxation_time(eigendecompose(TwoLevel().hamiltonian(0.9999)).eigenvalues)
     assert t_near > 35.0
     assert t_near / t_far > 60.0
+
+
+_BATCHED_METHODS = ("hamiltonian", "hermitian_frame", "metric", "metric_inverse", "metric_min_eigenvalue")
+
+
+@pytest.mark.parametrize(
+    "model, values",
+    [
+        (TwoLevel(coupling=1.3), np.array([-0.9, -0.2, 0.0, 0.35, 1.1])),
+        (Oscillator(omega_ref=1.0, shift=0.4, n_basis=10), np.array([0.7, 1.0, 1.6])),
+        (Oscillator(omega_ref=1.0, shift=-0.3, n_basis=9), np.array([0.5, 2.0])),
+        (HatanoNelson(length=5, asymmetry=0.3, potential=(0.1, -0.2, 0.0, 0.3, 0.2)), np.array([0.0, 1.0])),
+        (HatanoNelson(length=6, asymmetry=0.2, boundary="periodic"), np.array([0.0, 0.5, 2.0])),
+    ],
+)
+def test_batched_methods_equal_stacked_scalar_calls(model, values):
+    for name in _BATCHED_METHODS:
+        method = getattr(model, name, None)
+        if method is None:
+            continue
+        batched = method(values)
+        assert batched.shape[0] == len(values)
+        npt.assert_array_equal(batched, np.stack([method(float(v)) for v in values]))
+    rates = np.linspace(-1.0, 2.0, len(values))
+    npt.assert_array_equal(
+        model.metric_rate(values, rates),
+        np.stack([model.metric_rate(float(v), float(r)) for v, r in zip(values, rates)]),
+    )
