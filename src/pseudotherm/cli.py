@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -474,25 +473,23 @@ def cmd_work(args, cfg: dict) -> int:
     return fails.finish()
 
 
-def _sweep_map(args, cfg, sweep, fn):
-    """Run fn(point_cfg, value) across the sweep deterministically."""
+def _sweep_map(cfg, sweep, fn):
+    """Run fn(point_cfg, value) across the sweep serially, in sweep-key order.
+
+    Sweeps run serially whatever --workers says: the points are numpy-bound,
+    so threads contend with the BLAS threads instead of overlapping.
+    """
     if sweep is None:
         return [fn(cfg, None)]
     name, values = sweep
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    pts = [(i, values[i], _apply_sweep(cfg, name, values[i])) for i in order]
-
-    def call(item):
-        _, value, point_cfg = item
+    points = [(value, _apply_sweep(cfg, name, value)) for value in sorted(values)]
+    rows = []
+    for value, point_cfg in points:
         try:
-            return fn(point_cfg, value)
+            rows.append(fn(point_cfg, value))
         except PseudothermError as exc:
             raise type(exc)(f"at {name} = {value:.6g}: {exc}") from exc
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            return list(pool.map(call, pts))
-    return [call(item) for item in pts]
+    return rows
 
 
 def cmd_jarzynski(args, cfg: dict) -> int:
@@ -514,7 +511,7 @@ def cmd_jarzynski(args, cfg: dict) -> int:
             res.propagation.steps_used,
         )
 
-    rows = _sweep_map(args, cfg, sweep, run)
+    rows = _sweep_map(cfg, sweep, run)
     out = _out_dir(args, cfg)
     header = [
         sweep_name,
@@ -703,7 +700,7 @@ def cmd_fig1_right(args, cfg: dict) -> int:
             lin_res.report.relative_residual,
         )
 
-    rows = _sweep_map(args, cfg, sweep, run)
+    rows = _sweep_map(cfg, sweep, run)
     out = _out_dir(args, cfg)
     write_csv(
         out / "fig1_right.csv",
@@ -757,7 +754,7 @@ def cmd_fig2_left(args, cfg: dict) -> int:
         res = _two_time(point_cfg)
         return (lam, t_r, res.report.relative_residual)
 
-    rows = _sweep_map(args, cfg, sweep, run)
+    rows = _sweep_map(cfg, sweep, run)
     out = _out_dir(args, cfg)
     write_csv(
         out / "fig2_left.csv",
@@ -856,7 +853,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (figure commands default to their preset)")
         p.add_argument("--out", help="output directory (overrides PSEUDOTHERM_OUT)")
         p.add_argument("--svg", action="store_true", help="also render SVG plots")
-        p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="accepted for compatibility (>= 1); sweeps run serially and the output never depends on it",
+        )
     return parser
 
 

@@ -12,7 +12,10 @@ t + (1/2 -/+ sqrt(3)/6) dt, one step is U <- exp(Omega) U with
 
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  The generators
 of a block of steps are built in one call to the model and exponentiated in
-one batched call.  The gauge term G_t keeps U metric-unitary,
+one batched call: through a hermitian eigendecomposition in the hermitian
+frame, in closed form for two levels, and with scipy's `expm` otherwise.
+The block holds more steps the smaller the dimension, so a two-level run
+usually fits in one block.  The gauge term G_t keeps U metric-unitary,
 U† g_t U = g_0, when the metric family g_t moves with the drive; it
 vanishes for a static metric.  In the hermitian frame (identity metric)
 i*Omega is hermitian, so every step is exactly unitary.
@@ -47,9 +50,11 @@ __all__ = [
 
 _KINDS = ("linear", "erf", "tabulated")
 
-# Magnus steps exponentiated per batched call; bounds the (2 * _BLOCK, d, d)
-# generator stacks, and with them the memory a propagation holds.
-_BLOCK = 16
+# Generator-stack entries per batched call, the cost of 16 steps at d = 28.
+# A block holds max(16, _BLOCK_ENTRIES // d**2) Magnus steps (_block_steps),
+# which bounds the (2 * steps, d, d) node stacks and with them the memory a
+# propagation holds.
+_BLOCK_ENTRIES = 16 * 28 * 28
 # Gauss-Legendre nodes on [0, 1] and the commutator weight of the step
 _NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _COMMUTATOR = math.sqrt(3.0) / 12.0
@@ -215,6 +220,38 @@ def unitarity_residual(U, g0, gt) -> float:
     return float(np.linalg.norm(Um.conj().T @ Gt @ Um - G0))
 
 
+def _block_steps(dim: int) -> int:
+    """Magnus steps built and exponentiated per batched call at dimension dim."""
+    return max(16, _BLOCK_ENTRIES // (dim * dim))
+
+
+def _expm2(omega: np.ndarray) -> np.ndarray:
+    """exp of each matrix in a (k, 2, 2) stack, in closed form.
+
+    With omega = m I + N, m = tr(omega)/2 and s^2 = -det N,
+    exp(omega) = e^m [cosh(s) I + (sinh(s)/s) N].  Both functions of s are
+    even, so the branch of the root does not matter; sinh(s)/s is set to 1
+    at s = 0, where N may be nilpotent without vanishing (an exceptional
+    point).
+    """
+    m = 0.5 * (omega[:, 0, 0] + omega[:, 1, 1])
+    a = 0.5 * (omega[:, 0, 0] - omega[:, 1, 1])
+    b, c = omega[:, 0, 1], omega[:, 1, 0]
+    s = np.sqrt(a * a + b * c)
+    zero = s == 0
+    cosh = np.cosh(s)
+    sinhc = np.where(zero, 1.0, np.sinh(s) / np.where(zero, 1.0, s))
+    scale = np.exp(m)
+    cosh *= scale
+    sinhc *= scale
+    out = np.empty_like(omega)
+    out[:, 0, 0] = cosh + sinhc * a
+    out[:, 0, 1] = sinhc * b
+    out[:, 1, 0] = sinhc * c
+    out[:, 1, 1] = cosh - sinhc * a
+    return out
+
+
 def _min_eigenvalue(g: np.ndarray):
     """Smallest eigenvalue of the hermitian part of g, or of each matrix in a stack."""
     return np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g.conj(), -1, -2))).min(axis=-1)
@@ -356,7 +393,11 @@ def propagate(
             # i*Omega is hermitian by construction: exp(Omega) = V exp(-i w) V†
             w, V = np.linalg.eigh(1j * omega)
             return (V * np.exp(-1j * w)[:, None, :]) @ V.conj().transpose(0, 2, 1)
+        if dim == 2:
+            return _expm2(omega)
         return scipy.linalg.expm(omega)
+
+    block = _block_steps(dim)
 
     def run(n: int):
         # Coarse non-hermitian passes can overflow; return None so the
@@ -366,8 +407,8 @@ def propagate(
         marks = []
         U = X0
         with np.errstate(over="ignore", invalid="ignore"):
-            for first in range(0, n, _BLOCK):
-                last = min(first + _BLOCK, n)
+            for first in range(0, n, block):
+                last = min(first + block, n)
                 ts = t0 + (np.arange(first, last)[:, None] + _NODES) * dt
                 for k, E in zip(range(first + 1, last + 1), step_exponentials(ts.ravel(), dt)):
                     U = E @ U

@@ -148,11 +148,10 @@ def eigendecompose(H, tol: Tolerances | None = None) -> BiorthogonalEigensystem:
 
     # phase convention: largest-modulus component of each right vector made
     # real-positive; the same rotation on the left column preserves pairing
-    for k in range(n):
-        j = int(np.argmax(np.abs(vr[:, k])))
-        ph = vr[j, k] / abs(vr[j, k])
-        vr[:, k] = vr[:, k] / ph
-        left[:, k] = left[:, k] / ph
+    peak = vr[np.argmax(np.abs(vr), axis=0), np.arange(n)]
+    ph = peak / np.abs(peak)
+    vr = vr / ph
+    left = left / ph
 
     biortho = float(np.max(np.abs(left.conj().T @ vr - np.eye(n))))
     completeness = float(np.linalg.norm(vr @ left.conj().T - np.eye(n)))

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pseudotherm import (
     DEFAULT,
@@ -27,7 +28,7 @@ from pseudotherm import (
     two_time_work,
     unitarity_residual,
 )
-from pseudotherm.dynamics import _BLOCK
+from pseudotherm.dynamics import _block_steps, _expm2
 
 from conftest import SIGMA_X
 
@@ -241,14 +242,77 @@ def test_hermitian_frame_steps_are_exactly_unitary():
     assert max(defect for _, defect in res.checkpoints) <= 1e-12
 
 
+def test_block_size_follows_dimension():
+    assert _block_steps(28) == 16
+    assert _block_steps(2) == 3136
+    assert _block_steps(60) == 16
+
+
+def _assert_block_seeds_match(model, proto, fine, frame=False):
+    block = _block_steps(model.dimension)
+    for seed in (block - 1, block, block + 1):
+        res = propagate(model, proto, steps=seed, entry_tol=1e-10, gauge_precondition=frame)
+        assert res.steps_used % seed == 0
+        assert np.max(np.abs(res.U - fine)) <= 1e-10
+
+
 def test_block_boundaries_do_not_matter():
     model = TwoLevel()
     proto = Protocol.erf(0.0, 0.6, 0.5, window=3.0)
     fine = propagate(model, proto, entry_tol=1e-13)
-    for seed in (_BLOCK - 1, _BLOCK, _BLOCK + 1):
-        res = propagate(model, proto, steps=seed, entry_tol=1e-10)
-        assert res.steps_used % seed == 0
-        assert np.max(np.abs(res.U - fine.U)) <= 1e-10
+    _assert_block_seeds_match(model, proto, fine.U)
+
+
+def test_block_boundaries_do_not_matter_in_the_d28_hermitian_frame():
+    model = Oscillator(omega_ref=1.0, shift=0.5, n_basis=28)
+    proto = Protocol.linear(1.0, 1.2, 0.3)
+    # at d = 28 rounding keeps entry changes near 1.4e-13, so the reference is
+    # a fixed 2048-step run (2e-13 from the 1024-step one)
+    fine = propagate(model, proto, steps=1024, gauge_precondition=True, **NO_ACCEPTANCE)
+    _assert_block_seeds_match(model, proto, fine.U, frame=True)
+
+
+def _assert_matches_expm(omega):
+    E = scipy.linalg.expm(omega)
+    scale = np.maximum(1.0, np.linalg.norm(E, ord=2, axis=(1, 2)))
+    assert np.all(np.max(np.abs(_expm2(omega) - E), axis=(1, 2)) <= 1e-13 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(
+        np.complex128,
+        st.integers(1, 8).map(lambda k: (k, 2, 2)),
+        elements=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    )
+)
+def test_closed_form_two_by_two_exponential_matches_expm(omega):
+    _assert_matches_expm(omega)
+
+
+def test_closed_form_exponential_special_cases():
+    # a multiple of the identity: N = 0
+    c = 0.3 - 1.2j
+    scalar = np.broadcast_to(c * np.eye(2), (1, 2, 2))
+    _assert_matches_expm(scalar)
+    npt.assert_array_equal(_expm2(scalar)[0], np.exp(c) * np.eye(2))
+    # the two-level generator at the exceptional point: s = 0 with N nilpotent, N != 0
+    omega = -0.37j * TwoLevel().hamiltonian(np.array([1.0]))
+    _assert_matches_expm(omega)
+    npt.assert_array_equal(_expm2(omega)[0], np.eye(2) + omega[0])
+    # |s| = 1e-9, where cosh(s) and sinh(s)/s both sit at 1 + O(1e-18)
+    near = np.array([[[0.1 + 2e-10j, 0.5], [2e-18, 0.1 - 2e-10j]]])
+    _assert_matches_expm(near)
+
+
+def test_two_level_propagation_avoids_scipy_expm(monkeypatch):
+    def refuse(_):
+        raise AssertionError("scipy.linalg.expm called on the two-level path")
+
+    expected = scipy.linalg.expm(-0.7j * TwoLevel().hamiltonian(0.4))
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    res = propagate(TwoLevel(), Protocol.linear(0.4, 0.4, 0.7), entry_tol=1e-12)
+    npt.assert_allclose(res.U, expected, atol=1e-9)
 
 
 def test_unreachable_checkpoint_gate_fails_loudly():

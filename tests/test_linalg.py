@@ -5,11 +5,15 @@ from __future__ import annotations
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from pseudotherm import (
     DEFAULT,
     DefectiveMatrixError,
+    HatanoNelson,
+    Oscillator,
     SpectrumKind,
+    TwoLevel,
     build_metric,
     classify_spectrum,
     conjugate_pairing,
@@ -35,6 +39,33 @@ from conftest import SIGMA_X, random_real_spectrum_matrix, two_level_matrix
 def test_two_level_eigenvalues(lam, expected):
     es = eigendecompose(two_level_matrix(lam))
     npt.assert_allclose(es.eigenvalues, [-expected, expected], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        TwoLevel().hamiltonian(0.5),
+        Oscillator(omega_ref=2.0, shift=1.0, n_basis=28).hamiltonian(2.4),
+        HatanoNelson(length=40, hopping=1.0, asymmetry=0.3, boundary="open").hamiltonian(),
+        HatanoNelson(length=40, hopping=1.0, asymmetry=0.3, boundary="periodic").hamiltonian(),
+    ],
+    ids=["two_level", "oscillator", "chain_open", "chain_periodic"],
+)
+def test_phase_convention_matches_per_column_loop(H):
+    # the per-column loop the vectorised phase convention replaced, applied
+    # to the same sorted eig output and biorthonormal left vectors
+    w, vl, vr = scipy.linalg.eig(H, left=True, right=True)
+    order = np.lexsort((w.imag, w.real))
+    vl, vr = vl[:, order], vr[:, order]
+    left = np.linalg.solve(vl.conj().T @ vr, vl.conj().T).conj().T
+    for k in range(vr.shape[1]):
+        j = int(np.argmax(np.abs(vr[:, k])))
+        ph = vr[j, k] / abs(vr[j, k])
+        vr[:, k] = vr[:, k] / ph
+        left[:, k] = left[:, k] / ph
+    es = eigendecompose(H)
+    npt.assert_array_equal(es.right, vr)
+    npt.assert_array_equal(es.left, left)
 
 
 def test_eigenvalues_sorted_by_real_then_imag():
