@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from . import __version__
 from .dynamics import Protocol, propagate, unitarity_residual
 from .errors import ConfigError, PseudothermError
 from .linalg import build_metric, classify_spectrum, eigendecompose, save_matrix
-from .models import HatanoNelson, Oscillator, TwoLevel, relaxation_time
+from .models import HatanoNelson, Oscillator, TwoLevel, _two_by_two, relaxation_time
 from .thermo import quasistatic_cycle, two_time_work
 from .tolerances import DEFAULT
 
@@ -209,10 +210,6 @@ def config_hash(cfg: dict) -> str:
 # artifact writers
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
-
 def _out_dir(args, cfg: dict) -> Path:
     if args.out:
         d = Path(args.out)
@@ -224,10 +221,34 @@ def _out_dir(args, cfg: dict) -> Path:
     return d
 
 
+def _row_format(row) -> str:
+    """The format string of one row: "%s" at its text cells, "%.17g" at the others."""
+    return ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in row)
+
+
+def _format_rows(rows: list) -> list:
+    """Each row as a CSV line; text cells as they are, numbers as "%.17g" % float(x).
+
+    The first row's format string serves every row when all rows have its
+    width and its text columns hold only str; otherwise, or when a number
+    column holds a str, each row is formatted by its own.
+    """
+    if not rows:
+        return []
+    first = rows[0]
+    text = [i for i, cell in enumerate(first) if isinstance(cell, str)]
+    if set(map(len, rows)) == {len(first)} and all(
+        issubclass(t, str) for i in text for t in set(map(type, map(itemgetter(i), rows)))
+    ):
+        try:
+            return list(map(_row_format(first).__mod__, rows))
+        except TypeError:  # a number column holds a str
+            pass
+    return [_row_format(row) % row for row in rows]
+
+
 def write_csv(path: Path, provenance: str, header, rows) -> None:
-    lines = [provenance, ",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+    lines = [provenance, ",".join(header), *_format_rows(list(map(tuple, rows)))]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -542,6 +563,21 @@ def cmd_jarzynski(args, cfg: dict) -> int:
     return fails.finish()
 
 
+class _CouplingFamily:
+    """TwoLevel(coupling=gamma).hamiltonian(fixed) as a family in gamma.
+
+    hamiltonian(gammas) returns the (k, 2, 2) stack for an array of gammas
+    in one call.
+    """
+
+    def __init__(self, fixed: float):
+        self.fixed = fixed
+
+    def hamiltonian(self, gammas) -> np.ndarray:
+        iv = 1j * self.fixed
+        return _two_by_two(np.shape(gammas), iv, gammas, gammas, -iv)
+
+
 def cmd_carnot(args, cfg: dict) -> int:
     cyc = _as_dict(cfg.get("cycle"), "cycle") if "cycle" in cfg else _fail("cycle", "missing")
     T_hot = _as_number(cyc.get("T_hot"), "cycle.T_hot", positive=True)
@@ -557,11 +593,7 @@ def cmd_carnot(args, cfg: dict) -> int:
         if kind != "two_level":
             _fail("cycle.parameter", "coupling sweeps need a two_level model")
         fixed = _as_number(cyc.get("fixed_value", 0.0), "cycle.fixed_value")
-
-        def family(gamma):
-            return TwoLevel(coupling=gamma).hamiltonian(fixed)
-
-        report = quasistatic_cycle(family, T_hot, T_cold, legs, steps)
+        report = quasistatic_cycle(_CouplingFamily(fixed), T_hot, T_cold, legs, steps)
     else:
         report = quasistatic_cycle(build_model(cfg), T_hot, T_cold, legs, steps)
 

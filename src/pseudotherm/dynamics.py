@@ -347,9 +347,11 @@ def propagate(
     exponentiated through a hermitian eigendecomposition.
 
     Raises SingularMetricError when the metric degenerates inside the window
-    and NotConvergedError when max_steps is hit without acceptance, or when
+    and NotConvergedError when max_steps is hit without acceptance, when
     the entry test has passed on two consecutive doublings while the worst
-    checkpoint still misses the gate.
+    checkpoint still misses the gate, or when the entry change has failed
+    to decrease on two consecutive doublings (entry_tol below the rounding
+    floor).
     """
     tol = tol or DEFAULT
     entry_tol = tol.propagation if entry_tol is None else float(entry_tol)
@@ -422,6 +424,7 @@ def propagate(
     n = max(int(steps) if steps else 128, 2)
     U_prev, _ = run(n)
     change = np.inf
+    changes = []  # entry changes of the doublings since U last overflowed
     gate_misses = 0
     while True:
         if 2 * n > max_steps:
@@ -434,8 +437,11 @@ def propagate(
         entry_ok = False
         if U is not None and U_prev is not None:
             change = float(np.max(np.abs(U - U_prev)))
+            changes.append(change)
             scale = max(1.0, float(np.max(np.abs(U))))
             entry_ok = change <= entry_tol * scale
+        else:
+            changes = []
         if entry_ok:
             worst = max(r for _, r in checkpoints)
             if worst <= gate:
@@ -449,6 +455,14 @@ def propagate(
                 )
         else:
             gate_misses = 0
+            # at the rounding floor halving the step no longer shrinks the change
+            if len(changes) >= 3 and changes[-3] <= changes[-2] <= changes[-1]:
+                raise NotConvergedError(
+                    f"the entry change failed to decrease on two consecutive doublings "
+                    f"({changes[-3]:.3e}, {changes[-2]:.3e}, {changes[-1]:.3e} up to "
+                    f"n = {n}); entry_tol {entry_tol:.1e} cannot be met, likely below "
+                    "the rounding floor"
+                )
         U_prev = U
 
     return PropagationResult(

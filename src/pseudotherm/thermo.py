@@ -11,6 +11,14 @@ heat and work through the discrete first law
 
 which telescopes exactly, so energy conservation holds to rounding even
 at coarse step counts.
+
+Each cycle leg is a handful of array operations over its whole grid, with
+the grid index last so that sums over levels run along contiguous rows.
+The leg's eigensystems come in closed form for two levels (E = m -/+ s,
+m = tr H/2, s = sqrt(((H00 - H11)/2)^2 + H01 H10)) and from a batched
+np.linalg.eig and inv otherwise.  Either way a leg whose eigenvector
+matrix has a condition number above `Tolerances.defective_cond` raises
+DefectiveMatrixError: it reaches an exceptional point.
 """
 
 from __future__ import annotations
@@ -18,12 +26,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .dynamics import PropagationResult, Protocol, propagate
 from .errors import (
     ComplexPartitionFunctionError,
+    DefectiveMatrixError,
     IsentropeNotFoundError,
     NonRealResultError,
     NonRealSpectrumError,
@@ -465,7 +475,9 @@ class CycleReport:
     entropy_trace holds (leg, control value, S) for every grid point;
     g_trace_crosscheck is the worst disagreement between the eigenbasis
     energy accounting and the metric-weighted trace formula at sampled
-    points.
+    points.  Every leg's eigenvector matrices passed the defectiveness gate
+    (2-norm condition number at most `defective_cond`), whether they came
+    from the two-level closed form or from the general eigensolver.
     """
 
     T_hot: float
@@ -480,44 +492,111 @@ class CycleReport:
     g_trace_crosscheck: float
 
 
-def _leg_spectra(h_of, values: np.ndarray):
-    """Batched eigen-data along one leg: H_k, E_k, right vectors, duals.
+def _require_diagonalizable(cond: np.ndarray, values: np.ndarray, tol: Tolerances):
+    """Refuse a leg whose eigenvector matrix is singular within tolerance.
 
-    h_of maps the array of control values to the (k, d, d) stack.
+    cond is the 2-norm condition number of the unit-column eigenvector
+    matrix at each control value; it diverges where eigenvectors coalesce,
+    at an exceptional point.  NaN fails the gate too.
     """
-    H = np.asarray(h_of(values), dtype=complex)
-    E, VR = np.linalg.eig(H)
-    VLh = np.linalg.inv(VR)
-    return H, E, VR, VLh
+    worst = int(np.argmax(cond))
+    if not cond[worst] <= tol.defective_cond:
+        raise DefectiveMatrixError(
+            f"eigenvector matrix condition number {cond[worst]:.3e} at control value "
+            f"{values[worst]:.6g} exceeds {tol.defective_cond:.1e}; the leg reaches "
+            "an exceptional point"
+        )
+
+
+def _grid_last(A: np.ndarray) -> np.ndarray:
+    """A contiguous copy of a stack with its leading (grid) axis moved last."""
+    return np.ascontiguousarray(np.moveaxis(A, 0, -1))
+
+
+def _eig2(H: np.ndarray, values: np.ndarray, tol: Tolerances):
+    """Closed-form eigensystems of a (2, 2, k) stack: E (2, k), VR and VLh (2, 2, k).
+
+    With m = tr/2, a = (H00 - H11)/2 and s = sqrt(a^2 + H01 H10) the
+    eigenvalues are m -/+ s.  The right vector of m + r (r = -/+s) is
+    [H01, r - a], or equally [a + r, H10]; the longer of the two is
+    normalised, which avoids the cancellation in r - a for a nearly diagonal
+    H.  Both vanish only for a scalar H, which keeps the unit vectors.  VLh
+    is the closed-form inverse of VR.
+    """
+    a = 0.5 * (H[0, 0] - H[1, 1])
+    b, c = H[0, 1], H[1, 0]
+    r = np.array([[-1.0], [1.0]]) * np.sqrt(a * a + b * c)
+    E = 0.5 * (H[0, 0] + H[1, 1]) + r
+    x0, x1 = np.broadcast_to(b, r.shape), r - a
+    y0, y1 = a + r, np.broadcast_to(c, r.shape)
+    nx = x0.real**2 + x0.imag**2 + x1.real**2 + x1.imag**2
+    ny = y0.real**2 + y0.imag**2 + y1.real**2 + y1.imag**2
+    longer = nx >= ny
+    norm = np.sqrt(np.where(longer, nx, ny))
+    scalar = norm == 0
+    norm[scalar] = 1.0
+    VR = np.empty_like(H)
+    VR[0] = np.where(scalar, [[1.0], [0.0]], np.where(longer, x0, y0)) / norm
+    VR[1] = np.where(scalar, [[0.0], [1.0]], np.where(longer, x1, y1)) / norm
+    det = VR[0, 0] * VR[1, 1] - VR[0, 1] * VR[1, 0]
+    # unit columns: sigma_max sigma_min = |det| and sigma_max^2 + sigma_min^2 = 2
+    D = np.abs(det)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _require_diagonalizable((1.0 + np.sqrt(np.maximum(1.0 - D * D, 0.0))) / D, values, tol)
+    VLh = np.array([[VR[1, 1], -VR[0, 1]], [-VR[1, 0], VR[0, 0]]]) / det
+    return E, VR, VLh
+
+
+def _eig_general(H: np.ndarray, values: np.ndarray, tol: Tolerances):
+    """Batched np.linalg.eig and inv of a (d, d, k) stack: E (d, k), VR and VLh (d, d, k)."""
+    E, VR = np.linalg.eig(np.moveaxis(H, -1, 0))
+    _require_diagonalizable(np.linalg.cond(VR), values, tol)
+    return _grid_last(E), _grid_last(VR), _grid_last(np.linalg.inv(VR))
+
+
+def _leg_spectra(h_of, values: np.ndarray, tol: Tolerances):
+    """Batched eigen-data along one leg of k control values: H, E, VR, VLh.
+
+    h_of maps the array of control values to the (k, d, d) stack.  The grid
+    index runs last in what is returned, H, VR and VLh being (d, d, k) and
+    E (d, k), so sums over levels and products of matrices run along
+    contiguous rows.  Two levels take the closed form, larger dimensions the
+    general eigensolver; both raise DefectiveMatrixError at an exceptional
+    point.
+    """
+    H = _grid_last(np.asarray(h_of(values), dtype=complex))
+    eig = _eig2 if H.shape[0] == 2 else _eig_general
+    return (H, *eig(H, values, tol))
 
 
 def _entropy_curve(E: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """S = beta (U - F) rowwise for (k, d) eigenvalues and (k,) betas."""
-    shift = E.real.min(axis=1)
-    q = np.exp(-beta[:, None] * (E - shift[:, None]))
-    total = q.sum(axis=1)
-    U = (E * q).sum(axis=1) / total
+    """S = beta (U - F) per column for (d, k) eigenvalues and (k,) betas."""
+    shift = E.real.min(axis=0)
+    q = np.exp(-beta * (E - shift))
+    total = q.sum(axis=0)
+    U = (E * q).sum(axis=0) / total
     F = shift - np.log(total) / beta
     return beta * (U - F)
 
 
 def _populations(E: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    shift = E.real.min(axis=1)
-    q = np.exp(-beta[:, None] * (E - shift[:, None]))
-    return q / q.sum(axis=1)[:, None]
+    shift = E.real.min(axis=0)
+    q = np.exp(-beta * (E - shift))
+    return q / q.sum(axis=0)
 
 
 def _solve_isentrope(E: np.ndarray, target: float, tol: Tolerances) -> np.ndarray:
     """beta(lambda) with S = target at every grid point, by log-bisection.
 
-    S is monotone decreasing in beta, so the bracket [beta_min, beta_max]
-    either contains the solution everywhere or the leg is infeasible.
+    E holds the real (d, k) energies.  S is monotone decreasing in beta, so
+    the bracket [beta_min, beta_max] either contains the solution everywhere
+    or the leg is infeasible.
     """
-    k = E.shape[0]
+    k = E.shape[1]
     lo = np.full(k, tol.beta_min)
     hi = np.full(k, tol.beta_max)
-    s_lo = _entropy_curve(E, lo).real
-    s_hi = _entropy_curve(E, hi).real
+    s_lo = _entropy_curve(E, lo)
+    s_hi = _entropy_curve(E, hi)
     slack = tol.entropy_match
     if np.any(s_lo < target - slack) or np.any(s_hi > target + slack):
         raise IsentropeNotFoundError(
@@ -528,12 +607,12 @@ def _solve_isentrope(E: np.ndarray, target: float, tol: Tolerances) -> np.ndarra
     llo, lhi = np.log(lo), np.log(hi)
     for _ in range(64):
         mid = 0.5 * (llo + lhi)
-        s_mid = _entropy_curve(E, np.exp(mid)).real
+        s_mid = _entropy_curve(E, np.exp(mid))
         above = s_mid > target
         llo = np.where(above, mid, llo)
         lhi = np.where(above, lhi, mid)
     beta = np.exp(0.5 * (llo + lhi))
-    s_final = _entropy_curve(E, beta).real
+    s_final = _entropy_curve(E, beta)
     worst = float(np.max(np.abs(s_final - target)))
     if worst > tol.entropy_match:
         raise IsentropeNotFoundError(
@@ -542,28 +621,44 @@ def _solve_isentrope(E: np.ndarray, target: float, tol: Tolerances) -> np.ndarra
     return beta
 
 
-def _leg_accounting(H, E, VR, VLh, pops):
-    """(heat, work) totals over one leg from the discrete first law."""
-    Hmid = 0.5 * (H[:-1] + H[1:])
-    dH = H[1:] - H[:-1]
-    d_lo = np.einsum("kne,kef,kfn->kn", VLh[:-1], Hmid, VR[:-1])
-    d_hi = np.einsum("kne,kef,kfn->kn", VLh[1:], Hmid, VR[1:])
-    w_lo = np.einsum("kne,kef,kfn->kn", VLh[:-1], dH, VR[:-1])
-    w_hi = np.einsum("kne,kef,kfn->kn", VLh[1:], dH, VR[1:])
-    dQ = (pops[1:] * d_hi).sum(axis=1) - (pops[:-1] * d_lo).sum(axis=1)
-    dW = 0.5 * ((pops[:-1] * w_lo).sum(axis=1) + (pops[1:] * w_hi).sum(axis=1))
+def _isentrope_betas(E: np.ndarray, name: str, s_target: float, beta_land: float, tol: Tolerances):
+    """beta along an isentrope, which must end on the temperature 1/beta_land."""
+    E = np.ascontiguousarray(E.real)
+    beta = _solve_isentrope(E, s_target, tol)
+    landing = float(_entropy_curve(E[:, -1:], np.array([beta_land]))[0])
+    if abs(landing - s_target) > tol.entropy_match:
+        raise IsentropeNotFoundError(
+            f"isentrope {name} lands at entropy {landing:.8g} for "
+            f"T = {1.0 / beta_land:.6g}, but the leg requires {s_target:.8g}; "
+            "the chosen endpoints cannot connect the isotherms"
+        )
+    return beta
+
+
+def _leg_accounting(H, VR, VLh, pops):
+    """(heat, work) totals over one leg from the discrete first law (grid index last)."""
+    lo, hi = np.s_[..., :-1], np.s_[..., 1:]
+    Hmid = 0.5 * (H[lo] + H[hi])
+    dH = H[hi] - H[lo]
+    d_lo = np.einsum("nek,efk,fnk->nk", VLh[lo], Hmid, VR[lo])
+    d_hi = np.einsum("nek,efk,fnk->nk", VLh[hi], Hmid, VR[hi])
+    w_lo = np.einsum("nek,efk,fnk->nk", VLh[lo], dH, VR[lo])
+    w_hi = np.einsum("nek,efk,fnk->nk", VLh[hi], dH, VR[hi])
+    dQ = (pops[hi] * d_hi).sum(axis=0) - (pops[lo] * d_lo).sum(axis=0)
+    dW = 0.5 * ((pops[lo] * w_lo).sum(axis=0) + (pops[hi] * w_hi).sum(axis=0))
     return complex(dQ.sum()), complex(dW.sum())
 
 
 def _crosscheck_g_trace(H, E, VR, VLh, pops, sample: int, tol: Tolerances) -> float:
-    """Compare eigen-route tr(rho H) with the public g_trace at sampled k."""
+    """Compare eigen-route tr(rho H) with the public g_trace at sampled k (grid index last)."""
     worst = 0.0
-    k = H.shape[0]
+    k = H.shape[-1]
     for idx in np.linspace(0, k - 1, sample).astype(int):
-        eigsys = eigendecompose(H[idx], tol)
-        rho = (VR[idx] * pops[idx][None, :]) @ VLh[idx]
-        via_trace = g_trace(rho @ H[idx], eigsys)
-        via_eigs = complex(np.sum(pops[idx] * E[idx]))
+        Hk = H[..., idx].copy()
+        eigsys = eigendecompose(Hk, tol)
+        rho = (VR[..., idx] * pops[:, idx][None, :]) @ VLh[..., idx]
+        via_trace = g_trace(rho @ Hk, eigsys)
+        via_eigs = complex(np.sum(pops[:, idx] * E[:, idx]))
         worst = max(worst, abs(via_trace - via_eigs))
     return worst
 
@@ -584,8 +679,12 @@ def quasistatic_cycle(
     the cold isotherm, D->A an isentrope heating back.  Isentropes solve
     beta(control) by bisection and must land on the opposite isotherm's
     temperature; a mismatch raises IsentropeNotFoundError, which is how an
-    infeasible leg geometry announces itself.  steps is the total budget,
-    split evenly across the four legs.
+    infeasible leg geometry announces itself.  A leg that reaches an
+    exceptional point raises DefectiveMatrixError.  steps is the total
+    budget, split evenly across the four legs.
+
+    model is anything with a batched `hamiltonian(values) -> (k, d, d)`, or
+    a plain callable of one control value, which is called value by value.
     """
     tol = tol or DEFAULT
     if T_cold <= 0 or T_hot <= T_cold:
@@ -606,25 +705,22 @@ def quasistatic_cycle(
     heats, works, imag_worst, cross_worst = {}, {}, 0.0, 0.0
     trace: list = []
 
-    def reality(E):
-        scale = 1.0 + np.abs(E)
-        return float(np.max(np.abs(E.imag) / scale))
-
-    def run_isotherm(name, v_from, v_to, beta):
+    def run_leg(name, v_from, v_to, beta_of):
+        """Spectra, reality gate, beta(lambda) = beta_of(E), accounting, trace, crosscheck."""
         nonlocal imag_worst, cross_worst
         values = np.linspace(v_from, v_to, n + 1)
-        H, E, VR, VLh = _leg_spectra(h_of, values)
-        r = reality(E)
+        H, E, VR, VLh = _leg_spectra(h_of, values, tol)
+        r = float(np.max(np.abs(E.imag) / (1.0 + np.abs(E))))
         if r > tol.spectrum_imag:
             raise NonRealResultError(
                 f"spectrum on leg {name} has imaginary parts up to {r:.3e}"
             )
-        beta_vec = np.full(n + 1, beta)
-        pops = _populations(E, beta_vec)
-        S = _entropy_curve(E, beta_vec)
+        beta = beta_of(E)
+        pops = _populations(E, beta)
+        S = _entropy_curve(E, beta)
         imag_worst = max(imag_worst, float(np.max(np.abs(S.imag))))
-        trace.extend((name, float(v), float(s)) for v, s in zip(values, S.real))
-        q, w = _leg_accounting(H, E, VR, VLh, pops)
+        trace.extend(zip(repeat(name), values.tolist(), S.real.tolist()))
+        q, w = _leg_accounting(H, VR, VLh, pops)
         imag_worst = max(imag_worst, abs(q.imag), abs(w.imag))
         heats[name], works[name] = q.real, w.real
         cross_worst = max(
@@ -632,41 +728,10 @@ def quasistatic_cycle(
         )
         return float(S[-1].real)
 
-    def run_isentrope(name, v_from, v_to, s_target, beta_land):
-        nonlocal imag_worst, cross_worst
-        values = np.linspace(v_from, v_to, n + 1)
-        H, E, VR, VLh = _leg_spectra(h_of, values)
-        r = reality(E)
-        if r > tol.spectrum_imag:
-            raise NonRealResultError(
-                f"spectrum on leg {name} has imaginary parts up to {r:.3e}"
-            )
-        beta_vec = _solve_isentrope(E, s_target, tol)
-        landing = float(
-            _entropy_curve(E[-1:], np.array([beta_land])).real[0]
-        )
-        if abs(landing - s_target) > tol.entropy_match:
-            raise IsentropeNotFoundError(
-                f"isentrope {name} lands at entropy {landing:.8g} for "
-                f"T = {1.0 / beta_land:.6g}, but the leg requires {s_target:.8g}; "
-                "the chosen endpoints cannot connect the isotherms"
-            )
-        pops = _populations(E, beta_vec)
-        trace.extend(
-            (name, float(v), float(s))
-            for v, s in zip(values, _entropy_curve(E, beta_vec).real)
-        )
-        q, w = _leg_accounting(H, E, VR, VLh, pops)
-        imag_worst = max(imag_worst, abs(q.imag), abs(w.imag))
-        heats[name], works[name] = q.real, w.real
-        cross_worst = max(
-            cross_worst, _crosscheck_g_trace(H, E, VR, VLh, pops, crosscheck_samples, tol)
-        )
-
-    s_B = run_isotherm("hot", vA, vB, beta_h)
-    run_isentrope("cool", vB, vC, s_B, beta_c)
-    s_D = run_isotherm("cold", vC, vD, beta_c)
-    run_isentrope("heat", vD, vA, s_D, beta_h)
+    s_B = run_leg("hot", vA, vB, lambda E: np.full(n + 1, beta_h))
+    run_leg("cool", vB, vC, lambda E: _isentrope_betas(E, "cool", s_B, beta_c, tol))
+    s_D = run_leg("cold", vC, vD, lambda E: np.full(n + 1, beta_c))
+    run_leg("heat", vD, vA, lambda E: _isentrope_betas(E, "heat", s_D, beta_h, tol))
 
     if imag_worst > tol.reality * 10:
         raise NonRealResultError(

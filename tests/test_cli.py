@@ -8,8 +8,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pseudotherm import load_matrix
-from pseudotherm.cli import main, random_metric_norms, read_csv, write_csv
+from pseudotherm import TwoLevel, load_matrix
+from pseudotherm.cli import _CouplingFamily, main, random_metric_norms, read_csv, write_csv
 
 BASE = {
     "model": {"kind": "two_level", "coupling": 1.0},
@@ -85,6 +85,32 @@ class TestArtifacts:
         prov, header, rows = read_csv(path)
         write_csv(tmp_path / "t2.csv", prov, header, rows)
         assert path.read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [("hot", 0.1, np.float64(0.7)), ("hot", np.float64(-0.0), 1e-300), ("cold", 3, np.inf)],
+            [(1, 2.5, "x"), ("a", 0.0, -0.0), (np.float64(1e-300), -np.inf, 7, "tail"), ()],
+            [(np.int64(4), True, np.float32(0.1)), [1.0, 2.0, 3.0], ("a", "b", "c")],
+            [],
+        ],
+    )
+    def test_csv_rows_match_per_cell_formatting(self, tmp_path, rows):
+        # the per-cell formatting every row format must reproduce byte for byte
+        def per_cell(row):
+            return ",".join(cell if isinstance(cell, str) else "%.17g" % float(cell) for cell in row)
+
+        path = tmp_path / "mixed.csv"
+        write_csv(path, "# provenance", ["h1", "h2"], rows)
+        assert path.read_text().split("\n") == ["# provenance", "h1,h2", *map(per_cell, rows), ""]
+
+    def test_coupling_family_is_the_stacked_two_level_hamiltonian(self):
+        gammas = np.linspace(0.2, 1.3, 7)
+        for fixed in (0.0, 0.35, -0.35):
+            npt.assert_array_equal(
+                _CouplingFamily(fixed).hamiltonian(gammas),
+                np.stack([TwoLevel(coupling=g).hamiltonian(fixed) for g in gammas]),
+            )
 
     def test_out_dir_precedence(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env"

@@ -334,6 +334,21 @@ def test_unreachable_checkpoint_gate_fails_loudly():
             )
 
 
+def test_entry_tolerance_below_rounding_floor_fails_loudly():
+    # in this hermitian frame the entry change under halving bottoms out
+    # near 1.4e-13 at 1024 steps and then grows, so 1e-13 is unreachable;
+    # refinement must stop there instead of doubling toward max_steps
+    with pytest.raises(NotConvergedError, match=r"failed to decrease.*n = 4096.*entry_tol 1\.0e-13"):
+        propagate(
+            Oscillator(omega_ref=1.0, shift=0.5, n_basis=28),
+            Protocol.linear(1.0, 1.2, 0.3),
+            steps=512,
+            entry_tol=1e-13,
+            gauge_precondition=True,
+            max_steps=1 << 14,
+        )
+
+
 def _two_level_ramp(kind: str, end: float, tau: float) -> Protocol:
     return Protocol.linear(0.0, end, tau) if kind == "linear" else Protocol.erf(0.0, end, tau)
 

@@ -5,9 +5,14 @@ from __future__ import annotations
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pseudotherm import (
+    DEFAULT,
     ComplexPartitionFunctionError,
+    DefectiveMatrixError,
     HatanoNelson,
     IsentropeNotFoundError,
     NonRealResultError,
@@ -27,6 +32,7 @@ from pseudotherm import (
     two_time_work,
     work_distribution,
 )
+from pseudotherm import thermo
 from pseudotherm.thermo import _g_normalized_columns
 
 
@@ -250,3 +256,97 @@ class TestQuasistaticCycle:
             quasistatic_cycle(TwoLevel(), 1.0, 2.0, (0.0, 0.1, 0.2, 0.1), 1000)
         with pytest.raises(ValueError):
             quasistatic_cycle(TwoLevel(), 2.0, 1.0, (0.0, 0.1, 0.2), 1000)
+
+    def test_exceptional_point_leg_raises_without_crosscheck(self):
+        # the hot leg ends at v = coupling, where the eigenvectors coalesce;
+        # the leg's own gate names it, not the sampled crosscheck
+        with pytest.raises(DefectiveMatrixError, match="control value 1 "):
+            quasistatic_cycle(
+                TwoLevel(1.0), 2.0, 1.0, (0.6, 1.0, 0.2, 0.1), 4000, crosscheck_samples=0
+            )
+
+    def test_exceptional_point_leg_raises_on_the_general_path(self):
+        # the same leg embedded in three levels goes through np.linalg.eig
+        def family(v):
+            H = np.zeros((3, 3), dtype=complex)
+            H[:2, :2] = TwoLevel(1.0).hamiltonian(v)
+            H[2, 2] = 5.0
+            return H
+
+        with pytest.raises(DefectiveMatrixError, match="exceptional point"):
+            quasistatic_cycle(family, 2.0, 1.0, (0.6, 1.0, 0.2, 0.1), 4000, crosscheck_samples=0)
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_closed_form_matches_general_eigensolver(self, monkeypatch, hermitian):
+        # acceptance test 08's geometries, through the d = 2 closed form and
+        # through np.linalg.eig + inv
+        if hermitian:
+            args = (lambda gap: np.array([[0.0, gap], [gap, 0.0]], dtype=complex),
+                    2.0, 1.0, (1.0, 0.75, 0.375, 0.5))
+        else:
+            g = 0.85
+            legs = (0.0, 0.4, float(np.sqrt(g * g - 0.375**2)), float(np.sqrt(g * g - 0.425**2)))
+            args = (TwoLevel(g), 2.0, 1.0, legs)
+        closed = quasistatic_cycle(*args, steps=10000)
+        monkeypatch.setattr(thermo, "_eig2", thermo._eig_general)
+        general = quasistatic_cycle(*args, steps=10000)
+        for name in ("efficiency", "Q_hot", "W_net"):
+            assert getattr(closed, name) == pytest.approx(getattr(general, name), rel=1e-12, abs=0)
+        assert [t[:2] for t in closed.entropy_trace] == [t[:2] for t in general.entropy_trace]
+
+
+def _check_leg_eigensystem(H: np.ndarray):
+    """The closed-form leg eigensystem of a (k, 2, 2) stack against its definition."""
+    values = np.arange(H.shape[0], dtype=float)
+    E, VR, VLh = thermo._eig2(np.moveaxis(H, 0, -1), values, DEFAULT)
+    E, VR, VLh = E.T, np.moveaxis(VR, -1, 0), np.moveaxis(VLh, -1, 0)
+    scale = np.maximum(1.0, np.linalg.norm(H, axis=(1, 2)))
+    residual = np.linalg.norm(H @ VR - VR * E[:, None, :], axis=(1, 2))
+    assert np.all(residual <= 1e-12 * scale)
+    assert np.all(np.linalg.norm(VLh @ VR - np.eye(2), axis=(1, 2)) <= 1e-12)
+    npt.assert_allclose(np.linalg.norm(VR, axis=1), 1.0, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    levels=st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 3.0)), min_size=1, max_size=16
+    ),
+    basis=arrays(np.float64, (16, 4), elements=st.floats(-1.0, 1.0)),
+)
+def test_closed_form_leg_eigensystem_on_random_real_spectra(levels, basis):
+    # H = V diag(E) V^-1 with a real spectrum, a gap of at least 0.05 and an
+    # eigenvector matrix kept well away from singular
+    stack = []
+    for (e, gap), row in zip(levels, basis):
+        V = np.eye(2) + 0.4 * (row[:2].reshape(1, 2) + 1j * row[2:].reshape(2, 1))
+        stack.append(V @ np.diag([e, e + gap]) @ np.linalg.inv(V))
+    _check_leg_eigensystem(np.array(stack, dtype=complex))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coupling=st.floats(0.05, 3.0),
+    fraction=arrays(np.float64, 8, elements=st.floats(-0.98, 0.98)),
+)
+def test_closed_form_leg_eigensystem_on_the_two_level_families(coupling, fraction):
+    # the pseudo-hermitian value family below its exceptional point, and the
+    # hermitian coupling family [[i v, c], [c, -i v]] at v = 0
+    _check_leg_eigensystem(TwoLevel(coupling).hamiltonian(coupling * fraction))
+    gammas = coupling * (0.05 + np.abs(fraction))
+    _check_leg_eigensystem(np.stack([TwoLevel(g).hamiltonian(0.0) for g in gammas]))
+
+
+def test_closed_form_leg_eigensystem_on_diagonal_and_scalar_matrices():
+    # nearly diagonal and scalar matrices, where [H01, r - a] alone would
+    # cancel or vanish
+    H = np.array(
+        [
+            [[1.0, 1e-9], [1e-9, -1.0]],
+            [[1.0, 0.0], [0.0, -1.0]],
+            [[-1.0, 0.0], [0.0, 1.0]],
+            [[0.5, 0.0], [0.0, 0.5]],
+        ],
+        dtype=complex,
+    )
+    _check_leg_eigensystem(H)
