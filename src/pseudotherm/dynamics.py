@@ -15,14 +15,21 @@ of a block of steps are built in one call to the model and exponentiated in
 one batched call: through a hermitian eigendecomposition in the hermitian
 frame, in closed form for two levels, and with scipy's `expm` otherwise.
 The block holds more steps the smaller the dimension, so a two-level run
-usually fits in one block.  The gauge term G_t keeps U metric-unitary,
-U† g_t U = g_0, when the metric family g_t moves with the drive; it
-vanishes for a static metric.  In the hermitian frame (identity metric)
-i*Omega is hermitian, so every step is exactly unitary.
+usually fits in one block.  Two-level runs are array arithmetic throughout:
+2x2 products are written out entrywise (`_mul2`), and the steps between
+two checkpoints are multiplied by a pairwise product tree before they act
+on U once.  Larger dimensions apply each step to the column block in turn,
+which is cheaper than a d x d product tree when U has few columns.  The
+checkpoint residuals of a run are evaluated in one batched call.  The gauge
+term G_t keeps U metric-unitary, U† g_t U = g_0, when the metric family g_t
+moves with the drive; it vanishes for a static metric.  In the hermitian
+frame (identity metric) i*Omega is hermitian, so every step is exactly
+unitary.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -212,17 +219,68 @@ def gauge_field(g, dg_dt, hbar: float = 1.0) -> np.ndarray:
     return _gauge(ginv_D, hbar)
 
 
-def unitarity_residual(U, g0, gt) -> float:
-    """||U† g_t U - g_0||_F, the metric-unitarity defect of a propagator."""
+def unitarity_residual(U, g0, gt):
+    """||U† g_t U - g_0||_F, the metric-unitarity defect of a propagator.
+
+    A stack of propagators (and of metrics g_t) broadcasts over the leading
+    axes and gives an array of defects; a single propagator gives a float.
+    """
     Um = np.asarray(U, dtype=complex)
     G0 = g0.g if isinstance(g0, MetricOperator) else np.asarray(g0, dtype=complex)
     Gt = gt.g if isinstance(gt, MetricOperator) else np.asarray(gt, dtype=complex)
-    return float(np.linalg.norm(Um.conj().T @ Gt @ Um - G0))
+    defect = np.linalg.norm(np.swapaxes(Um.conj(), -1, -2) @ Gt @ Um - G0, axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def _block_steps(dim: int) -> int:
     """Magnus steps built and exponentiated per batched call at dimension dim."""
     return max(16, _BLOCK_ENTRIES // (dim * dim))
+
+
+def _mul2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for stacks of 2x2 matrices, entry by entry; leading axes broadcast.
+
+    One batched `@` calls BLAS once per 2x2 matrix; eight elementwise
+    products over the whole stack cost a small fraction of that.
+    """
+    a00, a01, a10, a11 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    b00, b01, b10, b11 = B[..., 0, 0], B[..., 0, 1], B[..., 1, 0], B[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape), dtype=np.result_type(A, B))
+    out[..., 0, 0] = a00 * b00 + a01 * b10
+    out[..., 0, 1] = a00 * b01 + a01 * b11
+    out[..., 1, 0] = a10 * b00 + a11 * b10
+    out[..., 1, 1] = a10 * b01 + a11 * b11
+    return out
+
+
+def _tree_product(S: np.ndarray) -> np.ndarray:
+    """S[..., L-1, :, :] @ ... @ S[..., 0, :, :] for a (..., L, 2, 2) stack.
+
+    Pairwise levels: each multiplies neighbours (later factor on the left)
+    in one `_mul2` call, so L factors take ceil(log2 L) calls.
+    """
+    while S.shape[-3] > 1:
+        even = S.shape[-3] // 2 * 2
+        P = _mul2(S[..., 1:even:2, :, :], S[..., 0:even:2, :, :])
+        if even < S.shape[-3]:
+            P = np.concatenate((P, S[..., even:, :, :]), axis=-3)
+        S = P
+    return S[..., 0, :, :]
+
+
+def _piece_products(E: np.ndarray, ends: np.ndarray) -> list:
+    """Products of the consecutive pieces E[0:ends[0]], E[ends[0]:ends[1]], ...
+
+    Runs of pieces with equal length are reduced together along a leading
+    axis; the products come in piece order.
+    """
+    products = []
+    start = 0
+    for length, run in itertools.groupby(np.diff(ends, prepend=0)):
+        m = len(list(run))
+        products.extend(_tree_product(E[start : start + m * length].reshape(m, length, 2, 2)))
+        start += m * length
+    return products
 
 
 def _expm2(omega: np.ndarray) -> np.ndarray:
@@ -276,7 +334,8 @@ class _MetricFamily:
         if self.static:
             self._g0 = model.metric(protocol.value(protocol.t_start))
 
-    def g(self, t: float) -> np.ndarray:
+    def g(self, t) -> np.ndarray:
+        """Metric at time t; a static one is returned as is, a moving one stacks over an array of times."""
         if self.static:
             return self._g0
         return self._model.metric(self._protocol.value(t))
@@ -286,7 +345,8 @@ class _MetricFamily:
         if self.static:
             return None
         dg = self._model.metric_rate(v, self._protocol.rate(ts))
-        return _gauge(self._model.metric_inverse(v) @ dg, hbar)
+        ginv = self._model.metric_inverse(v)
+        return _gauge(_mul2(ginv, dg) if self._model.dimension == 2 else ginv @ dg, hbar)
 
     def min_eigenvalue(self, ts: np.ndarray) -> np.ndarray:
         """Smallest metric eigenvalue at each of the times ts (moving metric)."""
@@ -346,6 +406,13 @@ def propagate(
     is integrated instead (identity metric, no gauge term), and each step is
     exponentiated through a hermitian eigendecomposition.
 
+    A run checks U at about checkpoint_count evenly spaced steps (every
+    n // max(checkpoint_count, 10) steps, and the last).  At two levels the
+    steps between two checkpoints are multiplied by a pairwise product tree
+    of entrywise 2x2 products and advance U once; larger dimensions apply
+    each step to U in turn.  The checkpoint propagators of a run are checked
+    for finiteness and against the metric in one batched call each.
+
     Raises SingularMetricError when the metric degenerates inside the window
     and NotConvergedError when max_steps is hit without acceptance, when
     the entry test has passed on two consecutive doublings while the worst
@@ -381,6 +448,8 @@ def propagate(
     if gate is None:
         gate = tol.propagation * max(1.0, float(np.linalg.norm(g_start)))
 
+    mul = _mul2 if dim == 2 else np.matmul
+
     def step_exponentials(ts: np.ndarray, dt: float) -> np.ndarray:
         """exp(Omega) of the steps whose Gauss nodes are ts (two per step, in order)."""
         v = protocol.value(ts)
@@ -390,7 +459,7 @@ def propagate(
             A = A + G
         A = (-1j / hbar) * A
         A1, A2 = A[0::2], A[1::2]
-        omega = (0.5 * dt) * (A1 + A2) + (_COMMUTATOR * dt * dt) * (A2 @ A1 - A1 @ A2)
+        omega = (0.5 * dt) * (A1 + A2) + (_COMMUTATOR * dt * dt) * (mul(A2, A1) - mul(A1, A2))
         if family.identity:
             # i*Omega is hermitian by construction: exp(Omega) = V exp(-i w) V†
             w, V = np.linalg.eigh(1j * omega)
@@ -402,24 +471,38 @@ def propagate(
     block = _block_steps(dim)
 
     def run(n: int):
-        # Coarse non-hermitian passes can overflow; return None so the
-        # doubling loop just keeps refining.
         dt = (t1 - t0) / n
         every = max(1, n // max(checkpoint_count, 10))
-        marks = []
+        marks = np.union1d(np.arange(every, n + 1, every), n)  # k % every == 0 or k == n
+        at_mark = []  # U after each checkpoint step
         U = X0
         with np.errstate(over="ignore", invalid="ignore"):
             for first in range(0, n, block):
                 last = min(first + block, n)
                 ts = t0 + (np.arange(first, last)[:, None] + _NODES) * dt
-                for k, E in zip(range(first + 1, last + 1), step_exponentials(ts.ravel(), dt)):
-                    U = E @ U
-                    if k % every == 0 or k == n:
-                        if not np.all(np.isfinite(U.view(np.float64))):
-                            return None, ()
-                        tc = t0 + k * dt
-                        marks.append((tc, unitarity_residual(U, M0, family.g(tc))))
-        return U, tuple(marks)
+                E = step_exponentials(ts.ravel(), dt)
+                inside = marks[(marks > first) & (marks <= last)]
+                # pieces end at the checkpoints and at the block end
+                ends = np.union1d(inside, last) - first
+                products = _piece_products(E, ends) if dim == 2 else None
+                start = 0
+                for j, end in enumerate(ends):
+                    if dim == 2:
+                        U = products[j] @ U
+                    else:
+                        for Ek in E[start:end]:
+                            U = Ek @ U
+                    start = end
+                    if j < inside.size:
+                        at_mark.append(U)
+        # Coarse non-hermitian passes can overflow; return None so the
+        # doubling loop just keeps refining.
+        stack = np.stack(at_mark)
+        if not np.isfinite(stack).all():
+            return None, ()
+        tc = t0 + marks * dt
+        residuals = unitarity_residual(stack, M0, family.g(tc))
+        return U, tuple(zip(tc.tolist(), residuals.tolist()))
 
     n = max(int(steps) if steps else 128, 2)
     U_prev, _ = run(n)

@@ -41,7 +41,7 @@ def _as_square_matrix(H) -> np.ndarray:
     A = np.asarray(H, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.view(float))):
+    if not np.isfinite(A).all():
         raise ValueError("matrix contains non-finite entries")
     return A
 
@@ -212,7 +212,7 @@ def classify_spectrum(eigs: Sequence[complex], tol: float | None = None) -> Spec
     w = np.asarray(eigs, dtype=complex)
     if w.size == 0:
         raise ValueError("empty spectrum")
-    if not np.all(np.isfinite(w.view(float))):
+    if not np.isfinite(w).all():
         raise ValueError("spectrum contains non-finite values")
     imag_tol = DEFAULT.spectrum_imag if tol is None else float(tol)
 

@@ -20,9 +20,6 @@ class Tolerances:
     defective_residual: float = 1e-6
     # |Im E| below this counts as real when classifying spectra
     spectrum_imag: float = 1e-10
-    # checks on finished eigensystems
-    biorthonormality: float = 1e-10
-    completeness: float = 1e-9
     # metric quality
     pseudo_hermiticity: float = 1e-9
     metric_min_eig: float = 1e-12

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from pseudotherm import (
     DEFAULT,
@@ -28,7 +28,8 @@ from pseudotherm import (
     two_time_work,
     unitarity_residual,
 )
-from pseudotherm.dynamics import _block_steps, _expm2
+from pseudotherm import dynamics
+from pseudotherm.dynamics import _block_steps, _expm2, _mul2, _tree_product
 
 from conftest import SIGMA_X
 
@@ -313,6 +314,101 @@ def test_two_level_propagation_avoids_scipy_expm(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", refuse)
     res = propagate(TwoLevel(), Protocol.linear(0.4, 0.4, 0.7), entry_tol=1e-12)
     npt.assert_allclose(res.U, expected, atol=1e-9)
+
+
+_ENTRIES = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=4), data=st.data())
+def test_entrywise_two_by_two_product_matches_matmul(shapes, data):
+    A = data.draw(arrays(np.complex128, shapes.input_shapes[0] + (2, 2), elements=_ENTRIES))
+    B = data.draw(arrays(np.complex128, shapes.input_shapes[1] + (2, 2), elements=_ENTRIES))
+    expected = A @ B
+    got = _mul2(A, B)
+    assert got.shape == expected.shape
+    norms = np.linalg.norm(A, axis=(-2, -1)) * np.linalg.norm(B, axis=(-2, -1))
+    scale = np.maximum(1.0, norms)[..., None, None]
+    assert np.all(np.abs(got - expected) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_product_tree_matches_sequential_product(rng, batch):
+    for length in range(1, 41):
+        shape = batch + (length, 2, 2)
+        S = np.eye(2) + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        expected = np.broadcast_to(np.eye(2, dtype=complex), batch + (2, 2))
+        for k in range(length):
+            expected = S[..., k, :, :] @ expected
+        got = _tree_product(S)
+        assert got.shape == batch + (2, 2)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dim, cols", [(2, 2), (2, 1), (5, 5), (5, 3)])
+def test_stacked_unitarity_residual_equals_single_calls(rng, dim, cols):
+    U = rng.standard_normal((6, dim, cols)) + 1j * rng.standard_normal((6, dim, cols))
+    G = rng.standard_normal((6, dim, dim)) + 1j * rng.standard_normal((6, dim, dim))
+    G0 = rng.standard_normal((cols, cols)) + 1j * rng.standard_normal((cols, cols))
+    stacked = unitarity_residual(U, G0, G)
+    assert stacked.shape == (6,)
+    single = [unitarity_residual(U[k], G0, G[k]) for k in range(6)]
+    assert all(isinstance(r, float) for r in single)
+    npt.assert_array_equal(stacked, single)
+    # a static metric broadcasts against the stack
+    npt.assert_array_equal(unitarity_residual(U, G0, G[0]), [unitarity_residual(u, G0, G[0]) for u in U])
+
+
+def _recording_expm2(monkeypatch):
+    calls = []
+
+    def record(omega):
+        calls.append(_expm2(omega))
+        return calls[-1]
+
+    monkeypatch.setattr(dynamics, "_expm2", record)
+    return calls
+
+
+@pytest.mark.parametrize("steps", [50, 3500])
+def test_two_level_chaining_matches_per_step_product(monkeypatch, steps):
+    # n = 2 * steps is no multiple of the checkpoint stride n // 12; 7000
+    # steps also cut the pieces at the block ends (3136, 6272)
+    model = TwoLevel()
+    proto = Protocol.erf(0.0, 0.6, 0.5, window=3.0)
+    col = np.array([[0.6], [0.8j]])
+    calls = _recording_expm2(monkeypatch)
+    res = propagate(model, proto, steps=steps, initial=col, **NO_ACCEPTANCE)
+    n = res.steps_used
+    assert n == 2 * steps and n % (n // 12) != 0
+    blocks = -(-n // _block_steps(2))
+    per_step = np.concatenate(calls[-blocks:])
+    assert len(per_step) == n
+    U = col.astype(complex)
+    for E in per_step:
+        U = E @ U
+    assert np.max(np.abs(res.U - U)) <= 1e-13
+    t0, dt, every = proto.t_start, res.step_size, n // 12
+    expected_times = [t0 + k * dt for k in range(1, n + 1) if k % every == 0 or k == n]
+    assert [t for t, _ in res.checkpoints] == expected_times
+
+
+def test_overflowing_first_run_keeps_refining(monkeypatch):
+    model = TwoLevel()
+    proto = Protocol.linear(0.0, 0.5, 1.0)
+    expected = propagate(model, proto, entry_tol=1e-10)
+    first = []
+
+    def overflow_once(omega):
+        if not first:
+            first.append(True)
+            return np.full_like(omega, np.inf)
+        return _expm2(omega)
+
+    monkeypatch.setattr(dynamics, "_expm2", overflow_once)
+    res = propagate(model, proto, entry_tol=1e-10)
+    assert first and res.steps_used >= expected.steps_used
+    assert np.max(np.abs(res.U - expected.U)) <= 1e-9
 
 
 def test_unreachable_checkpoint_gate_fails_loudly():

@@ -127,6 +127,21 @@ def test_classify_generic_unpaired():
     assert sc.pairing is None
 
 
+def test_finiteness_checks_accept_non_contiguous_views():
+    # transposes and column slices have a non-contiguous last axis
+    H = TwoLevel().hamiltonian(0.3)
+    npt.assert_array_equal(eigendecompose(H.T).eigenvalues, eigendecompose(H.T.copy()).eigenvalues)
+    assert pseudo_hermiticity_residual(H.T, np.eye(2)) == pseudo_hermiticity_residual(H.T.copy(), np.eye(2))
+    E = np.array([[1.0 + 0j, 2.0], [-1.0, 0.5j]])
+    assert classify_spectrum(E[:, 0]).all_real
+    bad = np.asfortranarray(H)
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        eigendecompose(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        classify_spectrum(np.array([[1.0, np.inf], [0.0, 1.0]], dtype=complex)[:, 1])
+
+
 def test_conjugate_pairing_involution():
     w = [0.5, 2 - 0.25j, 2 + 0.25j, -1.0]
     pairing = conjugate_pairing(w, 1e-10)
