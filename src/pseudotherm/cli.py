@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -201,6 +202,24 @@ def _check_value(cfg: dict, key: str, default: float) -> float:
     return default
 
 
+def _propagation_options(cfg: dict, model) -> dict:
+    """propagation.* as the keyword arguments of propagate and two_time_work."""
+    prop_cfg = _as_dict(cfg.get("propagation", {}), "propagation")
+    has_frame = hasattr(model, "hermitian_frame")
+    precondition = prop_cfg.get("precondition")
+    if precondition is None:
+        precondition = has_frame
+    elif _as_bool(precondition, "propagation.precondition") and not has_frame:
+        _fail("propagation.precondition", f"{type(model).__name__} has no hermitian frame")
+    entry_tol = prop_cfg.get("entry_tolerance")
+    if entry_tol is not None:
+        entry_tol = _as_number(entry_tol, "propagation.entry_tolerance", positive=True)
+    steps = prop_cfg.get("steps")
+    if steps is not None:
+        steps = _as_int(steps, "propagation.steps", minimum=2)
+    return {"gauge_precondition": precondition, "entry_tol": entry_tol, "steps": steps}
+
+
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(canon).hexdigest()[:12]
@@ -357,7 +376,8 @@ def _model_value(cfg: dict) -> float:
     if "at" in cfg:
         return _as_number(cfg["at"], "at")
     if "protocol" in cfg:
-        return build_protocol(cfg).value(build_protocol(cfg).t_start)
+        protocol = build_protocol(cfg)
+        return protocol.value(protocol.t_start)
     return 0.0
 
 
@@ -412,25 +432,9 @@ def cmd_metric(args, cfg: dict) -> int:
 def cmd_evolve(args, cfg: dict) -> int:
     model = build_model(cfg)
     protocol = build_protocol(cfg)
-    prop_cfg = _as_dict(cfg.get("propagation", {}), "propagation")
-    precondition = prop_cfg.get("precondition")
-    if precondition is not None:
-        precondition = _as_bool(precondition, "propagation.precondition")
-    else:
-        precondition = hasattr(model, "hermitian_frame")
-    entry_tol = prop_cfg.get("entry_tolerance")
-    if entry_tol is not None:
-        entry_tol = _as_number(entry_tol, "propagation.entry_tolerance", positive=True)
-    steps = prop_cfg.get("steps")
-    if steps is not None:
-        steps = _as_int(steps, "propagation.steps", minimum=2)
+    options = _propagation_options(cfg, model)
     result = propagate(
-        model,
-        protocol,
-        _as_number(cfg.get("hbar", 1.0), "hbar", positive=True),
-        steps,
-        entry_tol=entry_tol,
-        gauge_precondition=precondition,
+        model, protocol, _as_number(cfg.get("hbar", 1.0), "hbar", positive=True), **options
     )
     out = _out_dir(args, cfg)
     save_matrix(out / "evolve_U.txt", result.U)
@@ -453,40 +457,30 @@ def cmd_evolve(args, cfg: dict) -> int:
 def _two_time(cfg: dict):
     model = build_model(cfg)
     protocol = build_protocol(cfg)
-    prop_cfg = _as_dict(cfg.get("propagation", {}), "propagation")
-    entry_tol = prop_cfg.get("entry_tolerance")
-    if entry_tol is not None:
-        entry_tol = _as_number(entry_tol, "propagation.entry_tolerance", positive=True)
-    steps = prop_cfg.get("steps")
-    if steps is not None:
-        steps = _as_int(steps, "propagation.steps", minimum=2)
+    options = _propagation_options(cfg, model)
     return two_time_work(
         model,
         protocol,
         _as_number(cfg.get("beta", 1.0), "beta", positive=True),
         hbar=_as_number(cfg.get("hbar", 1.0), "hbar", positive=True),
-        steps=steps,
-        entry_tol=entry_tol,
+        **options,
     )
 
 
 def cmd_work(args, cfg: dict) -> int:
     res = _two_time(cfg)
     out = _out_dir(args, cfg)
-    rows = []
     E0, ET = res.energies_initial.real, res.energies_final.real
-    for j, n in enumerate(res.rows):
-        for k, m in enumerate(res.cols):
-            rows.append((n, m, E0[n], ET[m], ET[m] - E0[n], res.p[j, k]))
+    levels = itertools.product(res.rows, res.cols)  # the order of res.work.entries
+    rows = [(n, m, E0[n], ET[m], w, p) for (n, m), (w, p) in zip(levels, res.work.entries)]
     write_csv(
         out / "work.csv",
         _provenance(cfg),
         ["n", "m", "E_initial", "E_final", "w", "p"],
         rows,
     )
-    total_weight = sum(r[-1] for r in rows)
     print(
-        f"work: {len(rows)} entries total_weight={total_weight:.6f} "
+        f"work: {len(rows)} entries total_weight={res.report.total_weight:.6f} "
         f"row_sum_defect={res.row_sum_defect:.3e} -> {out / 'work.csv'}"
     )
     fails = _Failures("work")
@@ -513,38 +507,32 @@ def _sweep_map(cfg, sweep, fn):
     return rows
 
 
+_REPORT_COLUMNS = (
+    "exp_avg_work",
+    "exp_delta_F",
+    "relative_residual",
+    "mean_work",
+    "delta_F",
+    "irreversible_work",
+)
+
+
 def cmd_jarzynski(args, cfg: dict) -> int:
     sweep = _validate_sweep(cfg)
     sweep_name = sweep[0] if sweep else "value"
 
     def run(point_cfg, value):
         res = _two_time(point_cfg)
-        r = res.report
         return (
             value if value is not None else 0.0,
-            r.exp_avg_work,
-            r.exp_delta_F,
-            r.relative_residual,
-            r.mean_work,
-            r.delta_F,
-            r.irreversible_work,
+            *(getattr(res.report, name) for name in _REPORT_COLUMNS),
             res.row_sum_defect,
             res.propagation.steps_used,
         )
 
     rows = _sweep_map(cfg, sweep, run)
     out = _out_dir(args, cfg)
-    header = [
-        sweep_name,
-        "exp_avg_work",
-        "exp_delta_F",
-        "relative_residual",
-        "mean_work",
-        "delta_F",
-        "irreversible_work",
-        "row_sum_defect",
-        "steps",
-    ]
+    header = [sweep_name, *_REPORT_COLUMNS, "row_sum_defect", "steps"]
     write_csv(out / "jarzynski.csv", _provenance(cfg), header, rows)
     print(f"jarzynski: {len(rows)} row(s) -> {out / 'jarzynski.csv'}")
     limit = _check_value(cfg, "jarzynski_residual", 1e-5)
@@ -578,6 +566,19 @@ class _CouplingFamily:
         return _two_by_two(np.shape(gammas), iv, gammas, gammas, -iv)
 
 
+_SUMMARY_COLUMNS = (
+    "T_hot",
+    "T_cold",
+    "Q_hot",
+    "Q_cold",
+    "W_net",
+    "efficiency",
+    "carnot_bound",
+    "first_law_defect",
+    "g_trace_crosscheck",
+)
+
+
 def cmd_carnot(args, cfg: dict) -> int:
     cyc = _as_dict(cfg.get("cycle"), "cycle") if "cycle" in cfg else _fail("cycle", "missing")
     T_hot = _as_number(cyc.get("T_hot"), "cycle.T_hot", positive=True)
@@ -607,30 +608,8 @@ def cmd_carnot(args, cfg: dict) -> int:
     write_csv(
         out / "carnot_summary.csv",
         _provenance(cfg),
-        [
-            "T_hot",
-            "T_cold",
-            "Q_hot",
-            "Q_cold",
-            "W_net",
-            "efficiency",
-            "carnot_bound",
-            "first_law_defect",
-            "g_trace_crosscheck",
-        ],
-        [
-            (
-                report.T_hot,
-                report.T_cold,
-                report.Q_hot,
-                report.Q_cold,
-                report.W_net,
-                report.efficiency,
-                report.carnot_bound,
-                report.first_law_defect,
-                report.g_trace_crosscheck,
-            )
-        ],
+        _SUMMARY_COLUMNS,
+        [tuple(getattr(report, name) for name in _SUMMARY_COLUMNS)],
     )
     print(
         f"carnot: efficiency={report.efficiency:.6f} bound={report.carnot_bound:.6f} "
@@ -671,15 +650,12 @@ def cmd_fig1_left(args, cfg: dict) -> int:
     res = _two_time(cfg)
     target = res.report.exp_delta_F
     levels = sorted(set(res.rows) | set(res.cols))
-    E0 = res.energies_initial.real
-    ET = res.energies_final.real
+    w = np.array([e[0] for e in res.work.entries]).reshape(res.p.shape)
+    terms = res.p * np.exp(-res.beta * w)
+    rows, cols = np.array(res.rows), np.array(res.cols)
     rows_out = []
     for n_max in levels:
-        mask_r = [j for j, n in enumerate(res.rows) if n <= n_max]
-        mask_c = [k for k, m in enumerate(res.cols) if m <= n_max]
-        block = res.p[np.ix_(mask_r, mask_c)]
-        w = ET[[res.cols[k] for k in mask_c]][None, :] - E0[[res.rows[j] for j in mask_r]][:, None]
-        partial = float(np.sum(block * np.exp(-res.beta * w)))
+        partial = float(np.sum(terms[np.ix_(rows <= n_max, cols <= n_max)]))
         rows_out.append((n_max + 1, partial, target))
     out = _out_dir(args, cfg)
     write_csv(

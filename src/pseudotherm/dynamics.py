@@ -65,6 +65,8 @@ _BLOCK_ENTRIES = 16 * 28 * 28
 # Gauss-Legendre nodes on [0, 1] and the commutator weight of the step
 _NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _COMMUTATOR = math.sqrt(3.0) / 12.0
+# A run checks U every n // _CHECKPOINTS steps and at its last step
+_CHECKPOINTS = 12
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,15 @@ class Protocol:
         if self.kind == "tabulated":
             if len(self.samples) < 2:
                 raise ValueError("tabulated protocol needs at least 2 samples")
+            if not all(map(math.isfinite, itertools.chain.from_iterable(self.samples))):
+                raise ValueError("tabulated samples must be finite")
             ts = [t for t, _ in self.samples]
             if any(b <= a for a, b in zip(ts, ts[1:])):
                 raise ValueError("tabulated sample times must be strictly increasing")
         else:
+            numbers = (self.start_value, self.end_value, self.duration, self.window)
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError("protocol start, end, duration and window must be finite")
             if self.duration <= 0:
                 raise ValueError("protocol duration must be positive")
             if self.kind == "erf" and self.window <= 0:
@@ -388,7 +395,6 @@ def propagate(
     tol: Tolerances | None = None,
     entry_tol: float | None = None,
     max_steps: int = 1 << 23,
-    checkpoint_count: int = 12,
     initial: np.ndarray | None = None,
     gauge_precondition: bool = False,
     t0: float | None = None,
@@ -406,12 +412,12 @@ def propagate(
     is integrated instead (identity metric, no gauge term), and each step is
     exponentiated through a hermitian eigendecomposition.
 
-    A run checks U at about checkpoint_count evenly spaced steps (every
-    n // max(checkpoint_count, 10) steps, and the last).  At two levels the
-    steps between two checkpoints are multiplied by a pairwise product tree
-    of entrywise 2x2 products and advance U once; larger dimensions apply
-    each step to U in turn.  The checkpoint propagators of a run are checked
-    for finiteness and against the metric in one batched call each.
+    A run checks U at about 12 evenly spaced steps (every n // 12 steps, and
+    the last).  At two levels the steps between two checkpoints are
+    multiplied by a pairwise product tree of entrywise 2x2 products and
+    advance U once; larger dimensions apply each step to U in turn.  The
+    checkpoint propagators of a run are checked for finiteness and against
+    the metric in one batched call each.
 
     Raises SingularMetricError when the metric degenerates inside the window
     and NotConvergedError when max_steps is hit without acceptance, when
@@ -424,7 +430,7 @@ def propagate(
     entry_tol = tol.propagation if entry_tol is None else float(entry_tol)
     t0 = protocol.t_start if t0 is None else float(t0)
     t1 = protocol.t_end if t1 is None else float(t1)
-    if t1 <= t0:
+    if not t1 > t0:
         raise ValueError("t1 must exceed t0")
 
     if gauge_precondition:
@@ -472,7 +478,7 @@ def propagate(
 
     def run(n: int):
         dt = (t1 - t0) / n
-        every = max(1, n // max(checkpoint_count, 10))
+        every = max(1, n // _CHECKPOINTS)
         marks = np.union1d(np.arange(every, n + 1, every), n)  # k % every == 0 or k == n
         at_mark = []  # U after each checkpoint step
         U = X0

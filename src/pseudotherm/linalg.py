@@ -37,6 +37,13 @@ __all__ = [
 ]
 
 
+# eigendecompose's coalescing-pair check runs once the overlap condition number
+# exceeds _COALESCE_COND_FRACTION * defective_cond, and refuses two neighbours
+_COALESCE_COND_FRACTION = 1e-2
+_COALESCE_GAP = 1e-6  # closer than this times (1 + |E|)
+_COALESCE_PARALLEL = 1e-6  # whose unit right vectors overlap by more than 1 - this
+
+
 def _as_square_matrix(H) -> np.ndarray:
     A = np.asarray(H, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
@@ -133,11 +140,11 @@ def eigendecompose(H, tol: Tolerances | None = None) -> BiorthogonalEigensystem:
         )
     # A clean condition number can still hide a coalescing pair: two nearly
     # equal eigenvalues whose right eigenvectors are nearly parallel.
-    if n > 1 and cond > tol.defective_cond * 1e-2:
+    if n > 1 and cond > tol.defective_cond * _COALESCE_COND_FRACTION:
         gaps = np.abs(np.diff(w))
-        for i in np.nonzero(gaps < 1e-6 * (1.0 + np.abs(w[:-1])))[0]:
+        for i in np.nonzero(gaps < _COALESCE_GAP * (1.0 + np.abs(w[:-1])))[0]:
             pair_overlap = abs(np.vdot(vr[:, i], vr[:, i + 1]))
-            if pair_overlap > 1.0 - 1e-6:
+            if pair_overlap > 1.0 - _COALESCE_PARALLEL:
                 raise DefectiveMatrixError(
                     f"eigenvalues {w[i]:.6g} and {w[i + 1]:.6g} coalesce with "
                     f"parallel eigenvectors (overlap {pair_overlap:.12f})"
@@ -318,7 +325,8 @@ def load_matrix(path) -> np.ndarray:
         if len(cells) != dim:
             raise ValueError(f"{path}: row {r} has {len(cells)} entries, expected {dim}")
         try:
-            rows.append([complex(float(c.split(",")[0]), float(c.split(",")[1])) for c in cells])
-        except (ValueError, IndexError):
+            # unpacking demands exactly one re,im pair per cell
+            rows.append([complex(float(re), float(im)) for re, im in (c.split(",") for c in cells)])
+        except ValueError:
             raise ValueError(f"{path}: row {r} is not whitespace-separated re,im pairs") from None
     return _as_square_matrix(np.array(rows, dtype=complex))

@@ -10,7 +10,8 @@ heat and work through the discrete first law
     dE = tr(d(rho) H_mid) + tr(rho_mid dH)
 
 which telescopes exactly, so energy conservation holds to rounding even
-at coarse step counts.
+at coarse step counts.  At every grid point it also checks the energy
+sum_n p_n E_n against tr(rho H), rho = V diag(p) V^-1.
 
 Each cycle leg is a handful of array operations over its whole grid, with
 the grid index last so that sums over levels run along contiguous rows.
@@ -40,13 +41,7 @@ from .errors import (
     SingularMetricError,
     TruncationWarning,
 )
-from .linalg import (
-    BiorthogonalEigensystem,
-    MetricOperator,
-    classify_spectrum,
-    eigendecompose,
-    g_trace,
-)
+from .linalg import BiorthogonalEigensystem, _metric_matrix, classify_spectrum, eigendecompose
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -72,12 +67,6 @@ __all__ = [
 def _eigenvalues_of(eigs) -> np.ndarray:
     w = getattr(eigs, "eigenvalues", eigs)
     return np.asarray(w, dtype=complex).ravel()
-
-
-def _metric_matrix(g) -> np.ndarray:
-    if isinstance(g, MetricOperator):
-        return g.g
-    return np.asarray(g, dtype=complex)
 
 
 def _check_beta(beta: float) -> float:
@@ -133,12 +122,12 @@ def free_energy(Z: complex, beta: float, *, tol: Tolerances | None = None) -> fl
     return -math.log(Z.real) / beta
 
 
-def _shifted_weights(w: np.ndarray, beta: float):
-    """e^{-beta(w - shift)} and its sum; shift keeps the exponents tame."""
-    shift = float(np.min(w.real))
+def _shifted_weights(w: np.ndarray, beta):
+    """e^{-beta(w - shift)} and its sum over the levels (axis 0); shift keeps the exponents tame."""
+    shift = w.real.min(axis=0)
     q = np.exp(-beta * (w - shift))
-    total = complex(np.sum(q))
-    if total == 0:
+    total = q.sum(axis=0)
+    if np.any(total == 0):
         raise ComplexPartitionFunctionError("partition function underflowed to zero")
     return shift, q, total
 
@@ -218,6 +207,12 @@ def _g_normalized_columns(V: np.ndarray, G: np.ndarray) -> np.ndarray:
     return V / np.sqrt(norms)[None, :]
 
 
+def _final_level_probabilities(right: np.ndarray, G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """|<psi'_m, G x_j>|^2, psi'_m the G-normalized columns of `right`: (m, j)."""
+    psi = _g_normalized_columns(right, G)
+    return np.abs(psi.conj().T @ (G @ X)) ** 2
+
+
 def _require_all_real(label: str, eigsys: BiorthogonalEigensystem, tol: Tolerances):
     sc = classify_spectrum(eigsys.eigenvalues, tol.spectrum_imag)
     if not sc.all_real:
@@ -257,9 +252,7 @@ def transition_matrix(
             f"state0 has {pops.shape[0]} populations for {eig0.dim} initial levels"
         )
     psi0 = _g_normalized_columns(eig0.right, G0)
-    psiT = _g_normalized_columns(eigT.right, GT)
-    amp = psiT.conj().T @ GT @ (U @ psi0)
-    return np.abs(amp.T) ** 2 * pops[:, None]
+    return _final_level_probabilities(eigT.right, GT, U @ psi0).T * pops[:, None]
 
 
 @dataclass(frozen=True)
@@ -399,10 +392,9 @@ def two_time_work(
     if precondition:
         H0, H1 = model.hermitian_frame(v0), model.hermitian_frame(v1)
         G0 = np.eye(model.dimension, dtype=complex)
-        GT = G0
     else:
         H0, H1 = model.hamiltonian(v0), model.hamiltonian(v1)
-        G0, GT = _metric_matrix(model.metric(v0)), _metric_matrix(model.metric(v1))
+        G0 = _metric_matrix(model.metric(v0))
     eig0 = eigendecompose(H0, tol)
     eigT = eigendecompose(H1, tol)
     _require_all_real("initial", eig0, tol)
@@ -441,9 +433,7 @@ def two_time_work(
         gauge_precondition=precondition,
         unitarity_gate=unitarity_gate,
     )
-    psiT = _g_normalized_columns(eigT.right, prop.g_end)
-    amp = psiT.conj().T @ (prop.g_end @ prop.U)
-    probs = np.abs(amp) ** 2
+    probs = _final_level_probabilities(eigT.right, prop.g_end, prop.U)
     row_sum_defect = float(np.max(np.abs(probs.sum(axis=0) - 1.0)))
     p = probs[cols, :].T * pops[rows][:, None]
 
@@ -473,11 +463,11 @@ class CycleReport:
     Q_hot is heat absorbed on the hot isotherm, Q_cold heat exhausted on
     the cold one (both positive for an engine), W_net the work delivered.
     entropy_trace holds (leg, control value, S) for every grid point;
-    g_trace_crosscheck is the worst disagreement between the eigenbasis
-    energy accounting and the metric-weighted trace formula at sampled
-    points.  Every leg's eigenvector matrices passed the defectiveness gate
-    (2-norm condition number at most `defective_cond`), whether they came
-    from the two-level closed form or from the general eigensolver.
+    g_trace_crosscheck is the worst |tr(rho H) - sum_n p_n E_n| over every
+    grid point of every leg.  Every leg's eigenvector matrices passed the
+    defectiveness gate (2-norm condition number at most `defective_cond`),
+    whether they came from the two-level closed form or from the general
+    eigensolver.
     """
 
     T_hot: float
@@ -571,18 +561,15 @@ def _leg_spectra(h_of, values: np.ndarray, tol: Tolerances):
 
 def _entropy_curve(E: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """S = beta (U - F) per column for (d, k) eigenvalues and (k,) betas."""
-    shift = E.real.min(axis=0)
-    q = np.exp(-beta * (E - shift))
-    total = q.sum(axis=0)
+    shift, q, total = _shifted_weights(E, beta)
     U = (E * q).sum(axis=0) / total
     F = shift - np.log(total) / beta
     return beta * (U - F)
 
 
 def _populations(E: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    shift = E.real.min(axis=0)
-    q = np.exp(-beta * (E - shift))
-    return q / q.sum(axis=0)
+    _, q, total = _shifted_weights(E, beta)
+    return q / total
 
 
 def _solve_isentrope(E: np.ndarray, target: float, tol: Tolerances) -> np.ndarray:
@@ -649,18 +636,10 @@ def _leg_accounting(H, VR, VLh, pops):
     return complex(dQ.sum()), complex(dW.sum())
 
 
-def _crosscheck_g_trace(H, E, VR, VLh, pops, sample: int, tol: Tolerances) -> float:
-    """Compare eigen-route tr(rho H) with the public g_trace at sampled k (grid index last)."""
-    worst = 0.0
-    k = H.shape[-1]
-    for idx in np.linspace(0, k - 1, sample).astype(int):
-        Hk = H[..., idx].copy()
-        eigsys = eigendecompose(Hk, tol)
-        rho = (VR[..., idx] * pops[:, idx][None, :]) @ VLh[..., idx]
-        via_trace = g_trace(rho @ Hk, eigsys)
-        via_eigs = complex(np.sum(pops[:, idx] * E[:, idx]))
-        worst = max(worst, abs(via_trace - via_eigs))
-    return worst
+def _crosscheck_g_trace(H, E, VR, VLh, pops) -> float:
+    """Worst |tr(rho H) - sum_n p_n E_n| over a leg (grid index last), rho = VR diag(p) VLh."""
+    via_trace = np.einsum("nek,efk,fnk,nk->k", VLh, H, VR, pops)
+    return float(np.max(np.abs(via_trace - (pops * E).sum(axis=0))))
 
 
 def quasistatic_cycle(
@@ -671,7 +650,6 @@ def quasistatic_cycle(
     steps: int = 10000,
     *,
     tol: Tolerances | None = None,
-    crosscheck_samples: int = 5,
 ) -> CycleReport:
     """Discretized Carnot cycle A->B->C->D->A over a model family.
 
@@ -681,16 +659,20 @@ def quasistatic_cycle(
     temperature; a mismatch raises IsentropeNotFoundError, which is how an
     infeasible leg geometry announces itself.  A leg that reaches an
     exceptional point raises DefectiveMatrixError.  steps is the total
-    budget, split evenly across the four legs.
+    budget, split evenly across the four legs; g_trace_crosscheck is
+    taken at every grid point.
 
     model is anything with a batched `hamiltonian(values) -> (k, d, d)`, or
     a plain callable of one control value, which is called value by value.
     """
     tol = tol or DEFAULT
-    if T_cold <= 0 or T_hot <= T_cold:
-        raise ValueError("need T_hot > T_cold > 0")
+    if not (T_cold > 0 and T_hot > T_cold and math.isfinite(T_hot)):
+        raise ValueError("need finite T_hot > T_cold > 0")
     if len(leg_points) != 4:
         raise ValueError("leg_points must be (A, B, C, D) control values")
+    vA, vB, vC, vD = (float(v) for v in leg_points)
+    if not all(map(math.isfinite, (vA, vB, vC, vD))):
+        raise ValueError("leg_points must be finite")
     if hasattr(model, "hamiltonian"):
         h_of = model.hamiltonian  # models take the whole array of control values
     else:
@@ -699,7 +681,6 @@ def quasistatic_cycle(
             return np.stack([np.asarray(model(float(v)), dtype=complex) for v in values])
 
     n = max(int(steps) // 4, 100)
-    vA, vB, vC, vD = (float(v) for v in leg_points)
     beta_h, beta_c = 1.0 / T_hot, 1.0 / T_cold
 
     heats, works, imag_worst, cross_worst = {}, {}, 0.0, 0.0
@@ -723,9 +704,7 @@ def quasistatic_cycle(
         q, w = _leg_accounting(H, VR, VLh, pops)
         imag_worst = max(imag_worst, abs(q.imag), abs(w.imag))
         heats[name], works[name] = q.real, w.real
-        cross_worst = max(
-            cross_worst, _crosscheck_g_trace(H, E, VR, VLh, pops, crosscheck_samples, tol)
-        )
+        cross_worst = max(cross_worst, _crosscheck_g_trace(H, E, VR, VLh, pops))
         return float(S[-1].real)
 
     s_B = run_leg("hot", vA, vB, lambda E: np.full(n + 1, beta_h))

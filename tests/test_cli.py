@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pseudotherm import TwoLevel, load_matrix
+from pseudotherm import Oscillator, Protocol, TwoLevel, load_matrix, two_time_work
 from pseudotherm.cli import _CouplingFamily, main, random_metric_norms, read_csv, write_csv
 
 BASE = {
@@ -157,6 +157,31 @@ class TestArtifacts:
         assert sum(r[5] for r in rows) == pytest.approx(1.0, abs=1e-9)
 
 
+class TestPropagationOptions:
+    OSC = dict(
+        BASE,
+        model={"kind": "oscillator", "omega_ref": 1.0, "shift": 0.0, "n_basis": 8},
+        protocol={"kind": "linear", "start": 1.0, "end": 1.2, "duration": 0.3},
+    )
+
+    @pytest.mark.parametrize("command", ["work", "evolve"])
+    @pytest.mark.parametrize("value", ["yes", True], ids=["not-a-bool", "no-frame"])
+    def test_bad_precondition_exits_2(self, tmp_path, capsys, command, value):
+        # the two-level model has no hermitian frame to precondition into
+        cfg = dict(BASE, propagation={"precondition": value})
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+        assert "propagation.precondition" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::pseudotherm.TruncationWarning")
+    def test_work_honours_precondition_false(self, tmp_path):
+        cfg = dict(self.OSC, propagation={"precondition": False})
+        assert main(["work", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+        _, _, rows = read_csv(tmp_path / "work.csv")
+        model = Oscillator(omega_ref=1.0, shift=0.0, n_basis=8)
+        res = two_time_work(model, Protocol.linear(1.0, 1.2, 0.3), 1.0, gauge_precondition=False)
+        assert [r[5] for r in rows] == res.p.ravel().tolist()
+
+
 class TestToleranceGates:
     def test_jarzynski_pass_and_fail(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, BASE)
@@ -235,6 +260,31 @@ class TestSweeps:
         assert main(["jarzynski", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path)]) == 3
         assert "protocol.end = 1.5" in capsys.readouterr().err
+
+
+class TestReruns:
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (["fig2-left"], ["fig2_left.csv"]),
+            (
+                ["carnot", "--config", "carnot.json"],
+                ["carnot_trace.csv", "carnot_summary.csv"],
+            ),
+        ],
+        ids=["fig2-left", "carnot"],
+    )
+    def test_rerun_is_byte_identical(self, tmp_path, argv, files):
+        g = 0.85
+        legs = [0.0, 0.4, float(np.sqrt(g * g - 0.375**2)), float(np.sqrt(g * g - 0.425**2))]
+        cycle = {"T_hot": 2.0, "T_cold": 1.0, "legs": legs, "steps": 10000}
+        cfg = {"model": {"kind": "two_level", "coupling": g}, "seed": 1, "cycle": cycle}
+        write_config(tmp_path, cfg, "carnot.json")
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        for d in ("a", "b"):
+            assert main([*argv, "--out", str(tmp_path / d)]) == 0
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestFigurePresets:

@@ -68,6 +68,23 @@ class TestProtocol:
         assert p.rate(2.0) == pytest.approx(0.0)
         assert p.value(3.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Protocol.linear(0.0, 0.5, np.nan),
+            lambda: Protocol.linear(0.0, 0.5, np.inf),
+            lambda: Protocol.linear(np.inf, 0.5, 1.0),
+            lambda: Protocol.erf(0.0, -np.inf, 1.0),
+            lambda: Protocol.erf(0.0, 0.5, 1.0, window=np.nan),
+            lambda: Protocol.tabulated([(0.0, 0.0), (np.nan, 1.0), (2.0, 0.5)]),
+            lambda: Protocol.tabulated([(0.0, 0.0), (1.0, np.inf)]),
+        ],
+    )
+    def test_non_finite_construction_raises(self, make):
+        # NaN compares False with everything, so "duration <= 0" let it through
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             Protocol.linear(0.0, 1.0, -1.0)
@@ -183,6 +200,12 @@ def test_gauge_preconditioned_oscillator_identity_metric():
     assert unitarity_residual(res.U, res.g_start, res.g_end) < 1e-8
     for _, defect in res.checkpoints:
         assert defect < 1e-8
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, np.nan), (np.nan, 1.0)])
+def test_propagate_rejects_nan_window(t0, t1):
+    with pytest.raises(ValueError, match="t1 must exceed t0"):
+        propagate(TwoLevel(), Protocol.linear(0.0, 0.5, 1.0), t0=t0, t1=t1)
 
 
 def test_gauge_precondition_needs_hermitian_frame():

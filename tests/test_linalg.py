@@ -220,6 +220,14 @@ def test_load_matrix_rejects_malformed(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("cell", ["0,0,7", "1", "1,", "1,2,"])
+def test_load_matrix_cell_holds_one_pair(tmp_path, cell):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"2\n1,0 0,0\n0,0 {cell}\n")
+    with pytest.raises(ValueError, match="row 1"):
+        load_matrix(path)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
 def test_random_real_spectrum_properties(rng, dim):
     for _ in range(5):

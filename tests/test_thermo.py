@@ -257,13 +257,41 @@ class TestQuasistaticCycle:
         with pytest.raises(ValueError):
             quasistatic_cycle(TwoLevel(), 2.0, 1.0, (0.0, 0.1, 0.2), 1000)
 
+    @pytest.mark.parametrize(
+        "T_hot, T_cold, legs, message",
+        [
+            (np.inf, 1.0, (0.0, 0.1, 0.2, 0.1), "need finite"),
+            (2.0, np.nan, (0.0, 0.1, 0.2, 0.1), "need finite"),
+            (np.nan, 1.0, (0.0, 0.1, 0.2, 0.1), "need finite"),
+            (2.0, 1.0, (0.0, np.nan, 0.2, 0.1), "leg_points must be finite"),
+        ],
+    )
+    def test_non_finite_arguments_raise(self, T_hot, T_cold, legs, message):
+        # T_hot = inf used to run and fail with "hot isotherm released heat"
+        with pytest.raises(ValueError, match=message):
+            quasistatic_cycle(TwoLevel(), T_hot, T_cold, legs, 1000)
+
+    def test_energy_crosscheck_is_live(self, monkeypatch):
+        # a leg spectrum off by 1e-6 from the H it claims to diagonalize
+        # must show in the crosscheck; a uniform shift leaves the entropies
+        # and the accounting untouched
+        eig2 = thermo._eig2
+
+        def shifted(H, values, tol):
+            E, VR, VLh = eig2(H, values, tol)
+            return E + 1e-6, VR, VLh
+
+        g = 0.85
+        legs = (0.0, 0.4, np.sqrt(g * g - 0.375**2), np.sqrt(g * g - 0.425**2))
+        assert quasistatic_cycle(TwoLevel(g), 2.0, 1.0, legs, 4000).g_trace_crosscheck < 1e-10
+        monkeypatch.setattr(thermo, "_eig2", shifted)
+        assert quasistatic_cycle(TwoLevel(g), 2.0, 1.0, legs, 4000).g_trace_crosscheck >= 1e-8
+
     def test_exceptional_point_leg_raises_without_crosscheck(self):
         # the hot leg ends at v = coupling, where the eigenvectors coalesce;
-        # the leg's own gate names it, not the sampled crosscheck
+        # the leg's own gate names it, not the energy crosscheck
         with pytest.raises(DefectiveMatrixError, match="control value 1 "):
-            quasistatic_cycle(
-                TwoLevel(1.0), 2.0, 1.0, (0.6, 1.0, 0.2, 0.1), 4000, crosscheck_samples=0
-            )
+            quasistatic_cycle(TwoLevel(1.0), 2.0, 1.0, (0.6, 1.0, 0.2, 0.1), 4000)
 
     def test_exceptional_point_leg_raises_on_the_general_path(self):
         # the same leg embedded in three levels goes through np.linalg.eig
@@ -274,7 +302,7 @@ class TestQuasistaticCycle:
             return H
 
         with pytest.raises(DefectiveMatrixError, match="exceptional point"):
-            quasistatic_cycle(family, 2.0, 1.0, (0.6, 1.0, 0.2, 0.1), 4000, crosscheck_samples=0)
+            quasistatic_cycle(family, 2.0, 1.0, (0.6, 1.0, 0.2, 0.1), 4000)
 
     @pytest.mark.parametrize("hermitian", [True, False])
     def test_closed_form_matches_general_eigensolver(self, monkeypatch, hermitian):
@@ -305,6 +333,31 @@ def _check_leg_eigensystem(H: np.ndarray):
     assert np.all(residual <= 1e-12 * scale)
     assert np.all(np.linalg.norm(VLh @ VR - np.eye(2), axis=(1, 2)) <= 1e-12)
     npt.assert_allclose(np.linalg.norm(VR, axis=1), 1.0, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    E=arrays(
+        np.float64, st.tuples(st.integers(1, 9), st.integers(1, 4)), elements=st.floats(-20.0, 20.0)
+    ),
+    log_beta=arrays(np.float64, 4, elements=st.floats(np.log(1e-2), np.log(1e2))),
+)
+def test_leg_gibbs_kernels_match_the_scalar_path(E, log_beta):
+    # the cycle's column-wise entropy and populations against thermal_state,
+    # for real and complex-typed spectra (the cycle passes both).  S = beta (U
+    # - F) subtracts two energies of size max|E|, so either path carries a
+    # rounding error of order beta ulp(max|E|): the entropy is compared
+    # relative to beta max|E| + |S|, not to S alone, which can be far smaller
+    beta = np.exp(log_beta[: E.shape[1]])
+    for spectrum in (E, E.astype(complex)):
+        S = thermo._entropy_curve(spectrum, beta)
+        pops = thermo._populations(spectrum, beta)
+        for j, b in enumerate(beta):
+            with np.errstate(over="ignore", invalid="ignore"):  # Z itself may overflow
+                state = thermal_state(E[:, j], b)
+            scale = b * np.max(np.abs(E[:, j])) + abs(S[j])
+            assert abs(S[j] - entropy(state)) <= 1e-13 * scale
+            npt.assert_allclose(pops[:, j].real, state.eigen_populations, rtol=1e-13, atol=0)
 
 
 @settings(max_examples=40, deadline=None)
