@@ -183,7 +183,7 @@ def _validate_sweep(cfg: dict):
     return name, values
 
 
-def _apply_sweep(cfg: dict, name: str, value: float) -> dict:
+def _apply_sweep(cfg: dict, name: str, value) -> dict:
     out = json.loads(json.dumps(cfg))
     node = out
     parts = name.split(".")
@@ -696,10 +696,7 @@ def cmd_fig1_right(args, cfg: dict) -> int:
 
     def run(point_cfg, tau):
         erf_res = _two_time(point_cfg)
-        lin_cfg = json.loads(json.dumps(point_cfg))
-        lin_cfg["protocol"]["kind"] = "linear"
-        lin_cfg["protocol"].pop("window", None)
-        lin_res = _two_time(lin_cfg)
+        lin_res = _two_time(_apply_sweep(point_cfg, "protocol.kind", "linear"))
         return (
             tau,
             erf_res.report.irreversible_work,
