@@ -12,8 +12,12 @@ t + (1/2 -/+ sqrt(3)/6) dt, one step is U <- exp(Omega) U with
 
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  The generators
 of a block of steps are built in one call to the model and exponentiated in
-one batched call: through a hermitian eigendecomposition in the hermitian
-frame, in closed form for two levels, and with scipy's `expm` otherwise.
+one batched call: in closed form for two levels, and otherwise with a
+scaled Taylor polynomial in Paterson-Stockmeyer form (Higham, SIAM J.
+Matrix Anal. Appl. 26, 1179 (2005); Al-Mohy & Higham, SIAM J. Sci. Comput.
+33, 488 (2011)), applied to the invariant blocks that the exact zeros of
+the generators leave (the hermitian frame of the oscillator splits into its
+two parity blocks) and written into buffers that the `propagate` call owns.
 The block holds more steps the smaller the dimension, so a two-level run
 usually fits in one block.  Two-level runs are array arithmetic throughout:
 2x2 products are written out entrywise (`_mul2`), and the steps between
@@ -23,8 +27,8 @@ which is cheaper than a d x d product tree when U has few columns.  The
 checkpoint residuals of a run are evaluated in one batched call.  The gauge
 term G_t keeps U metric-unitary, U† g_t U = g_0, when the metric family g_t
 moves with the drive; it vanishes for a static metric.  In the hermitian
-frame (identity metric) i*Omega is hermitian, so every step is exactly
-unitary.
+frame (identity metric) i*Omega is hermitian, so every step is unitary to
+rounding.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 from scipy.special import erf as _erf
 
 from .errors import (
@@ -67,6 +70,18 @@ _NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _COMMUTATOR = math.sqrt(3.0) / 12.0
 # A run checks U every n // _CHECKPOINTS steps and at its last step
 _CHECKPOINTS = 12
+# Taylor degrees m of the exponential kernel, each with the largest 1-norm at
+# which its backward error stays below the unit roundoff (Al-Mohy & Higham,
+# SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1); larger norms are scaled
+# by 2^-s into the last range and squared s times afterwards
+_TAYLOR_THETA = ((8, 5.0e-2), (12, 3.0e-1), (16, 7.81e-1), (20, 1.44))
+# Paterson-Stockmeyer chunks of each degree: row j takes (I, X, X^2, X^3, X^4)
+# to sum_{i<4} X^i / (4j + i)!, plus X^m / m! on the top row
+_TAYLOR_CHUNKS = {
+    m: np.array([[1 / math.factorial(4 * j + i) if i < 4 or 4 * j + i == m else 0.0
+                  for i in range(5)] for j in range(m // 4)])
+    for m, _ in _TAYLOR_THETA
+}
 
 
 @dataclass(frozen=True)
@@ -184,7 +199,8 @@ class PropagationResult:
     default), after steps_used Magnus steps of step_size.  checkpoints holds
     (t, ||U† g_t U - M0||_F) at >= 10 interior times of the accepted run,
     M0 being the metric Gram matrix of the initial columns; in the hermitian
-    frame they sit at rounding level, since every step is exactly unitary.
+    frame they sit at rounding level, since every step is unitary to
+    rounding.
     entry_change is the largest entry change of U under the last step
     halving.  g_start/g_end are the metric family evaluated at the window
     edges; downstream two-time measurements must weigh overlaps with exactly
@@ -317,6 +333,114 @@ def _expm2(omega: np.ndarray) -> np.ndarray:
     return out
 
 
+def _expm_taylor(work: np.ndarray) -> np.ndarray:
+    """exp of each matrix in the (n, b, b) stack work[1], as a view into work.
+
+    work is (10, n, b, b) complex scratch, all overwritten.  The degree and
+    the scaling 2^-s follow from the stack's largest 1-norm (_TAYLOR_THETA).
+    The powers I..X^4 go to work[0:5], one real GEMM makes the chunks in
+    work[5:], Horner in X^4 sums them, and s squarings follow.
+    """
+    n, b = work.shape[1], work.shape[-1]
+    X = work[1]
+    norm = float(np.abs(X).sum(axis=-2).max())
+    m, theta = next((row for row in _TAYLOR_THETA if norm <= row[1]), _TAYLOR_THETA[-1])
+    s = math.ceil(math.log2(norm / theta)) if theta < norm < math.inf else 0  # NaN: unscaled
+    if s:
+        X *= 2.0**-s
+    work[0] = 0.0
+    work[0].reshape(n, b * b)[:, :: b + 1] = 1.0
+    np.matmul(X, X, out=work[2])
+    np.matmul(work[2], X, out=work[3])
+    np.matmul(work[2], work[2], out=work[4])
+    q = m // 4  # complex entries as real pairs: the coefficients are real
+    np.matmul(_TAYLOR_CHUNKS[m], work[:5].view(float).reshape(5, -1),
+              out=work[5 : 5 + q].view(float).reshape(q, -1))
+    R, i = work[4 + q], 2
+    for j in reversed(range(q - 1)):
+        np.matmul(work[4], R, out=work[i])
+        work[i] += work[5 + j]
+        R, i = work[i], 5 - i
+    for _ in range(s):
+        np.matmul(R, R, out=work[i])
+        R, i = work[i], 5 - i
+    return R
+
+
+def _invariant_blocks(pattern: np.ndarray) -> list:
+    """Connected components of a symmetric (d, d) boolean coupling pattern.
+
+    Returns one (c, b) index array per component size b, each row the
+    sorted levels of one component.  Reachability comes from squaring the
+    pattern (with the diagonal) until it stops growing.
+    """
+    reach = pattern | np.eye(pattern.shape[0], dtype=bool)
+    while not np.array_equal(grown := reach @ reach, reach):
+        reach = grown
+    first = reach.argmax(axis=1)  # the lowest level of each level's component
+    labels, sizes = np.unique(first, return_counts=True)
+    return [np.array([np.flatnonzero(first == lab) for lab in labels[sizes == b]])
+            for b in np.unique(sizes)]
+
+
+class _BlockExponentials:
+    """exp(Omega) of batches of d > 2 Magnus steps, invariant block by block.
+
+    The symmetrised exact-zero pattern of a batch's generators splits the
+    levels into invariant blocks; Omega is built and exponentiated on the
+    blocks, which are scattered into a zeroed E (exact: the exponential of
+    a block-diagonal matrix is block diagonal).  The partition is recomputed
+    when the pattern changes.  The buffers live as long as the object, one
+    `propagate` call, and the E returned is overwritten by the next batch.
+    """
+
+    def __init__(self, dim: int, steps: int, hermitian: bool):
+        self._E = np.zeros((steps, dim, dim), dtype=complex)
+        self._hermitian = hermitian
+        self._pattern = None
+
+    def __call__(self, A: np.ndarray, alpha: complex, gamma: float) -> np.ndarray:
+        """exp(alpha (A_1 + A_2) + gamma [A_2, A_1]) per step; A stacks each step's two nodes."""
+        k, d = A.shape[0] // 2, A.shape[-1]
+        pattern = np.any(A != 0, axis=0)
+        pattern |= pattern.T
+        if self._pattern is None or not np.array_equal(pattern, self._pattern):
+            self._pattern = pattern
+            self._E[...] = 0.0
+            self._groups = [
+                (idx.shape, (idx[:, :, None] * d + idx[:, None, :]).ravel(),
+                 np.empty(10 * len(self._E) * idx.size * idx.shape[1], dtype=complex))
+                for idx in _invariant_blocks(pattern)
+            ]
+        E, nodes = self._E[:k], np.asarray(A, dtype=complex).reshape(2 * k, d * d)
+        for (c, b), flat, buf in self._groups:
+            work = buf[: 10 * k * c * b * b].reshape(10, k * c, b, b)
+            # each step's two node generators on the blocks, into work[5:7]
+            np.take(nodes, flat, axis=1, out=work[5:7].reshape(2 * k, -1), mode="clip")
+            A1, A2 = work[5:7].reshape(k, 2, c, b, b).transpose(1, 0, 2, 3, 4)
+            omega, C, T = (work[j].reshape(k, c, b, b) for j in (1, 2, 3))
+            np.add(A1, A2, out=omega)
+            omega *= alpha
+            np.matmul(A2, A1, out=C)
+            if self._hermitian:  # A_1 A_2 = (A_2 A_1)^dagger
+                np.conjugate(C.swapaxes(-1, -2), out=T)
+            else:
+                np.matmul(A1, A2, out=T)
+            C -= T
+            C *= gamma
+            omega += C
+            E.reshape(k, d * d)[:, flat] = _expm_taylor(work).reshape(k, -1)
+        return E
+
+
+def _hermitian_frame(model) -> Callable:
+    """The model's hermitian_frame; ValueError when it has none."""
+    frame = getattr(model, "hermitian_frame", None)
+    if frame is None:
+        raise ValueError("model has no hermitian frame to precondition into")
+    return frame
+
+
 def _min_eigenvalue(g: np.ndarray):
     """Smallest eigenvalue of the hermitian part of g, or of each matrix in a stack."""
     return np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g.conj(), -1, -2))).min(axis=-1)
@@ -409,15 +533,15 @@ def propagate(
     the finer run is returned.  `initial` replaces the identity initial
     condition by an arbitrary (dim x k) column block, which evolves the
     given columns only.  With gauge_precondition the model's hermitian frame
-    is integrated instead (identity metric, no gauge term), and each step is
-    exponentiated through a hermitian eigendecomposition.
+    is integrated instead (identity metric, no gauge term).
 
     A run checks U at about 12 evenly spaced steps (every n // 12 steps, and
     the last).  At two levels the steps between two checkpoints are
     multiplied by a pairwise product tree of entrywise 2x2 products and
-    advance U once; larger dimensions apply each step to U in turn.  The
-    checkpoint propagators of a run are checked for finiteness and against
-    the metric in one batched call each.
+    advance U once; larger dimensions exponentiate each batch of steps
+    block by block (_BlockExponentials) and apply the steps to U in turn.
+    The checkpoint propagators of a run are checked for finiteness and
+    against the metric in one batched call each.
 
     Raises SingularMetricError when the metric degenerates inside the window
     and NotConvergedError when max_steps is hit without acceptance, when
@@ -433,13 +557,7 @@ def propagate(
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
 
-    if gauge_precondition:
-        frame = getattr(model, "hermitian_frame", None)
-        if frame is None:
-            raise ValueError("model has no hermitian frame to precondition into")
-        h_of = frame
-    else:
-        h_of = model.hamiltonian
+    h_of = _hermitian_frame(model) if gauge_precondition else model.hamiltonian
     family = _MetricFamily(model, protocol, identity=gauge_precondition)
     _scan_positive_definite(family, t0, t1, tol)
 
@@ -454,7 +572,8 @@ def propagate(
     if gate is None:
         gate = tol.propagation * max(1.0, float(np.linalg.norm(g_start)))
 
-    mul = _mul2 if dim == 2 else np.matmul
+    block = _block_steps(dim)
+    block_exponentials = None if dim == 2 else _BlockExponentials(dim, block, family.identity)
 
     def step_exponentials(ts: np.ndarray, dt: float) -> np.ndarray:
         """exp(Omega) of the steps whose Gauss nodes are ts (two per step, in order)."""
@@ -463,18 +582,13 @@ def propagate(
         G = family.gauge(ts, v, hbar)
         if G is not None:
             A = A + G
+        if dim > 2:
+            # -i/hbar folded into the scalars of Omega
+            return block_exponentials(A, -0.5j * dt / hbar, -_COMMUTATOR * dt * dt / (hbar * hbar))
         A = (-1j / hbar) * A
         A1, A2 = A[0::2], A[1::2]
-        omega = (0.5 * dt) * (A1 + A2) + (_COMMUTATOR * dt * dt) * (mul(A2, A1) - mul(A1, A2))
-        if family.identity:
-            # i*Omega is hermitian by construction: exp(Omega) = V exp(-i w) V†
-            w, V = np.linalg.eigh(1j * omega)
-            return (V * np.exp(-1j * w)[:, None, :]) @ V.conj().transpose(0, 2, 1)
-        if dim == 2:
-            return _expm2(omega)
-        return scipy.linalg.expm(omega)
-
-    block = _block_steps(dim)
+        omega = (0.5 * dt) * (A1 + A2) + (_COMMUTATOR * dt * dt) * (_mul2(A2, A1) - _mul2(A1, A2))
+        return _expm2(omega)
 
     def run(n: int):
         dt = (t1 - t0) / n

@@ -31,7 +31,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .dynamics import PropagationResult, Protocol, propagate
+from .dynamics import PropagationResult, Protocol, _hermitian_frame, propagate
 from .errors import (
     ComplexPartitionFunctionError,
     DefectiveMatrixError,
@@ -170,9 +170,13 @@ def internal_energy(state: ThermalState, eigs=None, *, tol: Tolerances | None = 
 
 
 def entropy(state: ThermalState, *, tol: Tolerances | None = None) -> float:
-    """S = beta (E - F), gated to be real."""
+    """S = beta (E - F), gated to be real (see _entropy_curve).
+
+    A real spectrum is evaluated in real arithmetic, as the cycle legs do.
+    """
     tol = tol or DEFAULT
-    value = state.beta * (_complex_internal_energy(state.energies, state.beta) - state.F)
+    w = state.energies
+    value = complex(_entropy_curve(w if w.imag.any() else w.real, state.beta))
     if abs(value.imag) > tol.reality * max(1.0, abs(value)):
         raise NonRealResultError(f"entropy {value:.6g} is not real")
     return float(value.real)
@@ -390,7 +394,8 @@ def two_time_work(
     v0 = protocol.value(protocol.t_start)
     v1 = protocol.value(protocol.t_end)
     if precondition:
-        H0, H1 = model.hermitian_frame(v0), model.hermitian_frame(v1)
+        frame = _hermitian_frame(model)
+        H0, H1 = frame(v0), frame(v1)
         G0 = np.eye(model.dimension, dtype=complex)
     else:
         H0, H1 = model.hamiltonian(v0), model.hamiltonian(v1)
@@ -559,12 +564,15 @@ def _leg_spectra(h_of, values: np.ndarray, tol: Tolerances):
     return (H, *eig(H, values, tol))
 
 
-def _entropy_curve(E: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """S = beta (U - F) per column for (d, k) eigenvalues and (k,) betas."""
+def _entropy_curve(E: np.ndarray, beta) -> np.ndarray:
+    """S = beta (U - F) per column for (d, k) eigenvalues and (k,) betas.
+
+    Evaluated as beta sum (E - shift) q / sum q + ln sum q, with
+    q = e^{-beta (E - shift)}: U and F, each of size max|E|, are never
+    subtracted.  (d,) eigenvalues and a scalar beta give one value.
+    """
     shift, q, total = _shifted_weights(E, beta)
-    U = (E * q).sum(axis=0) / total
-    F = shift - np.log(total) / beta
-    return beta * (U - F)
+    return beta * ((E - shift) * q).sum(axis=0) / total + np.log(total)
 
 
 def _populations(E: np.ndarray, beta: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
@@ -29,7 +30,15 @@ from pseudotherm import (
     unitarity_residual,
 )
 from pseudotherm import dynamics
-from pseudotherm.dynamics import _block_steps, _expm2, _mul2, _tree_product
+from pseudotherm.dynamics import (
+    _BlockExponentials,
+    _block_steps,
+    _expm2,
+    _expm_taylor,
+    _invariant_blocks,
+    _mul2,
+    _tree_product,
+)
 
 from conftest import SIGMA_X
 
@@ -290,8 +299,8 @@ def test_block_boundaries_do_not_matter():
 def test_block_boundaries_do_not_matter_in_the_d28_hermitian_frame():
     model = Oscillator(omega_ref=1.0, shift=0.5, n_basis=28)
     proto = Protocol.linear(1.0, 1.2, 0.3)
-    # at d = 28 rounding keeps entry changes near 1.4e-13, so the reference is
-    # a fixed 2048-step run (2e-13 from the 1024-step one)
+    # at d = 28 rounding keeps entry changes above 1e-14, so the reference is
+    # a fixed 2048-step run (1.3e-14 from the 1024-step one)
     fine = propagate(model, proto, steps=1024, gauge_precondition=True, **NO_ACCEPTANCE)
     _assert_block_seeds_match(model, proto, fine.U, frame=True)
 
@@ -455,14 +464,15 @@ def test_unreachable_checkpoint_gate_fails_loudly():
 
 def test_entry_tolerance_below_rounding_floor_fails_loudly():
     # in this hermitian frame the entry change under halving bottoms out
-    # near 1.4e-13 at 1024 steps and then grows, so 1e-13 is unreachable;
-    # refinement must stop there instead of doubling toward max_steps
-    with pytest.raises(NotConvergedError, match=r"failed to decrease.*n = 4096.*entry_tol 1\.0e-13"):
+    # near 1.3e-14 at 2048 steps and then grows (5.0e-14, 1.7e-13), so 1e-14
+    # is unreachable; refinement must stop there instead of doubling toward
+    # max_steps
+    with pytest.raises(NotConvergedError, match=r"failed to decrease.*n = 8192.*entry_tol 1\.0e-14"):
         propagate(
             Oscillator(omega_ref=1.0, shift=0.5, n_basis=28),
             Protocol.linear(1.0, 1.2, 0.3),
             steps=512,
-            entry_tol=1e-13,
+            entry_tol=1e-14,
             gauge_precondition=True,
             max_steps=1 << 14,
         )
@@ -501,3 +511,171 @@ def test_random_two_level_ramps_compose_within_gate(kind, end, tau, split):
 def test_random_two_level_ramps_through_the_exceptional_point_raise(kind, end, sign, tau):
     with pytest.raises(SingularMetricError):
         propagate(TwoLevel(), _two_level_ramp(kind, sign * end, tau))
+
+
+def _taylor(X: np.ndarray) -> np.ndarray:
+    work = np.empty((10,) + X.shape, dtype=complex)
+    work[1] = X
+    return _expm_taylor(work)
+
+
+def _random_stack(rng, k: int, b: int) -> np.ndarray:
+    return rng.standard_normal((k, b, b)) + 1j * rng.standard_normal((k, b, b))
+
+
+def _with_norm(X: np.ndarray, norm: float) -> np.ndarray:
+    """X scaled so that the largest 1-norm in the stack is `norm`."""
+    return X * (norm / np.abs(X).sum(axis=-2).max())
+
+
+_STACKS = dict(
+    k=st.integers(1, 4),
+    b=st.integers(1, 9),
+    log_norm=st.floats(np.log(1e-3), np.log(50.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(normal=st.booleans(), **_STACKS)
+def test_taylor_exponential_matches_expm(normal, k, b, log_norm, seed):
+    # norms from the lowest Taylor degree's range up to six squarings
+    rng = np.random.default_rng(seed)
+    X = _random_stack(rng, k, b)
+    if normal:  # a unitary similarity of a complex diagonal
+        Q = np.linalg.qr(X)[0]
+        X = (Q * _random_stack(rng, k, b)[:, :1, :]) @ Q.conj().swapaxes(-1, -2)
+    X = _with_norm(X, np.exp(log_norm))
+    expected = scipy.linalg.expm(X)
+    scale = np.maximum(1.0, np.linalg.norm(expected, ord=2, axis=(1, 2)))
+    assert np.all(np.max(np.abs(_taylor(X) - expected), axis=(1, 2)) <= 1e-13 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_STACKS)
+def test_taylor_exponential_of_anti_hermitian_stacks_is_unitary(k, b, log_norm, seed):
+    # each of the up to six squarings roughly doubles the defect
+    X = _random_stack(np.random.default_rng(seed), k, b)
+    E = _taylor(_with_norm(X - X.conj().swapaxes(-1, -2), np.exp(log_norm)))
+    defect = np.max(np.abs(E.conj().swapaxes(-1, -2) @ E - np.eye(b)))
+    assert defect <= 1e-15 * (10.0 + np.exp(log_norm))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
+def test_invariant_blocks_of_permuted_block_diagonal_stacks(sizes, seed):
+    rng = np.random.default_rng(seed)
+    d = sum(sizes)
+    blocks = np.split(rng.permutation(d), np.cumsum(sizes)[:-1])
+    A = np.zeros((4, d, d), dtype=complex)  # two steps, two nodes each
+    for blk in blocks:
+        A[:, blk[:, None], blk] = _random_stack(rng, 4, blk.size)
+    pattern = np.any(A != 0, axis=0)
+    found = [tuple(row) for idx in _invariant_blocks(pattern | pattern.T) for row in idx]
+    assert sorted(found) == sorted(tuple(sorted(blk)) for blk in blocks)
+    # block by block, the step exponentials equal the dense ones, zeros exactly
+    alpha, gamma = -0.3j, -0.05
+    A1, A2 = A[0::2], A[1::2]
+    dense = scipy.linalg.expm(alpha * (A1 + A2) + gamma * (A2 @ A1 - A1 @ A2))
+    E = _BlockExponentials(d, 2, hermitian=False)(A, alpha, gamma)
+    assert np.max(np.abs(E - dense)) <= 1e-13 * max(1.0, np.max(np.abs(dense)))
+    label = np.empty(d, dtype=int)
+    for j, blk in enumerate(blocks):
+        label[blk] = j
+    assert np.all(E[:, label[:, None] != label[None, :]] == 0)
+
+
+def _magnus_reference(h_of, proto: Protocol, n: int, expm) -> np.ndarray:
+    """U after n fourth-order Magnus steps, one dense exponential at a time."""
+    dt = (proto.t_end - proto.t_start) / n
+    U = None
+    for j in range(n):
+        A = -1j * h_of(proto.value(proto.t_start + (j + dynamics._NODES) * dt))
+        omega = 0.5 * dt * (A[0] + A[1]) + dynamics._COMMUTATOR * dt * dt * (A[1] @ A[0] - A[0] @ A[1])
+        U = expm(omega) if U is None else expm(omega) @ U
+    return U
+
+
+def _expm_eigh(omega: np.ndarray) -> np.ndarray:
+    """exp(Omega) for anti-hermitian Omega through a hermitian eigendecomposition."""
+    w, V = np.linalg.eigh(1j * omega)
+    return (V * np.exp(-1j * w)) @ V.conj().T
+
+
+def test_d28_hermitian_frame_matches_the_eigendecomposition_steps():
+    # the frame couples level n to n +- 2 only, so it runs as two parity blocks
+    model = Oscillator(0.2, 1.0, 28)
+    proto = Protocol.erf(0.2, 0.6, 3.0)
+    res = propagate(model, proto, steps=128, gauge_precondition=True, **NO_ACCEPTANCE)
+    assert res.steps_used == 256
+    expected = _magnus_reference(model.hermitian_frame, proto, 256, _expm_eigh)
+    assert np.max(np.abs(res.U - expected)) <= 1e-12
+
+
+def test_real_valued_generators_propagate_like_complex_ones():
+    class RealFrame(Oscillator):
+        def hermitian_frame(self, omega):
+            return super().hermitian_frame(omega).real
+
+    proto = Protocol.linear(1.0, 1.2, 0.3)
+    kwargs = dict(steps=16, gauge_precondition=True, **NO_ACCEPTANCE)
+    real = propagate(RealFrame(1.0, 0.5, 12), proto, **kwargs)
+    npt.assert_array_equal(real.U, propagate(Oscillator(1.0, 0.5, 12), proto, **kwargs).U)
+
+
+class _SwitchedCoupling:
+    """Non-hermitian blocks {0, 3, 6, 9} and the other eight levels, under a
+    static identity metric; a hermitian coupling between the blocks is on
+    only while the control exceeds 0.7."""
+
+    dimension = 12
+    metric_is_static = True
+
+    def __init__(self):
+        rng = np.random.default_rng(11)
+        d = self.dimension
+        M = 0.3 * _random_stack(rng, 1, d)[0]
+        block = np.arange(d) % 3 == 0
+        same = block[:, None] == block[None, :]
+        self._blocks = np.where(same, M, 0.0)
+        self._coupling = np.where(same, 0.0, M + M.conj().T)
+        self._drive = np.diag(np.linspace(0.0, 1.0, d)).astype(complex)
+
+    def hamiltonian(self, v):
+        v = np.asarray(v, dtype=float)[..., None, None]
+        return self._blocks + v * self._drive + np.maximum(v - 0.7, 0.0) * self._coupling
+
+    def metric(self, v=0.0):
+        return np.eye(self.dimension, dtype=complex)
+
+
+def test_block_partition_follows_a_coupling_that_switches_on_and_off():
+    # 87 steps per batch: each run starts on the blocks, sees the coupled
+    # levels, and ends on the blocks in a short last batch
+    model = _SwitchedCoupling()
+    proto = Protocol.tabulated([(0.0, 0.0), (2.0, 1.0), (4.0, 0.0)])
+    assert _block_steps(model.dimension) == 87
+    res = propagate(model, proto, steps=300, **NO_ACCEPTANCE)
+    assert res.steps_used == 600
+    expected = _magnus_reference(model.hamiltonian, proto, 600, scipy.linalg.expm)
+    assert np.max(np.abs(res.U - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults through getrusage")
+def test_d28_propagation_does_not_allocate_per_step():
+    # a fresh (16, 28, 28) complex temporary per batch of 16 steps touches
+    # about 50 new pages; the step buffers of a propagate call are reused
+    import resource
+
+    model, proto = Oscillator(0.2, 1.0, 28), Protocol.erf(0.2, 0.6, 3.0)
+    cols = np.eye(28, dtype=complex)[:, :4]
+
+    def run():
+        return propagate(model, proto, steps=512, entry_tol=1e30, gauge_precondition=True, initial=cols)
+
+    run()  # warm-up: model caches and the allocator's arenas
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    res = run()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert res.steps_used == 1024
+    assert faults < 512 + 1024, f"{faults} minor page faults over 1536 steps"

@@ -83,6 +83,22 @@ class TestThermalState:
         assert internal_energy(st) == pytest.approx(-1.0, abs=1e-12)
         assert entropy(st) == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "E, beta",
+        [(np.array([-8.0, 0.0, 0.0, 0.0]), 1.0), (np.array([1e4, 1e4 + 1.0, 1e4 + 3.0]), 0.7)],
+    )
+    def test_entropy_without_cancellation(self, E, beta):
+        # S = beta (U - F) subtracted two energies of size max|E|: the scalar
+        # and the leg path differed by 3.9e-13 relative in the first case,
+        # and both missed S by 1.3e-12 relative in the second
+        gaps = E[1:] - E[0]
+        x = np.exp(-beta * gaps).sum()
+        exact = beta * (gaps * np.exp(-beta * gaps)).sum() / (1 + x) + np.log1p(x)
+        scalar = entropy(thermal_state(E, beta))
+        leg = float(thermo._entropy_curve(E[:, None], np.array([beta]))[0])
+        assert abs(scalar - leg) <= 1e-15 * abs(leg)
+        assert abs(leg - exact) <= 1e-13 * exact
+
     def test_paired_spectrum_passes_reality_gate(self):
         m = HatanoNelson(length=4, hopping=1.0, asymmetry=0.5, boundary="periodic")
         st = thermal_state(np.linalg.eigvals(m.hamiltonian()), 1.0)
@@ -199,6 +215,10 @@ class TestJarzynski:
         assert res.row_sum_defect < 1e-10
         total = sum(p for _, p in res.work.entries)
         assert 1.0 - 1e-7 <= total <= 1.0 + 1e-12
+
+    def test_precondition_needs_a_hermitian_frame(self):
+        with pytest.raises(ValueError, match="no hermitian frame"):
+            two_time_work(TwoLevel(), Protocol.linear(0.0, 0.1, 1.0), 1.0, gauge_precondition=True)
 
     def test_report_identity_protocol(self):
         wd = work_distribution(np.diag([0.7, 0.3]).astype(float),
@@ -344,10 +364,9 @@ def _check_leg_eigensystem(H: np.ndarray):
 )
 def test_leg_gibbs_kernels_match_the_scalar_path(E, log_beta):
     # the cycle's column-wise entropy and populations against thermal_state,
-    # for real and complex-typed spectra (the cycle passes both).  S = beta (U
-    # - F) subtracts two energies of size max|E|, so either path carries a
-    # rounding error of order beta ulp(max|E|): the entropy is compared
-    # relative to beta max|E| + |S|, not to S alone, which can be far smaller
+    # for real and complex-typed spectra (the cycle passes both).  S is
+    # evaluated without cancellation; its rounding error is that of ln Z,
+    # which is absolute, so the entropy is compared relative to 1 + |S|
     beta = np.exp(log_beta[: E.shape[1]])
     for spectrum in (E, E.astype(complex)):
         S = thermo._entropy_curve(spectrum, beta)
@@ -355,8 +374,7 @@ def test_leg_gibbs_kernels_match_the_scalar_path(E, log_beta):
         for j, b in enumerate(beta):
             with np.errstate(over="ignore", invalid="ignore"):  # Z itself may overflow
                 state = thermal_state(E[:, j], b)
-            scale = b * np.max(np.abs(E[:, j])) + abs(S[j])
-            assert abs(S[j] - entropy(state)) <= 1e-13 * scale
+            assert abs(S[j] - entropy(state)) <= 1e-13 * (1.0 + abs(S[j]))
             npt.assert_allclose(pops[:, j].real, state.eigen_populations, rtol=1e-13, atol=0)
 
 
