@@ -18,8 +18,12 @@ Matrix Anal. Appl. 26, 1179 (2005); Al-Mohy & Higham, SIAM J. Sci. Comput.
 33, 488 (2011)), applied to the invariant blocks that the exact zeros of
 the generators leave (the hermitian frame of the oscillator splits into its
 two parity blocks) and written into buffers that the `propagate` call owns.
-The block holds more steps the smaller the dimension, so a two-level run
-usually fits in one block.  Two-level runs are array arithmetic throughout:
+When the model declares its family as affine terms H0 + f(v) H1 (see
+`models`) and no gauge term is needed, the model is not called per step:
+the commutator is (f_2 - f_1)[H1, H0], so the Omegas of a block are one
+product of a (k, 3) coefficient array with the fixed H0, H1 and [H1, H0]
+on the blocks.  The block holds more steps the smaller the dimension, so a
+two-level run usually fits in one block.  Two-level runs are array arithmetic throughout:
 2x2 products are written out entrywise (`_mul2`), and the steps between
 two checkpoints are multiplied by a pairwise product tree before they act
 on U once.  Larger dimensions apply each step to the column block in turn,
@@ -386,32 +390,58 @@ def _invariant_blocks(pattern: np.ndarray) -> list:
 class _BlockExponentials:
     """exp(Omega) of batches of d > 2 Magnus steps, invariant block by block.
 
-    The symmetrised exact-zero pattern of a batch's generators splits the
-    levels into invariant blocks; Omega is built and exponentiated on the
-    blocks, which are scattered into a zeroed E (exact: the exponential of
-    a block-diagonal matrix is block diagonal).  The partition is recomputed
-    when the pattern changes.  The buffers live as long as the object, one
-    `propagate` call, and the E returned is overwritten by the next batch.
+    The symmetrised exact-zero pattern of the generators splits the levels
+    into invariant blocks; Omega is built and exponentiated on the blocks,
+    which are scattered into a zeroed E (exact: the exponential of a
+    block-diagonal matrix is block diagonal).  Built from an affine family's
+    terms (H0, H1, f), the pattern is H0's and H1's, and `affine` makes each
+    Omega one combination of H0, H1 and [H1, H0], taken on the blocks once;
+    otherwise `__call__` builds Omega from each batch's node generators and
+    recomputes the partition when their pattern changes.  The buffers live
+    as long as the object, one `propagate` call, and the E returned is
+    overwritten by the next batch.
     """
 
-    def __init__(self, dim: int, steps: int, hermitian: bool):
+    def __init__(self, dim: int, steps: int, terms: tuple | None = None):
         self._E = np.zeros((steps, dim, dim), dtype=complex)
-        self._hermitian = hermitian
         self._pattern = None
+        if terms is not None:
+            H0, H1, self._f = terms
+            self._partition((H0 != 0) | (H1 != 0))
+            M = np.stack((H0, H1, H1 @ H0 - H0 @ H1)).astype(complex).reshape(3, -1)
+            self._terms = [M[:, flat] for _, flat, _ in self._groups]
+
+    def _partition(self, pattern: np.ndarray) -> None:
+        """Block groups (index shape, flat entries, Taylor buffer) of the symmetrised pattern."""
+        pattern = pattern | pattern.T
+        if self._pattern is not None and np.array_equal(pattern, self._pattern):
+            return
+        self._pattern = pattern
+        self._E[...] = 0.0
+        d = pattern.shape[0]
+        self._groups = [
+            (idx.shape, (idx[:, :, None] * d + idx[:, None, :]).ravel(),
+             np.empty(10 * len(self._E) * idx.size * idx.shape[1], dtype=complex))
+            for idx in _invariant_blocks(pattern)
+        ]
+
+    def affine(self, v: np.ndarray, alpha: complex, gamma: float) -> np.ndarray:
+        """As `__call__` for the node generators H0 + f(v) H1; v stacks each step's two nodes."""
+        # h_1 + h_2 = 2 H0 + (f_1 + f_2) H1 and [h_2, h_1] = (f_2 - f_1) [H1, H0]
+        f1, f2 = np.reshape(self._f(v), (-1, 2)).T
+        coef = np.stack((np.full(f1.shape, 2.0 * alpha), alpha * (f1 + f2), gamma * (f2 - f1)), axis=1)
+        k = coef.shape[0]
+        E = self._E[:k]
+        for ((c, b), flat, buf), M in zip(self._groups, self._terms):
+            work = buf[: 10 * k * c * b * b].reshape(10, k * c, b, b)
+            np.matmul(coef, M, out=work[1].reshape(k, -1))
+            E.reshape(k, -1)[:, flat] = _expm_taylor(work).reshape(k, -1)
+        return E
 
     def __call__(self, A: np.ndarray, alpha: complex, gamma: float) -> np.ndarray:
         """exp(alpha (A_1 + A_2) + gamma [A_2, A_1]) per step; A stacks each step's two nodes."""
         k, d = A.shape[0] // 2, A.shape[-1]
-        pattern = np.any(A != 0, axis=0)
-        pattern |= pattern.T
-        if self._pattern is None or not np.array_equal(pattern, self._pattern):
-            self._pattern = pattern
-            self._E[...] = 0.0
-            self._groups = [
-                (idx.shape, (idx[:, :, None] * d + idx[:, None, :]).ravel(),
-                 np.empty(10 * len(self._E) * idx.size * idx.shape[1], dtype=complex))
-                for idx in _invariant_blocks(pattern)
-            ]
+        self._partition(np.any(A != 0, axis=0))
         E, nodes = self._E[:k], np.asarray(A, dtype=complex).reshape(2 * k, d * d)
         for (c, b), flat, buf in self._groups:
             work = buf[: 10 * k * c * b * b].reshape(10, k * c, b, b)
@@ -422,10 +452,7 @@ class _BlockExponentials:
             np.add(A1, A2, out=omega)
             omega *= alpha
             np.matmul(A2, A1, out=C)
-            if self._hermitian:  # A_1 A_2 = (A_2 A_1)^dagger
-                np.conjugate(C.swapaxes(-1, -2), out=T)
-            else:
-                np.matmul(A1, A2, out=T)
+            np.matmul(A1, A2, out=T)
             C -= T
             C *= gamma
             omega += C
@@ -540,6 +567,10 @@ def propagate(
     multiplied by a pairwise product tree of entrywise 2x2 products and
     advance U once; larger dimensions exponentiate each batch of steps
     block by block (_BlockExponentials) and apply the steps to U in turn.
+    Above two levels, a static metric and terms for the integrated family
+    (hamiltonian_terms, or hermitian_frame_terms with gauge_precondition)
+    assemble each batch's Omega from the terms; otherwise the family is
+    evaluated at every Gauss node and the commutator multiplied out.
     The checkpoint propagators of a run are checked for finiteness and
     against the metric in one batched call each.
 
@@ -558,6 +589,7 @@ def propagate(
         raise ValueError("t1 must exceed t0")
 
     h_of = _hermitian_frame(model) if gauge_precondition else model.hamiltonian
+    terms_of = getattr(model, "hermitian_frame_terms" if gauge_precondition else "hamiltonian_terms", None)
     family = _MetricFamily(model, protocol, identity=gauge_precondition)
     _scan_positive_definite(family, t0, t1, tol)
 
@@ -573,18 +605,22 @@ def propagate(
         gate = tol.propagation * max(1.0, float(np.linalg.norm(g_start)))
 
     block = _block_steps(dim)
-    block_exponentials = None if dim == 2 else _BlockExponentials(dim, block, family.identity)
+    affine = dim > 2 and family.static and terms_of is not None
+    block_exponentials = None if dim == 2 else _BlockExponentials(dim, block, terms_of() if affine else None)
 
     def step_exponentials(ts: np.ndarray, dt: float) -> np.ndarray:
         """exp(Omega) of the steps whose Gauss nodes are ts (two per step, in order)."""
         v = protocol.value(ts)
+        # above two levels -i/hbar is folded into the scalars of Omega
+        alpha, gamma = -0.5j * dt / hbar, -_COMMUTATOR * dt * dt / (hbar * hbar)
+        if affine:
+            return block_exponentials.affine(v, alpha, gamma)
         A = h_of(v)
         G = family.gauge(ts, v, hbar)
         if G is not None:
             A = A + G
         if dim > 2:
-            # -i/hbar folded into the scalars of Omega
-            return block_exponentials(A, -0.5j * dt / hbar, -_COMMUTATOR * dt * dt / (hbar * hbar))
+            return block_exponentials(A, alpha, gamma)
         A = (-1j / hbar) * A
         A1, A2 = A[0::2], A[1::2]
         omega = (0.5 * dt) * (A1 + A2) + (_COMMUTATOR * dt * dt) * (_mul2(A2, A1) - _mul2(A1, A2))

@@ -126,7 +126,11 @@ def eigendecompose(H, tol: Tolerances | None = None) -> BiorthogonalEigensystem:
     A = _as_square_matrix(H)
     n = A.shape[0]
 
-    w, vl, vr = scipy.linalg.eig(A, left=True, right=True)
+    # real matrices above two levels (the chains, the oscillators) take the
+    # faster real solver; at 2 x 2 the complex one is faster
+    real = n > 2 and not A.imag.any()
+    w, vl, vr = scipy.linalg.eig(A.real if real else A, left=True, right=True)
+    vl, vr = vl.astype(complex, copy=False), vr.astype(complex, copy=False)
     order = np.lexsort((w.imag, w.real))
     w, vl, vr = w[order], vl[:, order], vr[:, order]
 

@@ -15,6 +15,13 @@ of control values and then return the stack of the scalar results, (k, d, d)
 matrices or (k,) numbers, so the propagator can build a block of steps in
 one call.
 
+A family that is affine in a function of the control may declare its terms:
+hamiltonian_terms() (and hermitian_frame_terms() for the frame) returns
+(H0, H1, f) with hamiltonian(v) = H0 + f(v)[..., None, None] * H1.  The
+propagator then builds every step from the fixed terms, without calling
+the family.  The oscillator declares both and derives both families from
+them, so a subclass that changes a family overrides its terms.
+
 The two-level system drives an imaginary detuning, the oscillator drives
 its trap frequency with a fixed imaginary momentum shift, and the
 tight-binding chain is static (its control value is ignored).
@@ -50,6 +57,12 @@ def _per_value(matrix: np.ndarray, v) -> np.ndarray:
 
 def _scalar_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
+
+
+def _affine(terms, v) -> np.ndarray:
+    """H0 + f(v) H1 for terms (H0, H1, f); a stack for an array of control values."""
+    H0, H1, f = terms
+    return H0 + f(v)[..., None, None] * H1
 
 
 @dataclass(frozen=True)
@@ -101,7 +114,8 @@ class Oscillator:
     from the truncated X and P of frequency omega_ref.  The static metric
     exp(2 shift X) makes the gauge term vanish; hermitian_frame(w) is the
     shift-free image P^2/(2 mass) + mass w^2 X^2/2, unitarily equivalent
-    in the untruncated limit.
+    in the untruncated limit.  Both are affine in mass w^2 / 2, and their
+    terms are cached per instance.
     """
 
     omega_ref: float
@@ -164,19 +178,35 @@ class Oscillator:
     def _x_squared(self) -> np.ndarray:
         return self._padded_squares[0]
 
-    def _potential(self, omega) -> np.ndarray:
-        return (0.5 * self.mass * np.asarray(omega) ** 2)[..., None, None] * self._x_squared
+    def _trap(self, omega) -> np.ndarray:
+        """m w^2 / 2, the coefficient of X^2 in both families."""
+        return 0.5 * self.mass * np.asarray(omega) ** 2
 
-    def hamiltonian(self, omega) -> np.ndarray:
-        kin = (
+    @cached_property
+    def _kinetic(self) -> np.ndarray:
+        return (
             self._p_squared
             - 2j * self.shift * self.momentum
             - self.shift**2 * np.eye(self.n_basis)
         ) / (2.0 * self.mass)
-        return kin + self._potential(omega)
+
+    @cached_property
+    def _frame_kinetic(self) -> np.ndarray:
+        return self._p_squared / (2.0 * self.mass)
+
+    def hamiltonian_terms(self) -> tuple:
+        """(H0, H1, f): (P - i shift)^2 / (2 mass), X^2 and mass w^2 / 2."""
+        return self._kinetic, self._x_squared, self._trap
+
+    def hermitian_frame_terms(self) -> tuple:
+        """(H0, H1, f): P^2 / (2 mass), X^2 and mass w^2 / 2."""
+        return self._frame_kinetic, self._x_squared, self._trap
+
+    def hamiltonian(self, omega) -> np.ndarray:
+        return _affine(self.hamiltonian_terms(), omega)
 
     def hermitian_frame(self, omega) -> np.ndarray:
-        return self._p_squared / (2.0 * self.mass) + self._potential(omega)
+        return _affine(self.hermitian_frame_terms(), omega)
 
     def position_exponential(self, c: float) -> np.ndarray:
         """exp(c X) through the spectral decomposition of truncated X."""

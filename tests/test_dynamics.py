@@ -577,7 +577,7 @@ def test_invariant_blocks_of_permuted_block_diagonal_stacks(sizes, seed):
     alpha, gamma = -0.3j, -0.05
     A1, A2 = A[0::2], A[1::2]
     dense = scipy.linalg.expm(alpha * (A1 + A2) + gamma * (A2 @ A1 - A1 @ A2))
-    E = _BlockExponentials(d, 2, hermitian=False)(A, alpha, gamma)
+    E = _BlockExponentials(d, 2)(A, alpha, gamma)
     assert np.max(np.abs(E - dense)) <= 1e-13 * max(1.0, np.max(np.abs(dense)))
     label = np.empty(d, dtype=int)
     for j, blk in enumerate(blocks):
@@ -612,6 +612,19 @@ def test_d28_hermitian_frame_matches_the_eigendecomposition_steps():
     assert np.max(np.abs(res.U - expected)) <= 1e-12
 
 
+class _TermsFree:
+    """A model without its affine terms, so `propagate` assembles each step
+    from the node generators (the generic path)."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def __getattr__(self, name):
+        if name.endswith("_terms"):
+            raise AttributeError(name)
+        return getattr(self._model, name)
+
+
 def test_real_valued_generators_propagate_like_complex_ones():
     class RealFrame(Oscillator):
         def hermitian_frame(self, omega):
@@ -619,8 +632,107 @@ def test_real_valued_generators_propagate_like_complex_ones():
 
     proto = Protocol.linear(1.0, 1.2, 0.3)
     kwargs = dict(steps=16, gauge_precondition=True, **NO_ACCEPTANCE)
-    real = propagate(RealFrame(1.0, 0.5, 12), proto, **kwargs)
-    npt.assert_array_equal(real.U, propagate(Oscillator(1.0, 0.5, 12), proto, **kwargs).U)
+    real = propagate(_TermsFree(RealFrame(1.0, 0.5, 12)), proto, **kwargs)
+    npt.assert_array_equal(real.U, propagate(_TermsFree(Oscillator(1.0, 0.5, 12)), proto, **kwargs).U)
+
+
+@pytest.mark.parametrize(
+    "model, proto, frame",
+    [
+        (Oscillator(0.2, 1.0, 60), Protocol.erf(0.2, 0.6, 3.0), True),
+        (Oscillator(1.0, 0.3, 28), Protocol.linear(1.0, 1.2, 0.3), False),
+        (Oscillator(2.0, 1.0, 30), Protocol.linear(2.0, 2.8, 1.0), False),
+    ],
+    ids=["frame_d60", "raw_d28", "raw_d30"],
+)
+def test_affine_assembly_matches_the_generic_one(model, proto, frame):
+    kwargs = dict(steps=64, gauge_precondition=frame, **NO_ACCEPTANCE)
+    generic = propagate(_TermsFree(model), proto, **kwargs).U
+    affine = propagate(model, proto, **kwargs).U
+    assert np.max(np.abs(affine - generic)) <= 1e-13 * np.max(np.abs(generic))
+
+
+@pytest.mark.parametrize("frame", [True, False], ids=["frame", "raw"])
+def test_oscillator_propagation_makes_no_model_calls(monkeypatch, frame):
+    # the affine terms replace every per-step evaluation of the family
+    calls = []
+    for name in ("hamiltonian", "hermitian_frame"):
+        method = getattr(Oscillator, name)
+        monkeypatch.setattr(Oscillator, name, lambda self, v, _m=method, _n=name: calls.append(_n) or _m(self, v))
+    model = Oscillator(1.0, 0.3, 12)
+    model.hamiltonian(1.0)
+    assert calls == ["hamiltonian"]  # the counting wrappers are in place
+    res = propagate(model, Protocol.linear(1.0, 1.2, 0.3), steps=16, gauge_precondition=frame, **NO_ACCEPTANCE)
+    assert res.steps_used == 32
+    assert calls == ["hamiltonian"]
+
+
+class _AffineFamily:
+    """H0 + f(v) H1 with f(v) = v + c v^2, under a static identity metric."""
+
+    metric_is_static = True
+
+    def __init__(self, H0, H1, c):
+        self.dimension = H0.shape[0]
+        self._terms = (H0, H1, lambda v: np.asarray(v) + c * np.asarray(v) ** 2)
+
+    def hamiltonian_terms(self):
+        return self._terms
+
+    def hamiltonian(self, v):
+        H0, H1, f = self._terms
+        return H0 + f(v)[..., None, None] * H1
+
+    def metric(self, v=0.0):
+        return np.eye(self.dimension, dtype=complex)
+
+
+class _BreathingAffineFamily(_AffineFamily):
+    """An affine family under the moving metric (1 + v^2) I, whose gauge term
+    is not part of the terms."""
+
+    metric_is_static = False
+
+    def metric(self, v=0.0):
+        return (1.0 + np.asarray(v) ** 2)[..., None, None] * np.eye(self.dimension, dtype=complex)
+
+    def metric_inverse(self, v=0.0):
+        return np.eye(self.dimension, dtype=complex) / (1.0 + np.asarray(v) ** 2)[..., None, None]
+
+    def metric_rate(self, v, dv_dt):
+        return (2.0 * np.asarray(v) * dv_dt)[..., None, None] * np.eye(self.dimension, dtype=complex)
+
+
+def test_a_moving_metric_keeps_the_generic_assembly():
+    rng = np.random.default_rng(5)
+    H0, H1 = 0.3 * _random_stack(rng, 2, 6)
+    model = _BreathingAffineFamily(H0 + H0.conj().T, H1 + H1.conj().T, 0.5)
+    proto = Protocol.linear(0.0, 0.8, 1.0)
+    res = propagate(model, proto, steps=16, **NO_ACCEPTANCE)
+    npt.assert_array_equal(res.U, propagate(_TermsFree(model), proto, steps=16, **NO_ACCEPTANCE).U)
+    # the gauge term keeps U metric-unitary; without it the defect would be O(1)
+    assert max(r for _, r in res.checkpoints) <= 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(3, 12),
+    blocks=st.booleans(),
+    c=st.floats(-1.0, 1.0),
+    steps=st.integers(2, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_affine_families_match_the_dense_magnus_steps(d, blocks, c, steps, seed):
+    rng = np.random.default_rng(seed)
+    H0, H1 = 0.3 * _random_stack(rng, 2, d)
+    if blocks:  # each term on its own permuted diagonal blocks
+        labels = [rng.permutation(d) % int(rng.integers(2, d)) for _ in range(2)]
+        H0, H1 = (np.where(lab[:, None] == lab, H, 0.0) for lab, H in zip(labels, (H0, H1)))
+    model = _AffineFamily(H0, H1, c)
+    proto = Protocol.erf(-0.5, 1.0, 0.4)
+    res = propagate(model, proto, steps=steps, **NO_ACCEPTANCE)
+    expected = _magnus_reference(model.hamiltonian, proto, res.steps_used, scipy.linalg.expm)
+    assert np.max(np.abs(res.U - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class _SwitchedCoupling:

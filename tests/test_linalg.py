@@ -53,10 +53,12 @@ def test_two_level_eigenvalues(lam, expected):
 )
 def test_phase_convention_matches_per_column_loop(H):
     # the per-column loop the vectorised phase convention replaced, applied
-    # to the same sorted eig output and biorthonormal left vectors
-    w, vl, vr = scipy.linalg.eig(H, left=True, right=True)
+    # to the same sorted eig output (of the real part when H is real and
+    # larger than 2 x 2) and biorthonormal left vectors
+    real = H.shape[0] > 2 and not H.imag.any()
+    w, vl, vr = scipy.linalg.eig(H.real if real else H, left=True, right=True)
     order = np.lexsort((w.imag, w.real))
-    vl, vr = vl[:, order], vr[:, order]
+    vl, vr = vl[:, order].astype(complex), vr[:, order].astype(complex)
     left = np.linalg.solve(vl.conj().T @ vr, vl.conj().T).conj().T
     for k in range(vr.shape[1]):
         j = int(np.argmax(np.abs(vr[:, k])))
@@ -66,6 +68,27 @@ def test_phase_convention_matches_per_column_loop(H):
     es = eigendecompose(H)
     npt.assert_array_equal(es.right, vr)
     npt.assert_array_equal(es.left, left)
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        Oscillator(omega_ref=1.0, shift=0.5, n_basis=16).hamiltonian(1.3),
+        HatanoNelson(length=12, asymmetry=0.3, potential=tuple(np.linspace(-0.4, 0.4, 12))).hamiltonian(),
+        HatanoNelson(length=13, asymmetry=0.2, boundary="periodic").hamiltonian(),
+    ],
+    ids=["oscillator", "chain_open", "chain_periodic"],
+)
+def test_real_matrices_decompose_like_the_complex_solver(H):
+    # the real solver's spectrum and spectral projectors are the complex one's
+    assert not H.imag.any()
+    w, vl, vr = scipy.linalg.eig(H, left=True, right=True)
+    order = np.lexsort((w.imag, w.real))
+    w, vl, vr = w[order], vl[:, order], vr[:, order]
+    projectors = np.einsum("ik,jk->kij", vr, vl.conj()) / np.sum(vl.conj() * vr, axis=0)[:, None, None]
+    es = eigendecompose(H)
+    npt.assert_allclose(es.eigenvalues, w, rtol=0, atol=1e-12)
+    npt.assert_allclose(np.einsum("ik,jk->kij", es.right, es.left.conj()), projectors, rtol=0, atol=1e-10)
 
 
 def test_eigenvalues_sorted_by_real_then_imag():

@@ -220,6 +220,26 @@ def test_relaxation_time_diverges_near_critical_point():
     assert t_near / t_far > 60.0
 
 
+@pytest.mark.parametrize("v", [0.7, np.array([0.3, 1.0, 1.7])])
+@pytest.mark.parametrize("model", [Oscillator(1.0, 0.4, 10), Oscillator(0.2, 1.0, 28, mass=1.5)])
+def test_oscillator_terms_are_its_families(model, v):
+    # the terms against the two families written out, and both families
+    # against H0 + f(v) H1 of their terms, exactly
+    P2, X2, m, s = model._p_squared, model._x_squared, model.mass, model.shift
+    trap = 0.5 * m * np.asarray(v) ** 2
+    raw = (P2 - 2j * s * model.momentum - s**2 * np.eye(model.n_basis)) / (2.0 * m)
+    for (H0, H1, f), kinetic, family in (
+        (model.hamiltonian_terms(), raw, model.hamiltonian),
+        (model.hermitian_frame_terms(), P2 / (2.0 * m), model.hermitian_frame),
+    ):
+        npt.assert_array_equal(H0, kinetic)
+        npt.assert_array_equal(H1, X2)
+        npt.assert_array_equal(f(v), trap)
+        npt.assert_array_equal(family(v), kinetic + trap[..., None, None] * X2)
+        npt.assert_array_equal(family(v), H0 + f(v)[..., None, None] * H1)
+    assert model.hermitian_frame_terms()[0] is model.hermitian_frame_terms()[0]  # cached
+
+
 _BATCHED_METHODS = ("hamiltonian", "hermitian_frame", "metric", "metric_inverse", "metric_min_eigenvalue")
 
 
