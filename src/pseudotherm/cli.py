@@ -752,12 +752,8 @@ def cmd_fig2_left(args, cfg: dict) -> int:
         _fail("sweep.name", "fig2-left sweeps protocol.end")
 
     def run(point_cfg, lam):
-        model = build_model(point_cfg)
-        protocol = build_protocol(point_cfg)
-        eigs = eigendecompose(model.hamiltonian(protocol.value(protocol.t_end)))
-        t_r = relaxation_time(eigs.eigenvalues)
         res = _two_time(point_cfg)
-        return (lam, t_r, res.report.relative_residual)
+        return (lam, relaxation_time(res.energies_final), res.report.relative_residual)
 
     rows = _sweep_map(cfg, sweep, run)
     out = _out_dir(args, cfg)
@@ -852,18 +848,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pseudotherm",
         description="pseudo-hermitian work statistics and cycle experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} pipeline")
-        p.add_argument("--config", help="JSON config file (figure commands default to their preset)")
-        p.add_argument("--out", help="output directory (overrides PSEUDOTHERM_OUT)")
-        p.add_argument("--svg", action="store_true", help="also render SVG plots")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="accepted for compatibility (>= 1); sweeps run serially and the output never depends on it",
-        )
+    parser.add_argument("command", choices=_COMMANDS, help="the pipeline to run")
+    parser.add_argument("--config", help="JSON config file (figure commands default to their preset)")
+    parser.add_argument("--out", help="output directory (overrides PSEUDOTHERM_OUT)")
+    parser.add_argument("--svg", action="store_true", help="also render SVG plots")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility (>= 1); sweeps run serially and the output never depends on it",
+    )
     return parser
 
 

@@ -468,6 +468,23 @@ def _hermitian_frame(model) -> Callable:
     return frame
 
 
+def _check_terms(h_of, terms: tuple, edges: np.ndarray, name: str) -> None:
+    """Refuse terms (H0, H1, f) that miss the family h_of at the window edges.
+
+    The affine path never calls the family, so a model that overrides the
+    family but not its terms would silently integrate the terms.
+    """
+    H0, H1, f = terms
+    H = np.asarray(h_of(edges))
+    miss = np.linalg.norm(H - (H0 + f(edges)[:, None, None] * H1), axis=(1, 2))
+    scale = np.maximum(1.0, np.linalg.norm(H, axis=(1, 2)))
+    if not np.all(miss <= 1e-12 * scale):
+        raise ValueError(
+            f"{name}() differs from {name}_terms() by {float(np.max(miss)):.3e} at the "
+            f"window edges; a model that overrides {name} must override {name}_terms too"
+        )
+
+
 def _min_eigenvalue(g: np.ndarray):
     """Smallest eigenvalue of the hermitian part of g, or of each matrix in a stack."""
     return np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g.conj(), -1, -2))).min(axis=-1)
@@ -570,7 +587,9 @@ def propagate(
     Above two levels, a static metric and terms for the integrated family
     (hamiltonian_terms, or hermitian_frame_terms with gauge_precondition)
     assemble each batch's Omega from the terms; otherwise the family is
-    evaluated at every Gauss node and the commutator multiplied out.
+    evaluated at every Gauss node and the commutator multiplied out.  The
+    terms are checked against the family at the two window edges, and a
+    ValueError names the pair that disagrees.
     The checkpoint propagators of a run are checked for finiteness and
     against the metric in one batched call each.
 
@@ -588,8 +607,9 @@ def propagate(
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
 
+    family_name = "hermitian_frame" if gauge_precondition else "hamiltonian"
     h_of = _hermitian_frame(model) if gauge_precondition else model.hamiltonian
-    terms_of = getattr(model, "hermitian_frame_terms" if gauge_precondition else "hamiltonian_terms", None)
+    terms_of = getattr(model, f"{family_name}_terms", None)
     family = _MetricFamily(model, protocol, identity=gauge_precondition)
     _scan_positive_definite(family, t0, t1, tol)
 
@@ -606,7 +626,11 @@ def propagate(
 
     block = _block_steps(dim)
     affine = dim > 2 and family.static and terms_of is not None
-    block_exponentials = None if dim == 2 else _BlockExponentials(dim, block, terms_of() if affine else None)
+    terms = None
+    if affine:
+        terms = terms_of()
+        _check_terms(h_of, terms, protocol.value(np.array([t0, t1])), family_name)
+    block_exponentials = None if dim == 2 else _BlockExponentials(dim, block, terms)
 
     def step_exponentials(ts: np.ndarray, dt: float) -> np.ndarray:
         """exp(Omega) of the steps whose Gauss nodes are ts (two per step, in order)."""

@@ -20,7 +20,9 @@ hamiltonian_terms() (and hermitian_frame_terms() for the frame) returns
 (H0, H1, f) with hamiltonian(v) = H0 + f(v)[..., None, None] * H1.  The
 propagator then builds every step from the fixed terms, without calling
 the family.  The oscillator declares both and derives both families from
-them, so a subclass that changes a family overrides its terms.
+them, so a subclass that changes a family overrides its terms; the
+propagator compares the two at the window edges and raises ValueError when
+they disagree.
 
 The two-level system drives an imaginary detuning, the oscillator drives
 its trap frequency with a fixed imaginary momentum shift, and the

@@ -564,15 +564,32 @@ def _leg_spectra(h_of, values: np.ndarray, tol: Tolerances):
     return (H, *eig(H, values, tol))
 
 
-def _entropy_curve(E: np.ndarray, beta) -> np.ndarray:
+def _entropy_curve(E: np.ndarray, beta, *, slope: bool = False):
     """S = beta (U - F) per column for (d, k) eigenvalues and (k,) betas.
 
     Evaluated as beta sum (E - shift) q / sum q + ln sum q, with
     q = e^{-beta (E - shift)}: U and F, each of size max|E|, are never
-    subtracted.  (d,) eigenvalues and a scalar beta give one value.
+    subtracted.  For a real spectrum q is exactly 1 on the m ground levels,
+    and ln sum q is taken as ln m + log1p(r / m), r the sum over the other
+    levels, so a low temperature (r below ulp(1)) keeps its relative
+    accuracy; complex spectra take ln sum q.  (d,) eigenvalues and a scalar
+    beta give one value.  With slope, also returns
+    dS/d(ln beta) = -beta^2 Var(E), the variance taken in shifted energies.
     """
     shift, q, total = _shifted_weights(E, beta)
-    return beta * ((E - shift) * q).sum(axis=0) / total + np.log(total)
+    dE = E - shift
+    mean = (dE * q).sum(axis=0) / total
+    if np.iscomplexobj(E):
+        log_total = np.log(total)
+    else:
+        ground = dE == 0
+        m = ground.sum(axis=0, dtype=float)
+        log_total = np.log(m) + np.log1p((q - ground).sum(axis=0) / m)
+    S = beta * mean + log_total
+    if not slope:
+        return S
+    var = ((dE - mean) ** 2 * q).sum(axis=0) / total
+    return S, -beta * beta * var
 
 
 def _populations(E: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -580,12 +597,20 @@ def _populations(E: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return q / total
 
 
-def _solve_isentrope(E: np.ndarray, target: float, tol: Tolerances) -> np.ndarray:
-    """beta(lambda) with S = target at every grid point, by log-bisection.
+def _solve_isentrope(
+    E: np.ndarray, target: float, beta_from: float, beta_to: float, tol: Tolerances
+) -> np.ndarray:
+    """beta(lambda) with S = target at every grid point, by bracketed Newton in ln beta.
 
     E holds the real (d, k) energies.  S is monotone decreasing in beta, so
     the bracket [beta_min, beta_max] either contains the solution everywhere
-    or the leg is infeasible.
+    or the leg is infeasible.  Newton runs in x = ln beta from the straight
+    line between ln beta_from and ln beta_to, the isotherms the leg
+    connects; each evaluation moves the end of its column's bracket that
+    the sign of S - target excludes, and a step that is not finite (a flat
+    column) or leaves the bracket is replaced by the bracket's midpoint.
+    The loop stops once every step is below 1e-12 max(1, |x|), after at
+    most 64 evaluations.
     """
     k = E.shape[1]
     lo = np.full(k, tol.beta_min)
@@ -599,27 +624,37 @@ def _solve_isentrope(E: np.ndarray, target: float, tol: Tolerances) -> np.ndarra
             f"[{s_hi.min():.6g}, {s_lo.max():.6g}] for beta in "
             f"[{tol.beta_min:.0e}, {tol.beta_max:.0e}]"
         )
-    llo, lhi = np.log(lo), np.log(hi)
+    xlo, xhi = np.log(lo), np.log(hi)
+    x = np.clip(np.linspace(math.log(beta_from), math.log(beta_to), k), xlo, xhi)
     for _ in range(64):
-        mid = 0.5 * (llo + lhi)
-        s_mid = _entropy_curve(E, np.exp(mid))
-        above = s_mid > target
-        llo = np.where(above, mid, llo)
-        lhi = np.where(above, lhi, mid)
-    beta = np.exp(0.5 * (llo + lhi))
+        S, dS = _entropy_curve(E, np.exp(x), slope=True)
+        above = S > target  # beta is too small: x is the new lower end
+        xlo = np.where(above, x, xlo)
+        xhi = np.where(above, xhi, x)
+        with np.errstate(all="ignore"):  # dS is 0 on a flat column, may be subnormal
+            new = x - (S - target) / dS
+        # a converged iterate sits on an end of its bracket, so the ends count as inside
+        new = np.where((new >= xlo) & (new <= xhi), new, 0.5 * (xlo + xhi))
+        step = np.abs(new - x)
+        x = new
+        if np.all(step <= 1e-12 * np.maximum(1.0, np.abs(x))):
+            break
+    beta = np.exp(x)
     s_final = _entropy_curve(E, beta)
     worst = float(np.max(np.abs(s_final - target)))
     if worst > tol.entropy_match:
         raise IsentropeNotFoundError(
-            f"isentrope bisection stalled; entropy mismatch {worst:.3e}"
+            f"isentrope solve stalled; entropy mismatch {worst:.3e}"
         )
     return beta
 
 
-def _isentrope_betas(E: np.ndarray, name: str, s_target: float, beta_land: float, tol: Tolerances):
-    """beta along an isentrope, which must end on the temperature 1/beta_land."""
+def _isentrope_betas(
+    E: np.ndarray, name: str, s_target: float, beta_from: float, beta_land: float, tol: Tolerances
+):
+    """beta along an isentrope from the temperature 1/beta_from, which must end on 1/beta_land."""
     E = np.ascontiguousarray(E.real)
-    beta = _solve_isentrope(E, s_target, tol)
+    beta = _solve_isentrope(E, s_target, beta_from, beta_land, tol)
     landing = float(_entropy_curve(E[:, -1:], np.array([beta_land]))[0])
     if abs(landing - s_target) > tol.entropy_match:
         raise IsentropeNotFoundError(
@@ -663,9 +698,10 @@ def quasistatic_cycle(
 
     A->B is the hot isotherm, B->C an isentrope cooling to T_cold, C->D
     the cold isotherm, D->A an isentrope heating back.  Isentropes solve
-    beta(control) by bisection and must land on the opposite isotherm's
-    temperature; a mismatch raises IsentropeNotFoundError, which is how an
-    infeasible leg geometry announces itself.  A leg that reaches an
+    beta(control) by bracketed Newton in ln beta, started on the straight
+    line between the two isotherms' ln beta, and must land on the opposite
+    isotherm's temperature; a mismatch raises IsentropeNotFoundError, which
+    is how an infeasible leg geometry announces itself.  A leg that reaches an
     exceptional point raises DefectiveMatrixError.  steps is the total
     budget, split evenly across the four legs; g_trace_crosscheck is
     taken at every grid point.
@@ -716,9 +752,9 @@ def quasistatic_cycle(
         return float(S[-1].real)
 
     s_B = run_leg("hot", vA, vB, lambda E: np.full(n + 1, beta_h))
-    run_leg("cool", vB, vC, lambda E: _isentrope_betas(E, "cool", s_B, beta_c, tol))
+    run_leg("cool", vB, vC, lambda E: _isentrope_betas(E, "cool", s_B, beta_h, beta_c, tol))
     s_D = run_leg("cold", vC, vD, lambda E: np.full(n + 1, beta_c))
-    run_leg("heat", vD, vA, lambda E: _isentrope_betas(E, "heat", s_D, beta_h, tol))
+    run_leg("heat", vD, vA, lambda E: _isentrope_betas(E, "heat", s_D, beta_c, beta_h, tol))
 
     if imag_worst > tol.reality * 10:
         raise NonRealResultError(

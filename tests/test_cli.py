@@ -37,6 +37,12 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "line" in err
 
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["nonsense", "--out", "."])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+
     def test_missing_config_for_core_commands(self, capsys):
         assert main(["spectrum"]) == 2
         assert "requires --config" in capsys.readouterr().err

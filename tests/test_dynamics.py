@@ -654,7 +654,8 @@ def test_affine_assembly_matches_the_generic_one(model, proto, frame):
 
 @pytest.mark.parametrize("frame", [True, False], ids=["frame", "raw"])
 def test_oscillator_propagation_makes_no_model_calls(monkeypatch, frame):
-    # the affine terms replace every per-step evaluation of the family
+    # the affine terms replace every per-step evaluation of the family; the
+    # family is called once, on the two window edges, to check its terms
     calls = []
     for name in ("hamiltonian", "hermitian_frame"):
         method = getattr(Oscillator, name)
@@ -664,7 +665,41 @@ def test_oscillator_propagation_makes_no_model_calls(monkeypatch, frame):
     assert calls == ["hamiltonian"]  # the counting wrappers are in place
     res = propagate(model, Protocol.linear(1.0, 1.2, 0.3), steps=16, gauge_precondition=frame, **NO_ACCEPTANCE)
     assert res.steps_used == 32
-    assert calls == ["hamiltonian"]
+    assert calls == ["hamiltonian", "hermitian_frame" if frame else "hamiltonian"]
+
+
+@pytest.mark.parametrize("frame", [True, False], ids=["frame", "raw"])
+def test_a_family_without_matching_terms_is_refused(frame):
+    # a subclass that shifts a family by the identity but keeps the base
+    # class's terms would integrate the unshifted family
+    name = "hermitian_frame" if frame else "hamiltonian"
+
+    def base_terms(self):
+        return getattr(Oscillator, f"{name}_terms")(self)
+
+    def shifted_family(self, v):
+        H0, H1, f = base_terms(self)
+        return H0 + np.eye(self.n_basis) + f(v)[..., None, None] * H1
+
+    class Shifted(Oscillator):
+        pass
+
+    setattr(Shifted, name, shifted_family)
+    proto = Protocol.linear(1.0, 1.2, 0.3)
+    kwargs = dict(steps=16, gauge_precondition=frame, **NO_ACCEPTANCE)
+    with pytest.raises(ValueError, match=f"{name}_terms"):
+        propagate(Shifted(1.0, 0.3, 12), proto, **kwargs)
+
+    # overriding the terms as well makes the pair consistent: the shift only
+    # multiplies U by the phase e^{-i tau}
+    def shifted_terms(self):
+        H0, H1, f = base_terms(self)
+        return H0 + np.eye(self.n_basis), H1, f
+
+    setattr(Shifted, f"{name}_terms", shifted_terms)
+    shifted = propagate(Shifted(1.0, 0.3, 12), proto, **kwargs).U
+    plain = propagate(Oscillator(1.0, 0.3, 12), proto, **kwargs).U
+    npt.assert_allclose(shifted, np.exp(-0.3j) * plain, rtol=0, atol=1e-12)
 
 
 class _AffineFamily:

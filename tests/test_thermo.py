@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -98,6 +100,15 @@ class TestThermalState:
         leg = float(thermo._entropy_curve(E[:, None], np.array([beta]))[0])
         assert abs(scalar - leg) <= 1e-15 * abs(leg)
         assert abs(leg - exact) <= 1e-13 * exact
+
+    def test_low_temperature_entropy_keeps_relative_accuracy(self):
+        # sum q = 1 + e^{-30} rounds at ulp(1): ln sum q then missed
+        # S = 2.9e-12 by 3.3e-5 relative
+        E, beta = np.array([100.0, 101.0]), 30.0
+        x = np.exp(-beta)
+        exact = beta * x / (1 + x) + np.log1p(x)
+        for S in (entropy(thermal_state(E, beta)), thermo._entropy_curve(E, beta)):
+            assert abs(S - exact) <= 1e-13 * exact
 
     def test_paired_spectrum_passes_reality_gate(self):
         m = HatanoNelson(length=4, hopping=1.0, asymmetry=0.5, boundary="periodic")
@@ -341,6 +352,105 @@ class TestQuasistaticCycle:
         for name in ("efficiency", "Q_hot", "W_net"):
             assert getattr(closed, name) == pytest.approx(getattr(general, name), rel=1e-12, abs=0)
         assert [t[:2] for t in closed.entropy_trace] == [t[:2] for t in general.entropy_trace]
+
+
+def _coupling_leg(c_from: float, c_to: float, k: int = 2501) -> np.ndarray:
+    """The real (2, k) energies -/+c of the hermitian coupling family along a leg."""
+    c = np.linspace(c_from, c_to, k)
+    return np.stack((-c, c))
+
+
+def _bisection_isentrope(E: np.ndarray, target: float) -> np.ndarray:
+    """beta with S = target per column by 64 log-bisection sweeps over [beta_min, beta_max]."""
+    llo = np.full(E.shape[1], np.log(DEFAULT.beta_min))
+    lhi = np.full(E.shape[1], np.log(DEFAULT.beta_max))
+    for _ in range(64):
+        mid = 0.5 * (llo + lhi)
+        above = thermo._entropy_curve(E, np.exp(mid)) > target
+        llo = np.where(above, mid, llo)
+        lhi = np.where(above, lhi, mid)
+    return np.exp(0.5 * (llo + lhi))
+
+
+class TestIsentropeSolver:
+    def test_hermitian_coupling_family_keeps_beta_c_constant(self):
+        # E = -/+c, so S depends on beta c alone and beta c is constant
+        # along the isentrope from (c = 0.75, T = 2) to c = 0.375
+        E = _coupling_leg(0.75, 0.375)
+        target = float(thermo._entropy_curve(E[:, :1], np.array([0.5]))[0])
+        beta = thermo._solve_isentrope(E, target, 0.5, 1.0, DEFAULT)
+        bc = beta * E[1]
+        assert np.max(np.abs(bc / 0.375 - 1.0)) <= 1e-14
+
+    def test_infeasible_targets_raise(self):
+        E = _coupling_leg(0.75, 0.375, 11)
+        for target in (np.log(2.0) + 1e-6, -1e-6):
+            with pytest.raises(IsentropeNotFoundError, match="outside the reachable range"):
+                thermo._solve_isentrope(E, target, 0.5, 1.0, DEFAULT)
+
+    def test_flat_column_converges_without_warnings(self):
+        # a flat column has S = ln 2 at every beta and no Newton step; the
+        # other column's solution is beta = sqrt(8e-11) near beta_min
+        E = np.array([[2.0, 0.0], [2.0, 1.0]])
+        target = np.log(2.0) - 1e-11
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta = thermo._solve_isentrope(E, target, 1.0, 1.0, DEFAULT)
+            S = thermo._entropy_curve(E, beta)
+        assert np.all(np.abs(S - target) <= DEFAULT.entropy_match)
+        assert beta[1] == pytest.approx(np.sqrt(8e-11), rel=1e-6)
+
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "pseudo"])
+    def test_carnot_geometry_takes_few_kernel_evaluations(self, monkeypatch, hermitian):
+        # acceptance test 08's geometries; 64 bisection sweeps took 67
+        if hermitian:
+            args = (lambda gap: np.array([[0.0, gap], [gap, 0.0]], dtype=complex),
+                    2.0, 1.0, (1.0, 0.75, 0.375, 0.5))
+        else:
+            g = 0.85
+            legs = (0.0, 0.4, float(np.sqrt(g * g - 0.375**2)), float(np.sqrt(g * g - 0.425**2)))
+            args = (TwoLevel(g), 2.0, 1.0, legs)
+        weights, solve = thermo._shifted_weights, thermo._solve_isentrope
+        calls, counts = [], []
+
+        def counted_weights(*a):
+            calls.append(1)
+            return weights(*a)
+
+        def counted_solve(*a):
+            calls.clear()
+            beta = solve(*a)
+            counts.append(len(calls))
+            return beta
+
+        monkeypatch.setattr(thermo, "_shifted_weights", counted_weights)
+        monkeypatch.setattr(thermo, "_solve_isentrope", counted_solve)
+        quasistatic_cycle(*args, steps=10000)
+        assert len(counts) == 2
+        assert max(counts) <= 12
+
+
+@st.composite
+def _real_legs(draw):
+    """(d, k) real energies, d <= 6, with some exact degeneracies, and a target every column reaches."""
+    d, k = draw(st.integers(2, 6)), draw(st.integers(1, 8))
+    gap = st.one_of(st.just(0.0), st.floats(0.05, 5.0))
+    base = draw(arrays(np.float64, (1, k), elements=st.floats(-20.0, 20.0)))
+    gaps = draw(arrays(np.float64, (d - 1, k), elements=gap))
+    E = np.concatenate((base, base + np.cumsum(gaps, axis=0)))
+    low = thermo._entropy_curve(E, np.full(k, DEFAULT.beta_max)).max()
+    high = thermo._entropy_curve(E, np.full(k, DEFAULT.beta_min)).min()
+    assume(high - low > 0.05)
+    return E, low + draw(st.floats(0.1, 0.9)) * (high - low)
+
+
+@settings(max_examples=60, deadline=None)
+@given(leg=_real_legs(), log_start=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+def test_isentrope_solve_matches_bisection_on_random_real_legs(leg, log_start):
+    E, target = leg
+    beta = thermo._solve_isentrope(E, target, *np.exp(log_start), DEFAULT)
+    reference = _bisection_isentrope(E, target)
+    assert np.all(np.abs(beta - reference) <= 1e-13 * reference)
 
 
 def _check_leg_eigensystem(H: np.ndarray):
