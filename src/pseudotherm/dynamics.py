@@ -20,15 +20,18 @@ the generators leave (the hermitian frame of the oscillator splits into its
 two parity blocks) and written into buffers that the `propagate` call owns.
 When the model declares its family as affine terms H0 + f(v) H1 (see
 `models`) and no gauge term is needed, the model is not called per step:
-the commutator is (f_2 - f_1)[H1, H0], so the Omegas of a block are one
+the commutator is (f_2 - f_1)[H1, H0], so the Omegas of a batch are one
 product of a (k, 3) coefficient array with the fixed H0, H1 and [H1, H0]
-on the blocks.  The block holds more steps the smaller the dimension, so a
-two-level run usually fits in one block.  Two-level runs are array arithmetic throughout:
-2x2 products are written out entrywise (`_mul2`), and the steps between
-two checkpoints are multiplied by a pairwise product tree before they act
-on U once.  Larger dimensions apply each step to the column block in turn,
-which is cheaper than a d x d product tree when U has few columns.  The
-checkpoint residuals of a run are evaluated in one batched call.  The gauge
+on the blocks, and the coefficients come from the control values of a
+chunk of batches at a time.  A batch holds more steps the smaller the
+dimension, so a two-level run usually fits in one batch.  Two-level runs
+are array arithmetic throughout: 2x2 products are written out entrywise
+(`_mul2`), and the steps between two checkpoints are multiplied by a
+pairwise product tree before they act on U once.  Larger dimensions hold U
+as the rows of each invariant block and advance them step by step, one
+stacked block product per group of equal-sized blocks; no dense
+exponential is formed, and dense U is assembled only at the checkpoints.
+The checkpoint residuals of a run are evaluated in one batched call.  The gauge
 term G_t keeps U metric-unitary, U† g_t U = g_0, when the metric family g_t
 moves with the drive; it vanishes for a static metric.  In the hermitian
 frame (identity metric) i*Omega is hermitian, so every step is unitary to
@@ -37,10 +40,12 @@ rounding.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -195,18 +200,35 @@ class Protocol:
         return float(r) if r.ndim == 0 else r
 
 
+class Rung(NamedTuple):
+    """One run of the step-doubling ladder.
+
+    n steps; the largest entry change of U against the run before (inf on
+    the first run and where either run overflowed); the worst checkpoint
+    residual (inf where U overflowed); the wall time of the run.
+    """
+
+    n: int
+    entry_change: float
+    worst_checkpoint: float
+    seconds: float
+
+
 @dataclass(frozen=True)
 class PropagationResult:
     """Final propagator with convergence and unitarity diagnostics.
 
     U has one column per column of the initial condition (the identity by
     default), after steps_used Magnus steps of step_size.  checkpoints holds
-    (t, ||U† g_t U - M0||_F) at >= 10 interior times of the accepted run,
-    M0 being the metric Gram matrix of the initial columns; in the hermitian
-    frame they sit at rounding level, since every step is unitary to
-    rounding.
+    (t, ||U† g_t U - M0||_F) of the accepted run of n steps after every
+    max(1, n // 12)-th step and after the last, so at least min(n, 12)
+    times, M0 being the metric Gram matrix of the initial columns; in the
+    hermitian frame they sit at rounding level, since every step is unitary
+    to rounding.
     entry_change is the largest entry change of U under the last step
-    halving.  g_start/g_end are the metric family evaluated at the window
+    halving.  rungs records every run of the doubling ladder in order (the
+    last is the accepted one), and steps_computed is the sum of their step
+    counts.  g_start/g_end are the metric family evaluated at the window
     edges; downstream two-time measurements must weigh overlaps with exactly
     these matrices, otherwise row sums drift away from 1.
     """
@@ -214,12 +236,14 @@ class PropagationResult:
     U: np.ndarray
     checkpoints: tuple
     steps_used: int
+    steps_computed: int
     step_size: float
     g_start: np.ndarray
     g_end: np.ndarray
     t_start: float
     t_end: float
     entry_change: float
+    rungs: tuple
 
 
 def hamiltonian_at(model, protocol: Protocol, t: float) -> np.ndarray:
@@ -391,59 +415,73 @@ class _BlockExponentials:
     """exp(Omega) of batches of d > 2 Magnus steps, invariant block by block.
 
     The symmetrised exact-zero pattern of the generators splits the levels
-    into invariant blocks; Omega is built and exponentiated on the blocks,
-    which are scattered into a zeroed E (exact: the exponential of a
-    block-diagonal matrix is block diagonal).  Built from an affine family's
-    terms (H0, H1, f), the pattern is H0's and H1's, and `affine` makes each
-    Omega one combination of H0, H1 and [H1, H0], taken on the blocks once;
-    otherwise `__call__` builds Omega from each batch's node generators and
-    recomputes the partition when their pattern changes.  The buffers live
-    as long as the object, one `propagate` call, and the E returned is
-    overwritten by the next batch.
+    into invariant blocks, grouped by size: `index` holds one (c, b) array
+    per group, each row the sorted levels of one of its c blocks of b
+    levels.  Omega is built and exponentiated on the blocks only, and a
+    batch of k steps comes back as one (k, c, b, b) stack per group.  No
+    dense E is formed: the exponential of a block-diagonal matrix is block
+    diagonal, so each step moves only the rows of U in its own block.
+    Built from an affine family's terms (H0, H1, f), the pattern is H0's
+    and H1's; `coefficients` turns the node control values of any number of
+    steps into (k, 3) weights, and `affine` makes each Omega one combination
+    of H0, H1 and [H1, H0], taken on the blocks once.  Otherwise `__call__`
+    builds Omega from each batch's node generators and, when their pattern
+    changes, recomputes the partition as a new `index` list.  The buffers
+    live as long as the object, one `propagate` call, and the stacks
+    returned are overwritten by the next batch.
     """
 
     def __init__(self, dim: int, steps: int, terms: tuple | None = None):
-        self._E = np.zeros((steps, dim, dim), dtype=complex)
+        self._steps = steps
         self._pattern = None
         if terms is not None:
             H0, H1, self._f = terms
             self._partition((H0 != 0) | (H1 != 0))
             M = np.stack((H0, H1, H1 @ H0 - H0 @ H1)).astype(complex).reshape(3, -1)
-            self._terms = [M[:, flat] for _, flat, _ in self._groups]
+            self._terms = [M[:, flat] for flat, _ in self._groups]
 
     def _partition(self, pattern: np.ndarray) -> None:
-        """Block groups (index shape, flat entries, Taylor buffer) of the symmetrised pattern."""
+        """`index`, and each group's flat entries and Taylor buffer, for the symmetrised pattern."""
         pattern = pattern | pattern.T
         if self._pattern is not None and np.array_equal(pattern, self._pattern):
             return
         self._pattern = pattern
-        self._E[...] = 0.0
         d = pattern.shape[0]
+        self.index = _invariant_blocks(pattern)
         self._groups = [
-            (idx.shape, (idx[:, :, None] * d + idx[:, None, :]).ravel(),
-             np.empty(10 * len(self._E) * idx.size * idx.shape[1], dtype=complex))
-            for idx in _invariant_blocks(pattern)
+            ((idx[:, :, None] * d + idx[:, None, :]).ravel(),
+             np.empty(10 * self._steps * idx.size * idx.shape[1], dtype=complex))
+            for idx in self.index
         ]
 
-    def affine(self, v: np.ndarray, alpha: complex, gamma: float) -> np.ndarray:
-        """As `__call__` for the node generators H0 + f(v) H1; v stacks each step's two nodes."""
+    def coefficients(self, v: np.ndarray, alpha: complex, gamma: float) -> np.ndarray:
+        """Weights of H0, H1 and [H1, H0] in each step's Omega; v stacks each step's two node values."""
         # h_1 + h_2 = 2 H0 + (f_1 + f_2) H1 and [h_2, h_1] = (f_2 - f_1) [H1, H0]
         f1, f2 = np.reshape(self._f(v), (-1, 2)).T
-        coef = np.stack((np.full(f1.shape, 2.0 * alpha), alpha * (f1 + f2), gamma * (f2 - f1)), axis=1)
+        return np.stack((np.full(f1.shape, 2.0 * alpha), alpha * (f1 + f2), gamma * (f2 - f1)), axis=1)
+
+    def affine(self, coef: np.ndarray) -> list:
+        """As `__call__` for the Omegas given by (k, 3) `coefficients`."""
         k = coef.shape[0]
-        E = self._E[:k]
-        for ((c, b), flat, buf), M in zip(self._groups, self._terms):
+        stacks = []
+        for idx, (_, buf), M in zip(self.index, self._groups, self._terms):
+            c, b = idx.shape
             work = buf[: 10 * k * c * b * b].reshape(10, k * c, b, b)
             np.matmul(coef, M, out=work[1].reshape(k, -1))
-            E.reshape(k, -1)[:, flat] = _expm_taylor(work).reshape(k, -1)
-        return E
+            stacks.append(_expm_taylor(work).reshape(k, c, b, b))
+        return stacks
 
-    def __call__(self, A: np.ndarray, alpha: complex, gamma: float) -> np.ndarray:
-        """exp(alpha (A_1 + A_2) + gamma [A_2, A_1]) per step; A stacks each step's two nodes."""
+    def __call__(self, A: np.ndarray, alpha: complex, gamma: float) -> list:
+        """exp(alpha (A_1 + A_2) + gamma [A_2, A_1]) per step; A stacks each step's two nodes.
+
+        Returns one (k, c, b, b) stack per group of `index`.
+        """
         k, d = A.shape[0] // 2, A.shape[-1]
         self._partition(np.any(A != 0, axis=0))
-        E, nodes = self._E[:k], np.asarray(A, dtype=complex).reshape(2 * k, d * d)
-        for (c, b), flat, buf in self._groups:
+        nodes = np.asarray(A, dtype=complex).reshape(2 * k, d * d)
+        stacks = []
+        for idx, (flat, buf) in zip(self.index, self._groups):
+            c, b = idx.shape
             work = buf[: 10 * k * c * b * b].reshape(10, k * c, b, b)
             # each step's two node generators on the blocks, into work[5:7]
             np.take(nodes, flat, axis=1, out=work[5:7].reshape(2 * k, -1), mode="clip")
@@ -456,8 +494,16 @@ class _BlockExponentials:
             C -= T
             C *= gamma
             omega += C
-            E.reshape(k, d * d)[:, flat] = _expm_taylor(work).reshape(k, -1)
-        return E
+            stacks.append(_expm_taylor(work).reshape(k, c, b, b))
+        return stacks
+
+
+def _join_rows(rows: list, index: list, dim: int) -> np.ndarray:
+    """U from its row blocks: rows[g] is (c, b, k), holding the rows index[g] of U."""
+    U = np.empty((dim, rows[0].shape[-1]), dtype=complex)
+    for idx, R in zip(index, rows):
+        U[idx.ravel()] = R.reshape(idx.size, -1)
+    return U
 
 
 def _hermitian_frame(model) -> Callable:
@@ -582,14 +628,19 @@ def propagate(
     A run checks U at about 12 evenly spaced steps (every n // 12 steps, and
     the last).  At two levels the steps between two checkpoints are
     multiplied by a pairwise product tree of entrywise 2x2 products and
-    advance U once; larger dimensions exponentiate each batch of steps
-    block by block (_BlockExponentials) and apply the steps to U in turn.
+    advance U once.  Larger dimensions exponentiate each batch of steps
+    block by block (_BlockExponentials) and hold U as the rows of each
+    invariant block, which every step moves with one stacked product per
+    group of equal-sized blocks; dense U is assembled at the checkpoints.
     Above two levels, a static metric and terms for the integrated family
     (hamiltonian_terms, or hermitian_frame_terms with gauge_precondition)
-    assemble each batch's Omega from the terms; otherwise the family is
-    evaluated at every Gauss node and the commutator multiplied out.  The
-    terms are checked against the family at the two window edges, and a
-    ValueError names the pair that disagrees.
+    assemble each batch's Omega from the terms, with the control values
+    and coefficients of a chunk of batches evaluated at once; otherwise
+    the family is evaluated at every Gauss node and the commutator
+    multiplied out.  The terms are checked against the family at the two
+    window edges, and a ValueError names the pair that disagrees.  A
+    non-finite initial condition, or one without columns, raises
+    ValueError before any step.
     The checkpoint propagators of a run are checked for finiteness and
     against the metric in one batched call each.
 
@@ -617,6 +668,8 @@ def propagate(
     X0 = np.eye(dim, dtype=complex) if initial is None else np.asarray(initial, dtype=complex)
     if X0.ndim != 2 or X0.shape[0] != dim:
         raise ValueError(f"initial condition must be ({dim} x k), got {X0.shape}")
+    if X0.shape[1] == 0 or not np.isfinite(X0).all():
+        raise ValueError("initial condition must be finite and have at least one column")
 
     g_start, g_end = family.g(t0), family.g(t1)
     M0 = X0.conj().T @ g_start @ X0
@@ -625,6 +678,10 @@ def propagate(
         gate = tol.propagation * max(1.0, float(np.linalg.norm(g_start)))
 
     block = _block_steps(dim)
+    # the node times, control values and affine coefficients of whole
+    # batches are evaluated a chunk at a time: a bounded array however long
+    # the run
+    chunk = block * max(1, _BLOCK_ENTRIES // 3 // block)
     affine = dim > 2 and family.static and terms_of is not None
     terms = None
     if affine:
@@ -632,19 +689,19 @@ def propagate(
         _check_terms(h_of, terms, protocol.value(np.array([t0, t1])), family_name)
     block_exponentials = None if dim == 2 else _BlockExponentials(dim, block, terms)
 
-    def step_exponentials(ts: np.ndarray, dt: float) -> np.ndarray:
-        """exp(Omega) of the steps whose Gauss nodes are ts (two per step, in order)."""
-        v = protocol.value(ts)
-        # above two levels -i/hbar is folded into the scalars of Omega
-        alpha, gamma = -0.5j * dt / hbar, -_COMMUTATOR * dt * dt / (hbar * hbar)
-        if affine:
-            return block_exponentials.affine(v, alpha, gamma)
+    def step_exponentials(ts: np.ndarray, v: np.ndarray, dt: float, scalars: tuple):
+        """exp(Omega) of the steps whose Gauss nodes and control values are the rows of ts and v.
+
+        A (k, 2, 2) stack at two levels; otherwise one (k, c, b, b) stack
+        per group of `block_exponentials.index`, `scalars` being its (alpha, gamma).
+        """
+        ts, v = ts.ravel(), v.ravel()
         A = h_of(v)
         G = family.gauge(ts, v, hbar)
         if G is not None:
             A = A + G
         if dim > 2:
-            return block_exponentials(A, alpha, gamma)
+            return block_exponentials(A, *scalars)
         A = (-1j / hbar) * A
         A1, A2 = A[0::2], A[1::2]
         omega = (0.5 * dt) * (A1 + A2) + (_COMMUTATOR * dt * dt) * (_mul2(A2, A1) - _mul2(A1, A2))
@@ -652,29 +709,51 @@ def propagate(
 
     def run(n: int):
         dt = (t1 - t0) / n
+        # above two levels -i/hbar is folded into the scalars of Omega
+        scalars = (-0.5j * dt / hbar, -_COMMUTATOR * dt * dt / (hbar * hbar))
         every = max(1, n // _CHECKPOINTS)
         marks = np.union1d(np.arange(every, n + 1, every), n)  # k % every == 0 or k == n
+        cuts = marks.tolist()
         at_mark = []  # U after each checkpoint step
         U = X0
+        rows = index = None  # above two levels U is held as the row blocks rows[g] = U[index[g]]
         with np.errstate(over="ignore", invalid="ignore"):
-            for first in range(0, n, block):
-                last = min(first + block, n)
-                ts = t0 + (np.arange(first, last)[:, None] + _NODES) * dt
-                E = step_exponentials(ts.ravel(), dt)
-                inside = marks[(marks > first) & (marks <= last)]
-                # pieces end at the checkpoints and at the block end
-                ends = np.union1d(inside, last) - first
-                products = _piece_products(E, ends) if dim == 2 else None
-                start = 0
-                for j, end in enumerate(ends):
-                    if dim == 2:
-                        U = products[j] @ U
+            for head in range(0, n, chunk):
+                tail = min(head + chunk, n)
+                ts = t0 + (np.arange(head, tail)[:, None] + _NODES) * dt
+                v = protocol.value(ts)
+                if affine:
+                    coef = block_exponentials.coefficients(v, *scalars)
+                for first in range(head, tail, block):
+                    last = min(first + block, n)
+                    here = slice(first - head, last - head)
+                    if affine:
+                        E = block_exponentials.affine(coef[here])
                     else:
-                        for Ek in E[start:end]:
-                            U = Ek @ U
-                    start = end
-                    if j < inside.size:
-                        at_mark.append(U)
+                        E = step_exponentials(ts[here], v[here], dt, scalars)
+                    # pieces end at the checkpoints and at the batch end, counted from its start
+                    inside = cuts[bisect.bisect_right(cuts, first) : bisect.bisect_right(cuts, last)]
+                    ends = [k - first for k in sorted({*inside, last})]
+                    if dim == 2:
+                        products = _piece_products(E, ends)
+                    elif block_exponentials.index is not index:  # a new partition regroups the rows
+                        if rows is not None:
+                            U = _join_rows(rows, index, dim)
+                        index = block_exponentials.index
+                        rows = [U[idx] for idx in index]
+                    start = 0
+                    for j, end in enumerate(ends):
+                        if dim == 2:
+                            U = products[j] @ U
+                        else:
+                            for g, Eg in enumerate(E):  # the groups' rows move independently
+                                R = rows[g]
+                                for Ek in Eg[start:end]:
+                                    R = Ek @ R
+                                rows[g] = R
+                        start = end
+                        if j < len(inside):
+                            at_mark.append(U if dim == 2 else _join_rows(rows, index, dim))
         # Coarse non-hermitian passes can overflow; return None so the
         # doubling loop just keeps refining.
         stack = np.stack(at_mark)
@@ -682,10 +761,25 @@ def propagate(
             return None, ()
         tc = t0 + marks * dt
         residuals = unitarity_residual(stack, M0, family.g(tc))
-        return U, tuple(zip(tc.tolist(), residuals.tolist()))
+        return at_mark[-1], tuple(zip(tc.tolist(), residuals.tolist()))  # n is the last mark
+
+    rungs = []
+
+    def rung(n: int, U_prev):
+        """run(n), recorded as a Rung against the previous run's U_prev."""
+        clock = time.perf_counter()
+        U, checkpoints = run(n)
+        seconds = time.perf_counter() - clock
+        change = worst = math.inf
+        if U is not None:
+            worst = max(r for _, r in checkpoints)
+            if U_prev is not None:
+                change = float(np.max(np.abs(U - U_prev)))
+        rungs.append(Rung(n, change, worst, seconds))
+        return U, checkpoints
 
     n = max(int(steps) if steps else 128, 2)
-    U_prev, _ = run(n)
+    U_prev, _ = rung(n, None)
     change = np.inf
     changes = []  # entry changes of the doublings since U last overflowed
     gate_misses = 0
@@ -696,17 +790,17 @@ def propagate(
                 f"(last entry change {change:.3e})"
             )
         n *= 2
-        U, checkpoints = run(n)
+        U, checkpoints = rung(n, U_prev)
         entry_ok = False
         if U is not None and U_prev is not None:
-            change = float(np.max(np.abs(U - U_prev)))
+            change = rungs[-1].entry_change
             changes.append(change)
             scale = max(1.0, float(np.max(np.abs(U))))
             entry_ok = change <= entry_tol * scale
         else:
             changes = []
         if entry_ok:
-            worst = max(r for _, r in checkpoints)
+            worst = rungs[-1].worst_checkpoint
             if worst <= gate:
                 break
             gate_misses += 1
@@ -732,10 +826,12 @@ def propagate(
         U=U,
         checkpoints=checkpoints,
         steps_used=n,
+        steps_computed=sum(r.n for r in rungs),
         step_size=(t1 - t0) / n,
         g_start=g_start,
         g_end=g_end,
         t_start=t0,
         t_end=t1,
         entry_change=change,
+        rungs=tuple(rungs),
     )

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pseudotherm import Oscillator, Protocol, TwoLevel, load_matrix, two_time_work
+from pseudotherm import Oscillator, Protocol, TwoLevel, cli, load_matrix, two_time_work
 from pseudotherm.cli import _CouplingFamily, main, random_metric_norms, read_csv, write_csv
 
 BASE = {
@@ -235,6 +236,24 @@ class TestToleranceGates:
         loose = dict(pseudo, checks={"efficiency_slack": 1e-4, "first_law": 1e-4})
         assert main(["carnot", "--config", write_config(tmp_path, loose, "l.json"),
                      "--out", str(tmp_path)]) == 0
+
+    def test_carnot_gates_the_g_trace_crosscheck(self, tmp_path, capsys, monkeypatch):
+        cycle = cli.quasistatic_cycle
+        monkeypatch.setattr(
+            cli, "quasistatic_cycle", lambda *args: dataclasses.replace(cycle(*args), g_trace_crosscheck=1e-6)
+        )
+        cfg = {
+            "model": {"kind": "two_level"},
+            "cycle": {
+                "T_hot": 2.0, "T_cold": 1.0,
+                "legs": [1.0, 0.75, 0.375, 0.5],
+                "steps": 2000, "parameter": "coupling", "fixed_value": 0.0,
+            },
+        }
+        assert main(["carnot", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 1
+        failed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert [f["check"] for f in failed["failures"]] == ["g_trace_crosscheck"]
+        assert failed["failures"][0]["value"] == 1e-6
 
     def test_infeasible_cycle_exits_3(self, tmp_path, capsys):
         cfg = {

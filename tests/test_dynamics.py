@@ -196,6 +196,34 @@ def test_column_block_initial_condition():
     npt.assert_allclose(res.U, full.U @ col, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "initial, match",
+    [
+        (np.array([[1.0], [np.nan]]), "finite"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "finite"),
+        (np.zeros((2, 0)), "at least one column"),
+    ],
+    ids=["nan", "inf", "no_columns"],
+)
+def test_bad_initial_condition_is_refused_up_front(initial, match):
+    with pytest.raises(ValueError, match=match):
+        propagate(TwoLevel(), Protocol.linear(0.0, 0.5, 1.0), initial=initial)
+
+
+def test_rungs_record_the_doubling_ladder():
+    res = propagate(TwoLevel(), Protocol.erf(0.0, 0.5, 0.5), steps=16, entry_tol=1e-10)
+    assert len(res.rungs) >= 2
+    for rung in res.rungs:
+        assert rung._fields == ("n", "entry_change", "worst_checkpoint", "seconds")
+        assert rung.seconds >= 0 and rung.worst_checkpoint < 1
+    assert [r.n for r in res.rungs] == [16 * 2**j for j in range(len(res.rungs))]
+    assert res.rungs[0].entry_change == np.inf
+    assert res.rungs[-1].n == res.steps_used
+    assert res.rungs[-1].entry_change == res.entry_change
+    assert res.rungs[-1].worst_checkpoint == max(r for _, r in res.checkpoints)
+    assert res.steps_computed == sum(r.n for r in res.rungs)
+
+
 def test_propagation_across_critical_point_raises():
     with pytest.raises(SingularMetricError):
         propagate(TwoLevel(), Protocol.linear(0.0, 1.2, 1.0))
@@ -441,6 +469,10 @@ def test_overflowing_first_run_keeps_refining(monkeypatch):
     res = propagate(model, proto, entry_tol=1e-10)
     assert first and res.steps_used >= expected.steps_used
     assert np.max(np.abs(res.U - expected.U)) <= 1e-9
+    # neither the overflowing run nor the next has an entry change
+    overflowed, after = res.rungs[:2]
+    assert overflowed.worst_checkpoint == overflowed.entry_change == after.entry_change == np.inf
+    assert np.isfinite(after.worst_checkpoint)
 
 
 def test_unreachable_checkpoint_gate_fails_loudly():
@@ -573,26 +605,34 @@ def test_invariant_blocks_of_permuted_block_diagonal_stacks(sizes, seed):
     pattern = np.any(A != 0, axis=0)
     found = [tuple(row) for idx in _invariant_blocks(pattern | pattern.T) for row in idx]
     assert sorted(found) == sorted(tuple(sorted(blk)) for blk in blocks)
-    # block by block, the step exponentials equal the dense ones, zeros exactly
+    # each group's stack holds the dense exponentials' diagonal blocks
     alpha, gamma = -0.3j, -0.05
     A1, A2 = A[0::2], A[1::2]
     dense = scipy.linalg.expm(alpha * (A1 + A2) + gamma * (A2 @ A1 - A1 @ A2))
-    E = _BlockExponentials(d, 2)(A, alpha, gamma)
-    assert np.max(np.abs(E - dense)) <= 1e-13 * max(1.0, np.max(np.abs(dense)))
-    label = np.empty(d, dtype=int)
-    for j, blk in enumerate(blocks):
-        label[blk] = j
-    assert np.all(E[:, label[:, None] != label[None, :]] == 0)
+    exponentials = _BlockExponentials(d, 2)
+    stacks = exponentials(A, alpha, gamma)
+    assert sorted(tuple(row) for idx in exponentials.index for row in idx) == sorted(found)
+    scale = max(1.0, np.max(np.abs(dense)))
+    for idx, E in zip(exponentials.index, stacks, strict=True):
+        assert E.shape == (2, *idx.shape, idx.shape[1])
+        assert np.max(np.abs(E - dense[:, idx[:, :, None], idx[:, None, :]])) <= 1e-13 * scale
 
 
-def _magnus_reference(h_of, proto: Protocol, n: int, expm) -> np.ndarray:
-    """U after n fourth-order Magnus steps, one dense exponential at a time."""
+def _magnus_steps(h_of, proto: Protocol, n: int, expm):
+    """U after each of n fourth-order Magnus steps, one dense exponential at a time."""
     dt = (proto.t_end - proto.t_start) / n
     U = None
     for j in range(n):
         A = -1j * h_of(proto.value(proto.t_start + (j + dynamics._NODES) * dt))
         omega = 0.5 * dt * (A[0] + A[1]) + dynamics._COMMUTATOR * dt * dt * (A[1] @ A[0] - A[0] @ A[1])
         U = expm(omega) if U is None else expm(omega) @ U
+        yield U
+
+
+def _magnus_reference(h_of, proto: Protocol, n: int, expm) -> np.ndarray:
+    """U after n fourth-order Magnus steps, one dense exponential at a time."""
+    for U in _magnus_steps(h_of, proto, n, expm):
+        pass
     return U
 
 
@@ -768,6 +808,52 @@ def test_random_affine_families_match_the_dense_magnus_steps(d, blocks, c, steps
     res = propagate(model, proto, steps=steps, **NO_ACCEPTANCE)
     expected = _magnus_reference(model.hamiltonian, proto, res.steps_used, scipy.linalg.expm)
     assert np.max(np.abs(res.U - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def _block_family(rng, labels) -> _AffineFamily:
+    """A non-hermitian affine family whose terms couple only levels with equal labels."""
+    same = labels[:, None] == labels[None, :]
+    H0, H1 = (np.where(same, H, 0.0) for H in 0.3 * _random_stack(rng, 2, labels.size))
+    return _AffineFamily(H0, H1, 0.5)
+
+
+@pytest.mark.parametrize("assembly", ["affine", "generic"])
+def test_block_diagonal_initial_keeps_exact_off_block_zeros(assembly):
+    # each step moves only the rows of its own block, so entries that couple
+    # two blocks are never written to
+    rng = np.random.default_rng(3)
+    labels = rng.permutation(np.arange(9) % 3)
+    model = _block_family(rng, labels)
+    if assembly == "generic":
+        model = _TermsFree(model)
+    off_block = labels[:, None] != labels[None, :]
+    initial = np.where(off_block, 0.0, _random_stack(rng, 1, 9)[0])
+    res = propagate(model, Protocol.erf(-0.5, 1.0, 0.4), steps=40, initial=initial, **NO_ACCEPTANCE)
+    assert np.all(res.U[off_block] == 0)
+    assert np.all(res.U[~off_block] != 0)
+
+
+def test_blocks_of_two_sizes_advance_a_column_block_through_checkpoints():
+    # blocks of 2, 2 and 3 levels make two groups; 300 steps fill one batch
+    # of 256 and part of a second, and most checkpoints fall inside a batch
+    rng = np.random.default_rng(8)
+    model = _block_family(rng, rng.permutation(np.array([0, 0, 1, 1, 2, 2, 2])))
+    proto = Protocol.erf(-0.5, 1.0, 0.4)
+    initial = _random_stack(rng, 1, 7)[0][:, :3]
+    res = propagate(model, proto, steps=150, initial=initial, **NO_ACCEPTANCE)
+    n, block = res.steps_used, _block_steps(7)
+    assert (n, block) == (300, 256)
+    marks = [k for k in range(1, n + 1) if k % (n // 12) == 0 or k == n]
+    assert any(k % block for k in marks)
+    dt = (proto.t_end - proto.t_start) / n
+    assert [t for t, _ in res.checkpoints] == (proto.t_start + np.array(marks) * dt).tolist()
+    steps = _magnus_steps(model.hamiltonian, proto, n, scipy.linalg.expm)
+    at_mark = [U @ initial for k, U in enumerate(steps, 1) if k in marks]
+    expected = at_mark[-1]
+    assert np.max(np.abs(res.U - expected)) <= 1e-13 * np.max(np.abs(expected))
+    M0 = initial.conj().T @ initial
+    residuals = [np.linalg.norm(U.conj().T @ U - M0) for U in at_mark]
+    npt.assert_allclose([r for _, r in res.checkpoints], residuals, rtol=1e-12)
 
 
 class _SwitchedCoupling:
