@@ -227,8 +227,8 @@ class PropagationResult:
     to rounding.
     entry_change is the largest entry change of U under the last step
     halving.  rungs records every run of the doubling ladder in order (the
-    last is the accepted one), and steps_computed is the sum of their step
-    counts.  g_start/g_end are the metric family evaluated at the window
+    last is the accepted one), and steps_computed sums their step counts.
+    g_start/g_end are the metric family evaluated at the window
     edges; downstream two-time measurements must weigh overlaps with exactly
     these matrices, otherwise row sums drift away from 1.
     """
@@ -236,7 +236,6 @@ class PropagationResult:
     U: np.ndarray
     checkpoints: tuple
     steps_used: int
-    steps_computed: int
     step_size: float
     g_start: np.ndarray
     g_end: np.ndarray
@@ -244,6 +243,10 @@ class PropagationResult:
     t_end: float
     entry_change: float
     rungs: tuple
+
+    @property
+    def steps_computed(self) -> int:
+        return sum(r.n for r in self.rungs)
 
 
 def hamiltonian_at(model, protocol: Protocol, t: float) -> np.ndarray:
@@ -506,6 +509,59 @@ def _join_rows(rows: list, index: list, dim: int) -> np.ndarray:
     return U
 
 
+class _PairChain:
+    """A two-level U advanced by batches of (k, 2, 2) step exponentials."""
+
+    def __init__(self, U: np.ndarray):
+        self._U = U
+
+    def advance(self, E: np.ndarray, ends: list, marks: int) -> list:
+        """Apply the batch E, cut into pieces that end at `ends`, one product-tree product per piece.
+
+        Returns U after each of the first `marks` pieces.
+        """
+        at = []
+        for j, P in enumerate(_piece_products(E, ends)):
+            self._U = P @ self._U
+            if j < marks:
+                at.append(self._U)
+        return at
+
+
+class _BlockRows:
+    """A d > 2 U held as the row blocks rows[g] = U[index[g]] of a `_BlockExponentials`.
+
+    A step moves only the rows of its own blocks, so each group's (c, b, k)
+    rows advance by one stacked product per step; when the partition
+    changes the rows are regrouped, and dense U is assembled only where a
+    checkpoint asks for it.
+    """
+
+    def __init__(self, U: np.ndarray, blocks: _BlockExponentials):
+        self._U, self._blocks, self._dim = U, blocks, U.shape[0]
+        self._index = self._rows = None
+
+    def advance(self, E: list, ends: list, marks: int) -> list:
+        """As `_PairChain.advance` for one (k, c, b, b) stack per group of the blocks' `index`."""
+        index = self._blocks.index
+        if index is not self._index:
+            U = self._U if self._rows is None else _join_rows(self._rows, self._index, self._dim)
+            self._index, self._rows = index, [U[idx] for idx in index]
+        rows = self._rows
+        at = []
+        start = 0
+        for j, end in enumerate(ends):
+            for g, Eg in enumerate(E):  # the groups' rows move independently
+                R = rows[g]
+                for Ek in Eg[start:end]:
+                    R = Ek @ R
+                rows[g] = R
+            start = end
+            if j < marks:
+                at.append(_join_rows(rows, index, self._dim))
+        return at
+
+
 def _hermitian_frame(model) -> Callable:
     """The model's hermitian_frame; ValueError when it has none."""
     frame = getattr(model, "hermitian_frame", None)
@@ -689,11 +745,15 @@ def propagate(
         _check_terms(h_of, terms, protocol.value(np.array([t0, t1])), family_name)
     block_exponentials = None if dim == 2 else _BlockExponentials(dim, block, terms)
 
-    def step_exponentials(ts: np.ndarray, v: np.ndarray, dt: float, scalars: tuple):
+    def omega_scalars(dt: float) -> tuple:
+        """(alpha, gamma) of Omega above two levels, with -i/hbar folded in."""
+        return -0.5j * dt / hbar, -_COMMUTATOR * dt * dt / (hbar * hbar)
+
+    def step_exponentials(ts: np.ndarray, v: np.ndarray, dt: float):
         """exp(Omega) of the steps whose Gauss nodes and control values are the rows of ts and v.
 
         A (k, 2, 2) stack at two levels; otherwise one (k, c, b, b) stack
-        per group of `block_exponentials.index`, `scalars` being its (alpha, gamma).
+        per group of `block_exponentials.index`.
         """
         ts, v = ts.ravel(), v.ravel()
         A = h_of(v)
@@ -701,7 +761,7 @@ def propagate(
         if G is not None:
             A = A + G
         if dim > 2:
-            return block_exponentials(A, *scalars)
+            return block_exponentials(A, *omega_scalars(dt))
         A = (-1j / hbar) * A
         A1, A2 = A[0::2], A[1::2]
         omega = (0.5 * dt) * (A1 + A2) + (_COMMUTATOR * dt * dt) * (_mul2(A2, A1) - _mul2(A1, A2))
@@ -709,51 +769,29 @@ def propagate(
 
     def run(n: int):
         dt = (t1 - t0) / n
-        # above two levels -i/hbar is folded into the scalars of Omega
-        scalars = (-0.5j * dt / hbar, -_COMMUTATOR * dt * dt / (hbar * hbar))
         every = max(1, n // _CHECKPOINTS)
         marks = np.union1d(np.arange(every, n + 1, every), n)  # k % every == 0 or k == n
         cuts = marks.tolist()
         at_mark = []  # U after each checkpoint step
-        U = X0
-        rows = index = None  # above two levels U is held as the row blocks rows[g] = U[index[g]]
+        chain = _PairChain(X0) if dim == 2 else _BlockRows(X0, block_exponentials)
         with np.errstate(over="ignore", invalid="ignore"):
             for head in range(0, n, chunk):
                 tail = min(head + chunk, n)
                 ts = t0 + (np.arange(head, tail)[:, None] + _NODES) * dt
                 v = protocol.value(ts)
                 if affine:
-                    coef = block_exponentials.coefficients(v, *scalars)
+                    coef = block_exponentials.coefficients(v, *omega_scalars(dt))
                 for first in range(head, tail, block):
                     last = min(first + block, n)
                     here = slice(first - head, last - head)
                     if affine:
                         E = block_exponentials.affine(coef[here])
                     else:
-                        E = step_exponentials(ts[here], v[here], dt, scalars)
+                        E = step_exponentials(ts[here], v[here], dt)
                     # pieces end at the checkpoints and at the batch end, counted from its start
                     inside = cuts[bisect.bisect_right(cuts, first) : bisect.bisect_right(cuts, last)]
                     ends = [k - first for k in sorted({*inside, last})]
-                    if dim == 2:
-                        products = _piece_products(E, ends)
-                    elif block_exponentials.index is not index:  # a new partition regroups the rows
-                        if rows is not None:
-                            U = _join_rows(rows, index, dim)
-                        index = block_exponentials.index
-                        rows = [U[idx] for idx in index]
-                    start = 0
-                    for j, end in enumerate(ends):
-                        if dim == 2:
-                            U = products[j] @ U
-                        else:
-                            for g, Eg in enumerate(E):  # the groups' rows move independently
-                                R = rows[g]
-                                for Ek in Eg[start:end]:
-                                    R = Ek @ R
-                                rows[g] = R
-                        start = end
-                        if j < len(inside):
-                            at_mark.append(U if dim == 2 else _join_rows(rows, index, dim))
+                    at_mark.extend(chain.advance(E, ends, len(inside)))
         # Coarse non-hermitian passes can overflow; return None so the
         # doubling loop just keeps refining.
         stack = np.stack(at_mark)
@@ -826,7 +864,6 @@ def propagate(
         U=U,
         checkpoints=checkpoints,
         steps_used=n,
-        steps_computed=sum(r.n for r in rungs),
         step_size=(t1 - t0) / n,
         g_start=g_start,
         g_end=g_end,

@@ -652,6 +652,22 @@ def test_d28_hermitian_frame_matches_the_eigendecomposition_steps():
     assert np.max(np.abs(res.U - expected)) <= 1e-12
 
 
+def test_single_column_in_the_d28_frame_matches_the_dense_steps_to_rounding(rng):
+    # a one-column block product takes a matrix-vector kernel whose summation
+    # order depends on the block length, so a single column is not bitwise
+    # the first column of a wider run; it agrees to rounding
+    model = Oscillator(0.2, 1.0, 28)
+    proto = Protocol.erf(0.2, 0.6, 3.0)
+    X = rng.standard_normal((28, 2)) + 1j * rng.standard_normal((28, 2))
+    kwargs = dict(steps=128, gauge_precondition=True, **NO_ACCEPTANCE)
+    one = propagate(model, proto, initial=X[:, :1], **kwargs).U
+    two = propagate(model, proto, initial=X, **kwargs).U
+    scale = np.max(np.abs(two))
+    assert np.max(np.abs(one - two[:, :1])) <= 1e-14 * scale
+    dense = _magnus_reference(model.hermitian_frame, proto, 256, _expm_eigh) @ X[:, :1]
+    assert np.max(np.abs(one - dense)) <= 1e-13 * scale
+
+
 class _TermsFree:
     """A model without its affine terms, so `propagate` assembles each step
     from the node generators (the generic path)."""
