@@ -266,9 +266,10 @@ def _format_rows(rows: list) -> list:
     return [_row_format(row) % row for row in rows]
 
 
-def write_csv(path: Path, provenance: str, header, rows) -> None:
-    lines = [provenance, ",".join(header), *_format_rows(list(map(tuple, rows)))]
-    path.write_text("\n".join(lines) + "\n")
+def write_csv(path: Path, provenance: str, header, rows, *, lines=()) -> None:
+    """Provenance, header, the rows formatted by _format_rows, then the preformatted lines."""
+    out = [provenance, ",".join(header), *_format_rows(list(map(tuple, rows))), *lines]
+    path.write_text("\n".join(out) + "\n")
 
 
 def read_csv(path: Path):
@@ -599,12 +600,10 @@ def cmd_carnot(args, cfg: dict) -> int:
         report = quasistatic_cycle(build_model(cfg), T_hot, T_cold, legs, steps)
 
     out = _out_dir(args, cfg)
-    write_csv(
-        out / "carnot_trace.csv",
-        _provenance(cfg),
-        ["leg", "value", "entropy"],
-        report.entropy_trace,
-    )
+    lines = []
+    for leg, values, S in report.entropy_trace:
+        lines += map((leg + ",%.17g,%.17g").__mod__, zip(values.tolist(), S.tolist()))
+    write_csv(out / "carnot_trace.csv", _provenance(cfg), ["leg", "value", "entropy"], (), lines=lines)
     write_csv(
         out / "carnot_summary.csv",
         _provenance(cfg),
@@ -616,18 +615,7 @@ def cmd_carnot(args, cfg: dict) -> int:
         f"W_net={report.W_net:.6g} -> {out / 'carnot_summary.csv'}"
     )
     if args.svg:
-        per_leg = {}
-        for leg, v, s in report.entropy_trace:
-            per_leg.setdefault(leg, ([], []))
-            per_leg[leg][0].append(v)
-            per_leg[leg][1].append(s)
-        write_svg(
-            out / "carnot_trace.svg",
-            "cycle entropy",
-            "control value",
-            "S",
-            [(leg, xs, ys) for leg, (xs, ys) in per_leg.items()],
-        )
+        write_svg(out / "carnot_trace.svg", "cycle entropy", "control value", "S", report.entropy_trace)
     fails = _Failures("carnot")
     fails.check(
         "efficiency_bound",

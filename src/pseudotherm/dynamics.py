@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .errors import (
     NotConvergedError,
@@ -178,7 +177,8 @@ class Protocol:
         elif self.kind == "erf":
             mid = 0.5 * (self.start_value + self.end_value)
             half = 0.5 * (self.end_value - self.start_value)
-            v = mid + half * _erf(t / self.duration)
+            x = (t / self.duration).ravel().tolist()
+            v = mid + half * np.fromiter(map(math.erf, x), float, t.size).reshape(t.shape)
         else:
             ts, vs = np.array(self.samples).T
             v = np.interp(t, ts, vs)
@@ -696,7 +696,8 @@ def propagate(
     multiplied out.  The terms are checked against the family at the two
     window edges, and a ValueError names the pair that disagrees.  A
     non-finite initial condition, or one without columns, raises
-    ValueError before any step.
+    ValueError before any step, and so does an hbar that is not finite and
+    positive.
     The checkpoint propagators of a run are checked for finiteness and
     against the metric in one batched call each.
 
@@ -709,6 +710,9 @@ def propagate(
     """
     tol = tol or DEFAULT
     entry_tol = tol.propagation if entry_tol is None else float(entry_tol)
+    hbar = float(hbar)
+    if not 0.0 < hbar < math.inf:
+        raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
     t0 = protocol.t_start if t0 is None else float(t0)
     t1 = protocol.t_end if t1 is None else float(t1)
     if not t1 > t0:

@@ -4,7 +4,9 @@ Provides biorthogonal eigendecomposition with left/right pairing, spectrum
 classification (all-real, conjugate-paired, generic), metric construction,
 and metric-weighted inner products and traces.  Everything works on plain
 numpy complex matrices; no sparsity, dimensions are expected to stay small
-(tens, at most ~100).
+(tens, at most ~100).  Left eigenvectors are the rows of the inverse
+right-eigenvector matrix; the spread of their norms gates defectiveness,
+and so does a coalescing-pair check on every decomposition.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DefectiveMatrixError, UnpairedSpectrumError
 from .tolerances import DEFAULT, Tolerances
@@ -37,9 +38,7 @@ __all__ = [
 ]
 
 
-# eigendecompose's coalescing-pair check runs once the overlap condition number
-# exceeds _COALESCE_COND_FRACTION * defective_cond, and refuses two neighbours
-_COALESCE_COND_FRACTION = 1e-2
+# eigendecompose refuses two neighbouring eigenvalues
 _COALESCE_GAP = 1e-6  # closer than this times (1 + |E|)
 _COALESCE_PARALLEL = 1e-6  # whose unit right vectors overlap by more than 1 - this
 
@@ -118,9 +117,13 @@ class MetricOperator:
 def eigendecompose(H, tol: Tolerances | None = None) -> BiorthogonalEigensystem:
     """Full biorthogonal eigendecomposition of a dense complex matrix.
 
-    Raises DefectiveMatrixError when the left/right overlap matrix is too
-    ill-conditioned to normalize, which is the numerical signature of an
-    exceptional point.
+    Left vectors are the conjugated rows of inv(right).  With kappa_i the
+    norm of row i, the overlap of unit left and right vectors is
+    diag(1/kappa) for distinct eigenvalues, so its condition number is
+    max kappa / min kappa.  Raises DefectiveMatrixError, the numerical
+    signature of an exceptional point, when that exceeds `defective_cond`
+    or, checked on every call, when two neighbouring eigenvalues coalesce
+    with nearly parallel right vectors.
     """
     tol = tol or DEFAULT
     A = _as_square_matrix(H)
@@ -129,33 +132,34 @@ def eigendecompose(H, tol: Tolerances | None = None) -> BiorthogonalEigensystem:
     # real matrices above two levels (the chains, the oscillators) take the
     # faster real solver; at 2 x 2 the complex one is faster
     real = n > 2 and not A.imag.any()
-    w, vl, vr = scipy.linalg.eig(A.real if real else A, left=True, right=True)
-    vl, vr = vl.astype(complex, copy=False), vr.astype(complex, copy=False)
+    w, vr = np.linalg.eig(A.real if real else A)
+    vr = vr.astype(complex, copy=False)
     order = np.lexsort((w.imag, w.real))
-    w, vl, vr = w[order], vl[:, order], vr[:, order]
+    w, vr = w[order], vr[:, order]
 
-    overlap = vl.conj().T @ vr
-    svals = np.linalg.svd(overlap, compute_uv=False)
-    cond = svals[0] / svals[-1] if svals[-1] > 0 else np.inf
-    if cond > tol.defective_cond:
+    try:
+        left = np.linalg.inv(vr).conj().T
+    except np.linalg.LinAlgError:
+        raise DefectiveMatrixError("right eigenvectors are linearly dependent") from None
+    with np.errstate(over="ignore"):  # an overflowing row is an infinite kappa
+        kappa = np.linalg.norm(left, axis=0)
+    cond = kappa.max() / kappa.min() if np.isfinite(kappa).all() else np.inf
+    if not cond <= tol.defective_cond:
         raise DefectiveMatrixError(
             f"left/right overlap condition number {cond:.3e} exceeds "
             f"{tol.defective_cond:.1e}; matrix is defective within tolerance"
         )
+
     # A clean condition number can still hide a coalescing pair: two nearly
     # equal eigenvalues whose right eigenvectors are nearly parallel.
-    if n > 1 and cond > tol.defective_cond * _COALESCE_COND_FRACTION:
-        gaps = np.abs(np.diff(w))
-        for i in np.nonzero(gaps < _COALESCE_GAP * (1.0 + np.abs(w[:-1])))[0]:
-            pair_overlap = abs(np.vdot(vr[:, i], vr[:, i + 1]))
-            if pair_overlap > 1.0 - _COALESCE_PARALLEL:
-                raise DefectiveMatrixError(
-                    f"eigenvalues {w[i]:.6g} and {w[i + 1]:.6g} coalesce with "
-                    f"parallel eigenvectors (overlap {pair_overlap:.12f})"
-                )
-
-    # phi = vl @ inv(overlap)^dagger enforces left† @ right = I in one solve
-    left = np.linalg.solve(overlap, vl.conj().T).conj().T
+    gaps = np.abs(np.diff(w))
+    for i in np.nonzero(gaps < _COALESCE_GAP * (1.0 + np.abs(w[:-1])))[0]:
+        pair_overlap = abs(np.vdot(vr[:, i], vr[:, i + 1]))
+        if pair_overlap > 1.0 - _COALESCE_PARALLEL:
+            raise DefectiveMatrixError(
+                f"eigenvalues {w[i]:.6g} and {w[i + 1]:.6g} coalesce with "
+                f"parallel eigenvectors (overlap {pair_overlap:.12f})"
+            )
 
     # phase convention: largest-modulus component of each right vector made
     # real-positive; the same rotation on the left column preserves pairing

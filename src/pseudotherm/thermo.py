@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -467,7 +466,8 @@ class CycleReport:
 
     Q_hot is heat absorbed on the hot isotherm, Q_cold heat exhausted on
     the cold one (both positive for an engine), W_net the work delivered.
-    entropy_trace holds (leg, control value, S) for every grid point;
+    entropy_trace holds one (leg, control values, S) entry per leg, the
+    values and entropies as arrays over the leg's grid points;
     g_trace_crosscheck is the worst |tr(rho H) - sum_n p_n E_n| over every
     grid point of every leg.  Every leg's eigenvector matrices passed the
     defectiveness gate (2-norm condition number at most `defective_cond`),
@@ -744,7 +744,7 @@ def quasistatic_cycle(
         pops = _populations(E, beta)
         S = _entropy_curve(E, beta)
         imag_worst = max(imag_worst, float(np.max(np.abs(S.imag))))
-        trace.extend(zip(repeat(name), values.tolist(), S.real.tolist()))
+        trace.append((name, values, S.real))
         q, w = _leg_accounting(H, VR, VLh, pops)
         imag_worst = max(imag_worst, abs(q.imag), abs(w.imag))
         heats[name], works[name] = q.real, w.real

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import pseudotherm
 from pseudotherm import Oscillator, Protocol, TwoLevel, cli, load_matrix, two_time_work
 from pseudotherm.cli import _CouplingFamily, main, random_metric_norms, read_csv, write_csv
 
@@ -24,6 +28,17 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def test_import_loads_no_scipy():
+    # the package and its command line run on numpy alone
+    src = str(Path(pseudotherm.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import pseudotherm, pseudotherm.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfigValidation:

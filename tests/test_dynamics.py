@@ -210,6 +210,21 @@ def test_bad_initial_condition_is_refused_up_front(initial, match):
         propagate(TwoLevel(), Protocol.linear(0.0, 0.5, 1.0), initial=initial)
 
 
+class _Untouchable:
+    """A model whose every attribute fails, to show a check runs before any model call."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"model.{name} read before the argument checks")
+
+
+@pytest.mark.parametrize("hbar", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+def test_bad_hbar_is_refused_up_front(hbar):
+    with pytest.raises(ValueError, match="hbar must be finite and positive"):
+        propagate(TwoLevel(), Protocol.linear(0.0, 0.5, 1.0), hbar=hbar)
+    with pytest.raises(ValueError, match="hbar"):
+        propagate(_Untouchable(), Protocol.linear(0.0, 0.5, 1.0), hbar=hbar)
+
+
 def test_rungs_record_the_doubling_ladder():
     res = propagate(TwoLevel(), Protocol.erf(0.0, 0.5, 0.5), steps=16, entry_tol=1e-10)
     assert len(res.rungs) >= 2

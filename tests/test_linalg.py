@@ -6,6 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pseudotherm import (
     DEFAULT,
@@ -54,12 +56,12 @@ def test_two_level_eigenvalues(lam, expected):
 def test_phase_convention_matches_per_column_loop(H):
     # the per-column loop the vectorised phase convention replaced, applied
     # to the same sorted eig output (of the real part when H is real and
-    # larger than 2 x 2) and biorthonormal left vectors
+    # larger than 2 x 2) and the left vectors as rows of its inverse
     real = H.shape[0] > 2 and not H.imag.any()
-    w, vl, vr = scipy.linalg.eig(H.real if real else H, left=True, right=True)
+    w, vr = np.linalg.eig(H.real if real else H)
     order = np.lexsort((w.imag, w.real))
-    vl, vr = vl[:, order].astype(complex), vr[:, order].astype(complex)
-    left = np.linalg.solve(vl.conj().T @ vr, vl.conj().T).conj().T
+    vr = vr[:, order].astype(complex)
+    left = np.linalg.inv(vr).conj().T
     for k in range(vr.shape[1]):
         j = int(np.argmax(np.abs(vr[:, k])))
         ph = vr[j, k] / abs(vr[j, k])
@@ -89,6 +91,37 @@ def test_real_matrices_decompose_like_the_complex_solver(H):
     es = eigendecompose(H)
     npt.assert_allclose(es.eigenvalues, w, rtol=0, atol=1e-12)
     npt.assert_allclose(np.einsum("ik,jk->kij", es.right, es.left.conj()), projectors, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(2, 6),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    ep_offset=st.floats(-1e-13, 1e-13),
+)
+def test_projectors_match_scipy_and_near_ep_is_refused(dim, real, seed, ep_offset):
+    # V diag(w) V^-1 with cond(V) <= 1e3 and real parts of w at least 0.1
+    # apart (one sort order for both solvers); real V and w give a real H,
+    # which takes the real solver above 2 x 2
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((dim, dim))
+    if not real:
+        V = V + 1j * rng.standard_normal((dim, dim))
+    assume(np.linalg.cond(V) <= 1e3)
+    w = np.cumsum(rng.uniform(0.1, 1.0, dim)) + (0.0 if real else 1j * rng.uniform(-1.0, 1.0, dim))
+    H = V @ np.diag(w) @ np.linalg.inv(V)
+    ws, vl, vr = scipy.linalg.eig(H, left=True, right=True)
+    order = np.lexsort((ws.imag, ws.real))
+    vl, vr = vl[:, order], vr[:, order]
+    expected = np.einsum("ik,jk->kij", vr, vl.conj()) / np.sum(vl.conj() * vr, axis=0)[:, None, None]
+    es = eigendecompose(H)
+    # projector entries grow with cond(V), and so does their rounding
+    projectors = np.einsum("ik,jk->kij", es.right, es.left.conj())
+    assert np.max(np.abs(projectors - expected)) <= 1e-10 * np.max(np.abs(expected))
+    # the two-level family within 1e-13 of its exceptional point, either side
+    with pytest.raises(DefectiveMatrixError):
+        eigendecompose(two_level_matrix(1.0 + ep_offset))
 
 
 def test_eigenvalues_sorted_by_real_then_imag():
