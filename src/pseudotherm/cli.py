@@ -2,8 +2,12 @@
 
 Subcommands expose each pipeline stage (spectrum, metric, evolve, work,
 jarzynski, carnot) plus four preset experiments that regenerate the
-reference figures' data.  Every run writes CSV with a provenance comment
-line; CSV is the artifact of record and SVG rendering is opt-in.
+reference figures' data.  Each cmd_* takes the parsed config and returns
+a report: its files, its summary text, its tolerance checks and an
+optional SVG chart.  One runner writes the files (each CSV led by a
+provenance comment line), prints "<command>: <summary> -> <first file>",
+renders the SVG under --svg and turns the checks into the exit code.  CSV
+is the artifact of record and SVG rendering is opt-in.
 
 Exit codes: 0 all requested tolerances met, 1 a tolerance check failed
 (machine-readable JSON summary on stderr), 2 configuration problem,
@@ -22,6 +26,7 @@ import sys
 from importlib import resources
 from operator import itemgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +34,7 @@ from . import __version__
 from .dynamics import Protocol, propagate, unitarity_residual
 from .errors import ConfigError, PseudothermError
 from .linalg import build_metric, classify_spectrum, eigendecompose, save_matrix
+from .linalg import pseudo_hermiticity_residual
 from .models import HatanoNelson, Oscillator, TwoLevel, _two_by_two, relaxation_time
 from .thermo import quasistatic_cycle, two_time_work
 from .tolerances import DEFAULT
@@ -58,7 +64,10 @@ def _as_dict(value, path):
 def _as_number(value, path, *, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond float range
+        _fail(path, "must be finite")
     if not math.isfinite(value):
         _fail(path, "must be finite")
     if positive and value <= 0:
@@ -163,24 +172,42 @@ def build_protocol(cfg: dict) -> Protocol:
         raise ConfigError(f"protocol: {exc}") from exc
 
 
-def _validate_sweep(cfg: dict):
-    if "sweep" not in cfg:
-        return None
-    s = _as_dict(cfg["sweep"], "sweep")
-    name = _as_str(s.get("name"), "sweep.name")
-    values = s.get("values")
-    if not isinstance(values, list) or not values:
-        _fail("sweep.values", "expected a nonempty list of numbers")
-    values = [_as_number(v, f"sweep.values[{i}]") for i, v in enumerate(values)]
-    node = cfg
-    parts = name.split(".")
-    for i, part in enumerate(parts[:-1]):
-        node = node.get(part)
-        if not isinstance(node, dict):
-            _fail("sweep.name", f"path component {'.'.join(parts[: i + 1])!r} is not an object")
-    if parts[-1] not in node:
-        _fail("sweep.name", f"config has no field {name!r}")
-    return name, values
+def _sweep(cfg: dict, fn, required=None):
+    """(swept field, rows), with one row fn(point_cfg, value) per sweep value in sorted order.
+
+    Without a sweep the field is "value" and the one row is fn(cfg, None).
+    required is (command, field) for a command that must sweep that field.
+    Sweeps run serially whatever --workers says: the points are numpy-bound,
+    so threads contend with the BLAS threads instead of overlapping.
+    """
+    name = None
+    if "sweep" in cfg:
+        s = _as_dict(cfg["sweep"], "sweep")
+        name = _as_str(s.get("name"), "sweep.name")
+        values = s.get("values")
+        if not isinstance(values, list) or not values:
+            _fail("sweep.values", "expected a nonempty list of numbers")
+        values = [_as_number(v, f"sweep.values[{i}]") for i, v in enumerate(values)]
+        node = cfg
+        parts = name.split(".")
+        for i, part in enumerate(parts[:-1]):
+            node = node.get(part)
+            if not isinstance(node, dict):
+                _fail("sweep.name", f"path component {'.'.join(parts[: i + 1])!r} is not an object")
+        if parts[-1] not in node:
+            _fail("sweep.name", f"config has no field {name!r}")
+    if required and name != required[1]:
+        _fail("sweep.name", "%s sweeps %s" % required)
+    if name is None:
+        return "value", [fn(cfg, None)]
+    rows = []
+    points = [(value, _apply_sweep(cfg, name, value)) for value in sorted(values)]
+    for value, point_cfg in points:
+        try:
+            rows.append(fn(point_cfg, value))
+        except PseudothermError as exc:
+            raise type(exc)(f"at {name} = {value:.6g}: {exc}") from exc
+    return name, rows
 
 
 def _apply_sweep(cfg: dict, name: str, value) -> dict:
@@ -235,7 +262,8 @@ def _out_dir(args, cfg: dict) -> Path:
     elif os.environ.get("PSEUDOTHERM_OUT"):
         d = Path(os.environ["PSEUDOTHERM_OUT"])
     else:
-        d = Path(_as_dict(cfg.get("output", {}), "output").get("directory", "."))
+        output = _as_dict(cfg.get("output", {}), "output")
+        d = Path(_as_str(output.get("directory", "."), "output.directory"))
     d.mkdir(parents=True, exist_ok=True)
     return d
 
@@ -266,7 +294,7 @@ def _format_rows(rows: list) -> list:
     return [_row_format(row) % row for row in rows]
 
 
-def write_csv(path: Path, provenance: str, header, rows, *, lines=()) -> None:
+def write_csv(path: Path, provenance: str, header, rows, lines=()) -> None:
     """Provenance, header, the rows formatted by _format_rows, then the preformatted lines."""
     out = [provenance, ",".join(header), *_format_rows(list(map(tuple, rows))), *lines]
     path.write_text("\n".join(out) + "\n")
@@ -289,7 +317,7 @@ def read_csv(path: Path):
     return provenance, header, rows
 
 
-def write_svg(path: Path, title: str, xlabel: str, ylabel: str, series, *, logx=False, logy=False):
+def write_svg(path: Path, title: str, xlabel: str, ylabel: str, series, logx=False, logy=False):
     """Minimal polyline chart; series is [(label, xs, ys), ...]."""
     W, H, ml, mr, mt, mb = 640, 420, 64, 16, 28, 44
     xs_all = [x for _, xs, _ in series for x in xs]
@@ -341,118 +369,123 @@ def write_svg(path: Path, title: str, xlabel: str, ylabel: str, series, *, logx=
     path.write_text("\n".join(parts) + "\n")
 
 
-class _Failures:
-    """Collects tolerance-check failures for the exit-code contract."""
+class _Check(NamedTuple):
+    """One tolerance gate: value <= limit must hold, or value >= limit when at_least."""
 
-    def __init__(self, command: str):
-        self.command = command
-        self.items: list = []
+    name: str
+    value: float
+    limit: float
+    point: dict | None = None
+    at_least: bool = False
 
-    def check(self, name: str, value: float, limit: float, point=None, *, larger_ok=False):
-        ok = value >= limit if larger_ok else value <= limit
-        if not ok:
-            item = {"check": name, "value": value, "limit": limit}
-            if point is not None:
-                item["point"] = point
-            self.items.append(item)
 
-    def finish(self) -> int:
-        if not self.items:
-            return 0
-        summary = {"command": self.command, "version": __version__, "failures": self.items}
+class _Report(NamedTuple):
+    """What a command computed, for _run to write, print, draw and gate.
+
+    files maps each file name to the (header, rows[, lines]) that write_csv
+    takes after the provenance line, or to a writer of the file's path; the
+    first file is the one the summary line names.  checks returns the
+    _Check list; _run calls it after the files are written, so a bad
+    checks.* value exits 2 with the artifacts in place.  svg is the file name
+    followed by write_svg's arguments after its path.
+    """
+
+    files: dict
+    summary: str
+    checks: Callable[[], list] = list
+    svg: tuple | None = None
+
+
+def _run(command: str, args, cfg: dict) -> int:
+    """Run one command; write its files, print its summary line, draw its SVG, gate its checks."""
+    report = _COMMANDS[command](cfg)
+    out = _out_dir(args, cfg)
+    provenance = f"# pseudotherm v{__version__} config={config_hash(cfg)} seed={cfg.get('seed', 0)}"
+    for name, content in report.files.items():
+        if callable(content):
+            content(out / name)
+        else:
+            write_csv(out / name, provenance, *content)
+    print(f"{command}: {report.summary} -> {out / next(iter(report.files))}")
+    if args.svg and report.svg:
+        name, *spec = report.svg
+        write_svg(out / name, *spec)
+    failures = []
+    for check in report.checks():
+        if not (check.value >= check.limit if check.at_least else check.value <= check.limit):
+            item = {"check": check.name, "value": check.value, "limit": check.limit}
+            if check.point is not None:
+                item["point"] = check.point
+            failures.append(item)
+    if failures:
+        summary = {"command": command, "version": __version__, "failures": failures}
         print(json.dumps(summary, sort_keys=True), file=sys.stderr)
-        return 1
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
 # generic subcommands
 
 
-def _provenance(cfg: dict) -> str:
-    seed = cfg.get("seed", 0)
-    return f"# pseudotherm v{__version__} config={config_hash(cfg)} seed={seed}"
-
-
-def _model_value(cfg: dict) -> float:
+def _eigensystem(cfg: dict):
+    """H at the control value ("at", else the protocol's start, else 0) and its eigensystem."""
+    model = build_model(cfg)
     if "at" in cfg:
-        return _as_number(cfg["at"], "at")
-    if "protocol" in cfg:
+        value = _as_number(cfg["at"], "at")
+    elif "protocol" in cfg:
         protocol = build_protocol(cfg)
-        return protocol.value(protocol.t_start)
-    return 0.0
-
-
-def cmd_spectrum(args, cfg: dict) -> int:
-    model = build_model(cfg)
-    value = _model_value(cfg)
-    eigsys = eigendecompose(model.hamiltonian(value))
-    classified = classify_spectrum(eigsys.eigenvalues)
-    out = _out_dir(args, cfg)
-    rows = [(n, e.real, e.imag) for n, e in enumerate(eigsys.eigenvalues)]
-    write_csv(out / "spectrum.csv", _provenance(cfg), ["index", "re", "im"], rows)
-    print(
-        f"spectrum: {classified.kind.name} dim={eigsys.dim} "
-        f"biortho_residual={eigsys.biortho_residual:.3e} -> {out / 'spectrum.csv'}"
-    )
-    if args.svg:
-        write_svg(
-            out / "spectrum.svg",
-            "eigenvalues",
-            "re",
-            "im",
-            [("spectrum", [r[1] for r in rows], [r[2] for r in rows])],
-        )
-    return 0
-
-
-def cmd_metric(args, cfg: dict) -> int:
-    model = build_model(cfg)
-    value = _model_value(cfg)
+        value = protocol.value(protocol.t_start)
+    else:
+        value = 0.0
     H = model.hamiltonian(value)
-    eigsys = eigendecompose(H)
-    op = build_metric(eigsys)
-    out = _out_dir(args, cfg)
-    rows = [
-        (i, j, op.g[i, j].real, op.g[i, j].imag)
-        for i in range(eigsys.dim)
-        for j in range(eigsys.dim)
-    ]
-    write_csv(out / "metric.csv", _provenance(cfg), ["i", "j", "re", "im"], rows)
-    from .linalg import pseudo_hermiticity_residual
+    return H, eigendecompose(H)
 
-    resid = pseudo_hermiticity_residual(H, op)
-    print(
-        f"metric: positive_definite={op.positive_definite} "
-        f"min_eigenvalue={op.min_eigenvalue:.6g} residual={resid:.3e} -> {out / 'metric.csv'}"
+
+def cmd_spectrum(cfg: dict) -> _Report:
+    _, eigsys = _eigensystem(cfg)
+    kind = classify_spectrum(eigsys.eigenvalues).kind.name
+    rows = [(n, e.real, e.imag) for n, e in enumerate(eigsys.eigenvalues)]
+    return _Report(
+        {"spectrum.csv": (["index", "re", "im"], rows)},
+        f"{kind} dim={eigsys.dim} biortho_residual={eigsys.biortho_residual:.3e}",
+        svg=("spectrum.svg", "eigenvalues", "re", "im",
+             [("spectrum", [r[1] for r in rows], [r[2] for r in rows])]),
     )
-    fails = _Failures("metric")
-    fails.check("pseudo_hermiticity_residual", resid, _check_value(cfg, "pseudo_hermiticity", DEFAULT.pseudo_hermiticity))
-    return fails.finish()
 
 
-def cmd_evolve(args, cfg: dict) -> int:
+def cmd_metric(cfg: dict) -> _Report:
+    H, eigsys = _eigensystem(cfg)
+    op = build_metric(eigsys)
+    dim = range(eigsys.dim)
+    rows = [(i, j, op.g[i, j].real, op.g[i, j].imag) for i in dim for j in dim]
+    resid = pseudo_hermiticity_residual(H, op)
+    default = DEFAULT.pseudo_hermiticity
+    return _Report(
+        {"metric.csv": (["i", "j", "re", "im"], rows)},
+        f"positive_definite={op.positive_definite} "
+        f"min_eigenvalue={op.min_eigenvalue:.6g} residual={resid:.3e}",
+        lambda: [_Check("pseudo_hermiticity_residual", resid,
+                        _check_value(cfg, "pseudo_hermiticity", default))],
+    )
+
+
+def cmd_evolve(cfg: dict) -> _Report:
     model = build_model(cfg)
     protocol = build_protocol(cfg)
     options = _propagation_options(cfg, model)
-    result = propagate(
-        model, protocol, _as_number(cfg.get("hbar", 1.0), "hbar", positive=True), **options
-    )
-    out = _out_dir(args, cfg)
-    save_matrix(out / "evolve_U.txt", result.U)
-    rows = [(t, r) for t, r in result.checkpoints]
-    write_csv(out / "evolve_checkpoints.csv", _provenance(cfg), ["t", "residual"], rows)
+    hbar = _as_number(cfg.get("hbar", 1.0), "hbar", positive=True)
+    result = propagate(model, protocol, hbar, **options)
     final = unitarity_residual(result.U, result.g_start, result.g_end)
-    print(
-        f"evolve: steps={result.steps_used} final_residual={final:.3e} "
-        f"-> {out / 'evolve_U.txt'}"
-    )
     worst = max(r for _, r in result.checkpoints)
-    gate = _check_value(
-        cfg, "unitarity", DEFAULT.propagation * max(1.0, float(np.linalg.norm(result.g_start)))
+    default = DEFAULT.propagation * max(1.0, float(np.linalg.norm(result.g_start)))
+    return _Report(
+        {
+            "evolve_U.txt": lambda path: save_matrix(path, result.U),
+            "evolve_checkpoints.csv": (["t", "residual"], result.checkpoints),
+        },
+        f"steps={result.steps_used} final_residual={final:.3e}",
+        lambda: [_Check("checkpoint_unitarity", worst, _check_value(cfg, "unitarity", default))],
     )
-    fails = _Failures("evolve")
-    fails.check("checkpoint_unitarity", worst, gate)
-    return fails.finish()
 
 
 def _two_time(cfg: dict):
@@ -468,44 +501,23 @@ def _two_time(cfg: dict):
     )
 
 
-def cmd_work(args, cfg: dict) -> int:
+def cmd_work(cfg: dict) -> _Report:
     res = _two_time(cfg)
-    out = _out_dir(args, cfg)
     E0, ET = res.energies_initial.real, res.energies_final.real
     levels = itertools.product(res.rows, res.cols)  # the order of res.work.entries
     rows = [(n, m, E0[n], ET[m], w, p) for (n, m), (w, p) in zip(levels, res.work.entries)]
-    write_csv(
-        out / "work.csv",
-        _provenance(cfg),
-        ["n", "m", "E_initial", "E_final", "w", "p"],
-        rows,
+    return _Report(
+        {"work.csv": (["n", "m", "E_initial", "E_final", "w", "p"], rows)},
+        f"{len(rows)} entries total_weight={res.report.total_weight:.6f} "
+        f"row_sum_defect={res.row_sum_defect:.3e}",
+        lambda: [_Check("row_sum_defect", res.row_sum_defect, _check_value(cfg, "row_sum", 1e-8))],
     )
-    print(
-        f"work: {len(rows)} entries total_weight={res.report.total_weight:.6f} "
-        f"row_sum_defect={res.row_sum_defect:.3e} -> {out / 'work.csv'}"
-    )
-    fails = _Failures("work")
-    fails.check("row_sum_defect", res.row_sum_defect, _check_value(cfg, "row_sum", 1e-8))
-    return fails.finish()
 
 
-def _sweep_map(cfg, sweep, fn):
-    """Run fn(point_cfg, value) across the sweep serially, in sweep-key order.
-
-    Sweeps run serially whatever --workers says: the points are numpy-bound,
-    so threads contend with the BLAS threads instead of overlapping.
-    """
-    if sweep is None:
-        return [fn(cfg, None)]
-    name, values = sweep
-    points = [(value, _apply_sweep(cfg, name, value)) for value in sorted(values)]
-    rows = []
-    for value, point_cfg in points:
-        try:
-            rows.append(fn(point_cfg, value))
-        except PseudothermError as exc:
-            raise type(exc)(f"at {name} = {value:.6g}: {exc}") from exc
-    return rows
+def _residual_checks(cfg: dict, rows, column: int, field: str) -> list:
+    """The Jarzynski relative residual in rows[:][column] within checks.jarzynski_residual."""
+    limit = _check_value(cfg, "jarzynski_residual", 1e-5)
+    return [_Check("relative_residual", row[column], limit, {field: row[0]}) for row in rows]
 
 
 _REPORT_COLUMNS = (
@@ -518,10 +530,7 @@ _REPORT_COLUMNS = (
 )
 
 
-def cmd_jarzynski(args, cfg: dict) -> int:
-    sweep = _validate_sweep(cfg)
-    sweep_name = sweep[0] if sweep else "value"
-
+def cmd_jarzynski(cfg: dict) -> _Report:
     def run(point_cfg, value):
         res = _two_time(point_cfg)
         return (
@@ -531,25 +540,16 @@ def cmd_jarzynski(args, cfg: dict) -> int:
             res.propagation.steps_used,
         )
 
-    rows = _sweep_map(cfg, sweep, run)
-    out = _out_dir(args, cfg)
-    header = [sweep_name, *_REPORT_COLUMNS, "row_sum_defect", "steps"]
-    write_csv(out / "jarzynski.csv", _provenance(cfg), header, rows)
-    print(f"jarzynski: {len(rows)} row(s) -> {out / 'jarzynski.csv'}")
-    limit = _check_value(cfg, "jarzynski_residual", 1e-5)
-    fails = _Failures("jarzynski")
-    for row in rows:
-        fails.check("relative_residual", row[3], limit, point={sweep_name: row[0]})
-    if args.svg and len(rows) > 1:
-        write_svg(
-            out / "jarzynski.svg",
-            "Jarzynski residual",
-            sweep_name,
-            "relative residual",
-            [("residual", [r[0] for r in rows], [max(r[3], 1e-18) for r in rows])],
-            logy=True,
-        )
-    return fails.finish()
+    field, rows = _sweep(cfg, run)
+    series = [("residual", [r[0] for r in rows], [max(r[3], 1e-18) for r in rows])]
+    return _Report(
+        {"jarzynski.csv": ([field, *_REPORT_COLUMNS, "row_sum_defect", "steps"], rows)},
+        f"{len(rows)} row(s)",
+        lambda: _residual_checks(cfg, rows, 3, field),
+        ("jarzynski.svg", "Jarzynski residual", field, "relative residual", series, False, True)
+        if len(rows) > 1
+        else None,
+    )
 
 
 class _CouplingFamily:
@@ -580,7 +580,7 @@ _SUMMARY_COLUMNS = (
 )
 
 
-def cmd_carnot(args, cfg: dict) -> int:
+def cmd_carnot(cfg: dict) -> _Report:
     cyc = _as_dict(cfg.get("cycle"), "cycle") if "cycle" in cfg else _fail("cycle", "missing")
     T_hot = _as_number(cyc.get("T_hot"), "cycle.T_hot", positive=True)
     T_cold = _as_number(cyc.get("T_cold"), "cycle.T_cold", positive=True)
@@ -599,43 +599,38 @@ def cmd_carnot(args, cfg: dict) -> int:
     else:
         report = quasistatic_cycle(build_model(cfg), T_hot, T_cold, legs, steps)
 
-    out = _out_dir(args, cfg)
     lines = []
     for leg, values, S in report.entropy_trace:
         lines += map((leg + ",%.17g,%.17g").__mod__, zip(values.tolist(), S.tolist()))
-    write_csv(out / "carnot_trace.csv", _provenance(cfg), ["leg", "value", "entropy"], (), lines=lines)
-    write_csv(
-        out / "carnot_summary.csv",
-        _provenance(cfg),
-        _SUMMARY_COLUMNS,
-        [tuple(getattr(report, name) for name in _SUMMARY_COLUMNS)],
+    summary = [tuple(getattr(report, name) for name in _SUMMARY_COLUMNS)]
+
+    def checks():
+        slack = _check_value(cfg, "efficiency_slack", 1e-6)
+        first_law = _check_value(cfg, "first_law", 1e-6) * abs(report.Q_hot)
+        crosscheck = 1e-10 * max(1.0, abs(report.Q_hot))
+        return [
+            _Check("efficiency_bound", report.efficiency, report.carnot_bound + slack),
+            _Check("first_law", report.first_law_defect, first_law),
+            _Check("g_trace_crosscheck", report.g_trace_crosscheck, crosscheck),
+        ]
+
+    return _Report(
+        {
+            "carnot_summary.csv": (_SUMMARY_COLUMNS, summary),
+            "carnot_trace.csv": (["leg", "value", "entropy"], (), lines),
+        },
+        f"efficiency={report.efficiency:.6f} bound={report.carnot_bound:.6f} "
+        f"W_net={report.W_net:.6g}",
+        checks,
+        ("carnot_trace.svg", "cycle entropy", "control value", "S", report.entropy_trace),
     )
-    print(
-        f"carnot: efficiency={report.efficiency:.6f} bound={report.carnot_bound:.6f} "
-        f"W_net={report.W_net:.6g} -> {out / 'carnot_summary.csv'}"
-    )
-    if args.svg:
-        write_svg(out / "carnot_trace.svg", "cycle entropy", "control value", "S", report.entropy_trace)
-    fails = _Failures("carnot")
-    fails.check(
-        "efficiency_bound",
-        report.efficiency,
-        report.carnot_bound + _check_value(cfg, "efficiency_slack", 1e-6),
-    )
-    fails.check(
-        "first_law",
-        report.first_law_defect,
-        _check_value(cfg, "first_law", 1e-6) * abs(report.Q_hot),
-    )
-    fails.check("g_trace_crosscheck", report.g_trace_crosscheck, 1e-10 * max(1.0, abs(report.Q_hot)))
-    return fails.finish()
 
 
 # ---------------------------------------------------------------------------
 # figure presets
 
 
-def cmd_fig1_left(args, cfg: dict) -> int:
+def cmd_fig1_left(cfg: dict) -> _Report:
     res = _two_time(cfg)
     target = res.report.exp_delta_F
     levels = sorted(set(res.rows) | set(res.cols))
@@ -646,129 +641,62 @@ def cmd_fig1_left(args, cfg: dict) -> int:
     for n_max in levels:
         partial = float(np.sum(terms[np.ix_(rows <= n_max, cols <= n_max)]))
         rows_out.append((n_max + 1, partial, target))
-    out = _out_dir(args, cfg)
-    write_csv(
-        out / "fig1_left.csv",
-        _provenance(cfg),
-        ["n_levels", "partial_exp_avg_work", "exp_delta_F"],
-        rows_out,
-    )
     final = rows_out[-1][1]
-    print(
-        f"fig1-left: final partial sum {final:.8f}, exp(-beta dF) = {target:.8f} "
-        f"-> {out / 'fig1_left.csv'}"
+    n = [r[0] for r in rows_out]
+    series = [("partial sum", n, [r[1] for r in rows_out]), ("target", n, [r[2] for r in rows_out])]
+    return _Report(
+        {"fig1_left.csv": (["n_levels", "partial_exp_avg_work", "exp_delta_F"], rows_out)},
+        f"final partial sum {final:.8f}, exp(-beta dF) = {target:.8f}",
+        lambda: [_Check("partial_sum_convergence", abs(final / target - 1.0),
+                        _check_value(cfg, "convergence", 1e-3))],
+        ("fig1_left.svg", "exponentiated-work partial sums", "levels included", "partial sum",
+         series),
     )
-    if args.svg:
-        write_svg(
-            out / "fig1_left.svg",
-            "exponentiated-work partial sums",
-            "levels included",
-            "partial sum",
-            [
-                ("partial sum", [r[0] for r in rows_out], [r[1] for r in rows_out]),
-                ("target", [r[0] for r in rows_out], [r[2] for r in rows_out]),
-            ],
-        )
-    fails = _Failures("fig1-left")
-    fails.check(
-        "partial_sum_convergence",
-        abs(final / target - 1.0),
-        _check_value(cfg, "convergence", 1e-3),
-    )
-    return fails.finish()
 
 
-def cmd_fig1_right(args, cfg: dict) -> int:
-    sweep = _validate_sweep(cfg)
-    if sweep is None or sweep[0] != "protocol.duration":
-        _fail("sweep.name", "fig1-right sweeps protocol.duration")
-
+def cmd_fig1_right(cfg: dict) -> _Report:
     def run(point_cfg, tau):
-        erf_res = _two_time(point_cfg)
-        lin_res = _two_time(_apply_sweep(point_cfg, "protocol.kind", "linear"))
-        return (
-            tau,
-            erf_res.report.irreversible_work,
-            lin_res.report.irreversible_work,
-            erf_res.report.relative_residual,
-            lin_res.report.relative_residual,
-        )
+        erf = _two_time(point_cfg).report
+        lin = _two_time(_apply_sweep(point_cfg, "protocol.kind", "linear")).report
+        return (tau, erf.irreversible_work, lin.irreversible_work,
+                erf.relative_residual, lin.relative_residual)
 
-    rows = _sweep_map(cfg, sweep, run)
-    out = _out_dir(args, cfg)
-    write_csv(
-        out / "fig1_right.csv",
-        _provenance(cfg),
-        ["tau", "w_irr_erf", "w_irr_linear", "residual_erf", "residual_linear"],
-        rows,
+    _, rows = _sweep(cfg, run, ("fig1-right", "protocol.duration"))
+    taus = [r[0] for r in rows]
+    series = [
+        ("erf", taus, [max(r[1], 1e-12) for r in rows]),
+        ("linear", taus, [max(r[2], 1e-12) for r in rows]),
+    ]
+    header = ["tau", "w_irr_erf", "w_irr_linear", "residual_erf", "residual_linear"]
+    nonnegative = ((1, "w_irr_nonnegative"), (2, "w_irr_nonnegative_linear"))
+    return _Report(
+        {"fig1_right.csv": (header, rows)},
+        f"{len(rows)} tau points, quasistatic W_irr = {rows[-1][1]:.3e}",
+        lambda: [
+            *(_Check(name, row[k], -1e-8, {"tau": row[0]}, at_least=True)
+              for row in rows for k, name in nonnegative),
+            _Check("w_irr_quasistatic", rows[-1][1], _check_value(cfg, "quasistatic", 1e-3)),
+            _Check("linear_exceeds_erf_at_fastest", rows[0][2] - rows[0][1], 0.0,
+                   {"tau": rows[0][0]}, at_least=True),
+        ],
+        ("fig1_right.svg", "irreversible work vs protocol time", "tau", "W_irr", series,
+         True, True),
     )
-    print(
-        f"fig1-right: {len(rows)} tau points, quasistatic W_irr = {rows[-1][1]:.3e} "
-        f"-> {out / 'fig1_right.csv'}"
-    )
-    if args.svg:
-        floor = 1e-12
-        write_svg(
-            out / "fig1_right.svg",
-            "irreversible work vs protocol time",
-            "tau",
-            "W_irr",
-            [
-                ("erf", [r[0] for r in rows], [max(r[1], floor) for r in rows]),
-                ("linear", [r[0] for r in rows], [max(r[2], floor) for r in rows]),
-            ],
-            logx=True,
-            logy=True,
-        )
-    fails = _Failures("fig1-right")
-    for row in rows:
-        fails.check("w_irr_nonnegative", row[1], -1e-8, point={"tau": row[0]}, larger_ok=True)
-        fails.check("w_irr_nonnegative_linear", row[2], -1e-8, point={"tau": row[0]}, larger_ok=True)
-    fails.check("w_irr_quasistatic", rows[-1][1], _check_value(cfg, "quasistatic", 1e-3))
-    fails.check(
-        "linear_exceeds_erf_at_fastest",
-        rows[0][2] - rows[0][1],
-        0.0,
-        point={"tau": rows[0][0]},
-        larger_ok=True,
-    )
-    return fails.finish()
 
 
-def cmd_fig2_left(args, cfg: dict) -> int:
-    sweep = _validate_sweep(cfg)
-    if sweep is None or sweep[0] != "protocol.end":
-        _fail("sweep.name", "fig2-left sweeps protocol.end")
-
+def cmd_fig2_left(cfg: dict) -> _Report:
     def run(point_cfg, lam):
         res = _two_time(point_cfg)
         return (lam, relaxation_time(res.energies_final), res.report.relative_residual)
 
-    rows = _sweep_map(cfg, sweep, run)
-    out = _out_dir(args, cfg)
-    write_csv(
-        out / "fig2_left.csv",
-        _provenance(cfg),
-        ["lambda_f", "relaxation_time", "jarzynski_residual"],
-        rows,
+    _, rows = _sweep(cfg, run, ("fig2-left", "protocol.end"))
+    return _Report(
+        {"fig2_left.csv": (["lambda_f", "relaxation_time", "jarzynski_residual"], rows)},
+        f"{len(rows)} points, T_r({rows[-1][0]:g}) = {rows[-1][1]:.4f}",
+        lambda: _residual_checks(cfg, rows, 2, "lambda_f"),
+        ("fig2_left.svg", "relaxation time", "final drive value", "T_r",
+         [("T_r", [r[0] for r in rows], [r[1] for r in rows])]),
     )
-    print(
-        f"fig2-left: {len(rows)} points, T_r({rows[-1][0]:g}) = {rows[-1][1]:.4f} "
-        f"-> {out / 'fig2_left.csv'}"
-    )
-    if args.svg:
-        write_svg(
-            out / "fig2_left.svg",
-            "relaxation time",
-            "final drive value",
-            "T_r",
-            [("T_r", [r[0] for r in rows], [r[1] for r in rows])],
-        )
-    limit = _check_value(cfg, "jarzynski_residual", 1e-5)
-    fails = _Failures("fig2-left")
-    for row in rows:
-        fails.check("relative_residual", row[2], limit, point={"lambda_f": row[0]})
-    return fails.finish()
 
 
 def random_metric_norms(count: int, seed: int, g=None) -> np.ndarray:
@@ -785,34 +713,21 @@ def random_metric_norms(count: int, seed: int, g=None) -> np.ndarray:
     return np.einsum("ni,ij,nj->n", states.conj(), g, states).real
 
 
-def cmd_fig2_right(args, cfg: dict) -> int:
+def cmd_fig2_right(cfg: dict) -> _Report:
     count = _as_int(cfg.get("count", 100), "count", minimum=1)
     seed = _as_int(cfg.get("seed", 42), "seed")
     norms = random_metric_norms(count, seed)
-    out = _out_dir(args, cfg)
-    write_csv(
-        out / "fig2_right.csv",
-        _provenance(cfg),
-        ["state", "metric_norm"],
-        list(enumerate(norms)),
-    )
     n_pos = int(np.sum(norms > 0))
-    print(
-        f"fig2-right: {n_pos} positive / {count - n_pos} negative norms "
-        f"-> {out / 'fig2_right.csv'}"
+    return _Report(
+        {"fig2_right.csv": (["state", "metric_norm"], list(enumerate(norms)))},
+        f"{n_pos} positive / {count - n_pos} negative norms",
+        lambda: [
+            _Check("positive_norms_present", float(np.max(norms)), 0.0, at_least=True),
+            _Check("negative_norms_present", -float(np.min(norms)), 0.0, at_least=True),
+        ],
+        ("fig2_right.svg", "indefinite-metric norms", "state index", "norm",
+         [("norm", list(range(count)), list(norms))]),
     )
-    if args.svg:
-        write_svg(
-            out / "fig2_right.svg",
-            "indefinite-metric norms",
-            "state index",
-            "norm",
-            [("norm", list(range(count)), list(norms))],
-        )
-    fails = _Failures("fig2-right")
-    fails.check("positive_norms_present", float(np.max(norms)), 0.0, larger_ok=True)
-    fails.check("negative_norms_present", -float(np.min(norms)), 0.0, larger_ok=True)
-    return fails.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +776,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.command} requires --config")
         if args.workers < 1:
             raise ConfigError("--workers must be at least 1")
-        return _COMMANDS[args.command](args, cfg)
+        return _run(args.command, args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

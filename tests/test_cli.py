@@ -77,6 +77,18 @@ class TestConfigValidation:
         cfg = dict(BASE, sweep={"name": "protocol.wrong", "values": [0.1]})
         assert main(["jarzynski", "--config", write_config(tmp_path, cfg)]) == 2
 
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"model": {"kind": "two_level", "coupling": 1%s}, "at": 0.3}' % ("0" * 400))
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "model.coupling" in capsys.readouterr().err
+
+    def test_non_string_output_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("PSEUDOTHERM_OUT", raising=False)
+        cfg = dict(BASE, at=0.3, output={"directory": 5})
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "output.directory" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         cfg = {"model": {"kind": "two_level"}, "at": 1.0, "seed": 0}
         assert main(["spectrum", "--config", write_config(tmp_path, cfg)]) == 3
@@ -177,6 +189,86 @@ class TestArtifacts:
             assert w == pytest.approx(et - e0, abs=1e-12)
             assert p >= 0
         assert sum(r[5] for r in rows) == pytest.approx(1.0, abs=1e-9)
+
+
+CYCLE = {
+    "model": {"kind": "two_level"},
+    "cycle": {
+        "T_hot": 2.0, "T_cold": 1.0,
+        "legs": [1.0, 0.75, 0.375, 0.5],
+        "steps": 2000, "parameter": "coupling", "fixed_value": 0.0,
+    },
+}
+ERF = {"kind": "erf", "start": 0.0, "end": 0.5, "duration": 1.0, "window": 3.0}
+DURATIONS = {"name": "protocol.duration", "values": [2.0, 0.5]}
+ENDS = {"name": "protocol.end", "values": [0.5, 0.2]}
+TIGHT = 1e-300
+
+
+class TestRunnerContract:
+    # command, config, files without --svg (the summary line names the first),
+    # the SVG that --svg adds, and a config update that fails a check
+    CASES = {
+        "spectrum": ("spectrum", dict(BASE, at=0.3), ["spectrum.csv"], "spectrum.svg", None),
+        "metric": ("metric", dict(BASE, at=0.5), ["metric.csv"], None,
+                   {"checks": {"pseudo_hermiticity": TIGHT}}),
+        "evolve": ("evolve", BASE, ["evolve_U.txt", "evolve_checkpoints.csv"], None,
+                   {"checks": {"unitarity": TIGHT}}),
+        "work": ("work", BASE, ["work.csv"], None, {"checks": {"row_sum": TIGHT}}),
+        "jarzynski": ("jarzynski", BASE, ["jarzynski.csv"], None,
+                      {"checks": {"jarzynski_residual": TIGHT}}),
+        "jarzynski-sweep": ("jarzynski", dict(BASE, sweep=ENDS), ["jarzynski.csv"],
+                            "jarzynski.svg", {"checks": {"jarzynski_residual": TIGHT}}),
+        "carnot": ("carnot", CYCLE, ["carnot_summary.csv", "carnot_trace.csv"],
+                   "carnot_trace.svg", {"checks": {"first_law": TIGHT}}),
+        "fig1-left": ("fig1-left", BASE, ["fig1_left.csv"], "fig1_left.svg",
+                      {"checks": {"convergence": TIGHT}}),
+        "fig1-right": ("fig1-right",
+                       dict(BASE, protocol=ERF, sweep=DURATIONS, checks={"quasistatic": 1.0}),
+                       ["fig1_right.csv"], "fig1_right.svg", {"checks": {"quasistatic": TIGHT}}),
+        "fig2-left": ("fig2-left", dict(BASE, sweep=ENDS), ["fig2_left.csv"], "fig2_left.svg",
+                      {"checks": {"jarzynski_residual": TIGHT}}),
+        "fig2-right": ("fig2-right", {"count": 8, "seed": 42}, ["fig2_right.csv"],
+                       "fig2_right.svg", {"count": 1}),
+    }
+    # the sweep field that names the point of each failed per-point check
+    POINTS = {"jarzynski": "value", "jarzynski-sweep": "protocol.end", "fig2-left": "lambda_f"}
+
+    @staticmethod
+    def run(tmp_path, capsys, name, command, cfg, *flags):
+        out = tmp_path / name
+        rc = main([command, "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                   "--out", str(out), *flags])
+        captured = capsys.readouterr()
+        return rc, out, captured.out, captured.err
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_files_and_summary_line(self, tmp_path, capsys, case):
+        command, cfg, files, svg, _ = self.CASES[case]
+        for name, flags, written in (("plain", [], files), ("svg", ["--svg"], files + [svg])):
+            rc, out, stdout, stderr = self.run(tmp_path, capsys, name, command, cfg, *flags)
+            assert (rc, stderr) == (0, "")
+            (line,) = stdout.splitlines()
+            assert line.startswith(f"{command}: ")
+            assert line.endswith(f" -> {out / files[0]}")
+            assert sorted(p.name for p in out.iterdir()) == sorted(filter(None, written))
+
+    @pytest.mark.parametrize("case", [c for c, spec in CASES.items() if spec[4]])
+    def test_failed_check_summary(self, tmp_path, capsys, case):
+        command, cfg, files, _, failing = self.CASES[case]
+        rc, out, stdout, stderr = self.run(tmp_path, capsys, "fail", command, {**cfg, **failing})
+        assert rc == 1
+        assert stdout.endswith(f" -> {out / files[0]}\n")
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
+        summary = json.loads(stderr.strip().splitlines()[-1])
+        assert sorted(summary) == ["command", "failures", "version"]
+        assert (summary["command"], summary["version"]) == (command, pseudotherm.__version__)
+        assert summary["failures"]
+        field = self.POINTS.get(case)
+        for failure in summary["failures"]:
+            assert set(failure) == {"check", "value", "limit"} | ({"point"} if field else set())
+            if field:
+                assert list(failure["point"]) == [field]
 
 
 class TestPropagationOptions:
