@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .dynamics import Protocol, propagate, unitarity_residual
+from .dynamics import MAX_STEPS, Protocol, propagate, unitarity_residual
 from .errors import ConfigError, PseudothermError
 from .linalg import build_metric, classify_spectrum, eigendecompose, save_matrix
 from .linalg import pseudo_hermiticity_residual
@@ -45,6 +45,8 @@ _FIG_PRESETS = {
     "fig2-left": "fig2_left.json",
     "fig2-right": "fig2_right.json",
 }
+# fig2-right draws at most this many random states (one CSV row and one SVG point each)
+_MAX_STATES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +77,13 @@ def _as_number(value, path, *, positive=False):
     return value
 
 
-def _as_int(value, path, minimum=None):
+def _as_int(value, path, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(path, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        _fail(path, f"must be <= {maximum}, got {value}")
     return int(value)
 
 
@@ -243,7 +247,7 @@ def _propagation_options(cfg: dict, model) -> dict:
         entry_tol = _as_number(entry_tol, "propagation.entry_tolerance", positive=True)
     steps = prop_cfg.get("steps")
     if steps is not None:
-        steps = _as_int(steps, "propagation.steps", minimum=2)
+        steps = _as_int(steps, "propagation.steps", minimum=2, maximum=MAX_STEPS)
     return {"gauge_precondition": precondition, "entry_tol": entry_tol, "steps": steps}
 
 
@@ -714,8 +718,8 @@ def random_metric_norms(count: int, seed: int, g=None) -> np.ndarray:
 
 
 def cmd_fig2_right(cfg: dict) -> _Report:
-    count = _as_int(cfg.get("count", 100), "count", minimum=1)
-    seed = _as_int(cfg.get("seed", 42), "seed")
+    count = _as_int(cfg.get("count", 100), "count", minimum=1, maximum=_MAX_STATES)
+    seed = _as_int(cfg.get("seed", 42), "seed", minimum=0)
     norms = random_metric_norms(count, seed)
     n_pos = int(np.sum(norms > 0))
     return _Report(

@@ -27,7 +27,12 @@ chunk of batches at a time.  A batch holds more steps the smaller the
 dimension, so a two-level run usually fits in one batch.  Two-level runs
 are array arithmetic throughout: 2x2 products are written out entrywise
 (`_mul2`), and the steps between two checkpoints are multiplied by a
-pairwise product tree before they act on U once.  Larger dimensions hold U
+pairwise product tree before they act on U once, the pieces of a batch
+together as the rows of one identity-padded array (`_piece_products`).
+The first two runs of the step-doubling ladder, n and 2n steps, share one
+batch when their 3n steps fit it: one evaluation of the family, the gauge
+term and the exponential, each step with its own run's dt, and one
+residual call for both runs' checkpoints.  Larger dimensions hold U
 as the rows of each invariant block and advance them step by step, one
 stacked block product per group of equal-sized blocks; no dense
 exponential is formed, and dense U is assembled only at the checkpoints.
@@ -78,6 +83,8 @@ _NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _COMMUTATOR = math.sqrt(3.0) / 12.0
 # A run checks U every n // _CHECKPOINTS steps and at its last step
 _CHECKPOINTS = 12
+# Default cap on the steps of one run of the doubling ladder
+MAX_STEPS = 1 << 23
 # Taylor degrees m of the exponential kernel, each with the largest 1-norm at
 # which its backward error stays below the unit roundoff (Al-Mohy & Higham,
 # SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1); larger norms are scaled
@@ -205,7 +212,9 @@ class Rung(NamedTuple):
 
     n steps; the largest entry change of U against the run before (inf on
     the first run and where either run overflowed); the worst checkpoint
-    residual (inf where U overflowed); the wall time of the run.
+    residual (inf where U overflowed); the wall time of the run.  Where two
+    runs share one pass (the first two at two levels), each is given the
+    pass's wall time in proportion to its steps, so a third and two thirds.
     """
 
     n: int
@@ -286,6 +295,16 @@ def unitarity_residual(U, g0, gt):
     return float(defect) if defect.ndim == 0 else defect
 
 
+def _stride(n: int) -> int:
+    """Steps between two checkpoints of a run of n steps."""
+    return max(1, n // _CHECKPOINTS)
+
+
+def _marks(n: int) -> np.ndarray:
+    """The checkpoint steps k of a run of n steps: k % _stride(n) == 0, and k == n."""
+    return np.append(np.arange(_stride(n), n, _stride(n)), n)
+
+
 def _block_steps(dim: int) -> int:
     """Magnus steps built and exponentiated per batched call at dimension dim."""
     return max(16, _BLOCK_ENTRIES // (dim * dim))
@@ -307,34 +326,28 @@ def _mul2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tree_product(S: np.ndarray) -> np.ndarray:
-    """S[..., L-1, :, :] @ ... @ S[..., 0, :, :] for a (..., L, 2, 2) stack.
+def _piece_products(E: np.ndarray, every: int) -> np.ndarray:
+    """Products of the consecutive pieces of `every` steps of a (k, 2, 2) stack.
 
-    Pairwise levels: each multiplies neighbours (later factor on the left)
-    in one `_mul2` call, so L factors take ceil(log2 L) calls.
+    The last piece may be shorter.  Each piece is reduced by a pairwise
+    tree, the later factor on the left, all pieces at once: they are the
+    rows of one entry-major (2, 2, pieces, 2^L) array padded with
+    identities, 2^L >= every, which L levels halve.  I @ X = X exactly for
+    finite X, so the padding pairs as a tree that carries each level's odd
+    factor up unpaired.  Returns a (pieces, 2, 2) stack.
     """
-    while S.shape[-3] > 1:
-        even = S.shape[-3] // 2 * 2
-        P = _mul2(S[..., 1:even:2, :, :], S[..., 0:even:2, :, :])
-        if even < S.shape[-3]:
-            P = np.concatenate((P, S[..., even:, :, :]), axis=-3)
-        S = P
-    return S[..., 0, :, :]
-
-
-def _piece_products(E: np.ndarray, ends: np.ndarray) -> list:
-    """Products of the consecutive pieces E[0:ends[0]], E[ends[0]:ends[1]], ...
-
-    Runs of pieces with equal length are reduced together along a leading
-    axis; the products come in piece order.
-    """
-    products = []
-    start = 0
-    for length, run in itertools.groupby(np.diff(ends, prepend=0)):
-        m = len(list(run))
-        products.extend(_tree_product(E[start : start + m * length].reshape(m, length, 2, 2)))
-        start += m * length
-    return products
+    k = E.shape[0]
+    pieces = -(-k // every)
+    full = (pieces - 1) * every
+    S = np.zeros((2, 2, pieces, 1 << (every - 1).bit_length()), dtype=complex)
+    S[0, 0] = S[1, 1] = 1.0
+    entries = E.transpose(1, 2, 0)
+    S[..., :-1, :every] = entries[..., :full].reshape(2, 2, pieces - 1, every)
+    S[..., -1, : k - full] = entries[..., full:]
+    while S.shape[-1] > 1:
+        A, B = S[..., 1::2], S[..., 0::2]
+        S = A[:, :1] * B[:1] + A[:, 1:] * B[1:]  # entry (i, j): A_i0 B_0j + A_i1 B_1j
+    return np.ascontiguousarray(S[..., 0].transpose(2, 0, 1))
 
 
 def _expm2(omega: np.ndarray) -> np.ndarray:
@@ -510,18 +523,26 @@ def _join_rows(rows: list, index: list, dim: int) -> np.ndarray:
 
 
 class _PairChain:
-    """A two-level U advanced by batches of (k, 2, 2) step exponentials."""
+    """A two-level U advanced by batches of (k, 2, 2) step exponentials.
 
-    def __init__(self, U: np.ndarray):
-        self._U = U
+    Checkpoints fall every `every` steps (and at the last step), so a batch
+    is pieces of `every` steps, except a short first piece where the batch
+    starts between two checkpoints and a short last one.
+    """
+
+    def __init__(self, U: np.ndarray, every: int):
+        self._U, self._every = U, every
 
     def advance(self, E: np.ndarray, ends: list, marks: int) -> list:
         """Apply the batch E, cut into pieces that end at `ends`, one product-tree product per piece.
 
         Returns U after each of the first `marks` pieces.
         """
+        lead = ends[0] if len(ends) > 1 and ends[0] < self._every else 0
+        parts = (E[:lead], E[lead:]) if lead else (E,)
         at = []
-        for j, P in enumerate(_piece_products(E, ends)):
+        for j, P in enumerate(itertools.chain.from_iterable(
+                _piece_products(part, self._every) for part in parts)):
             self._U = P @ self._U
             if j < marks:
                 at.append(self._U)
@@ -664,7 +685,7 @@ def propagate(
     *,
     tol: Tolerances | None = None,
     entry_tol: float | None = None,
-    max_steps: int = 1 << 23,
+    max_steps: int = MAX_STEPS,
     initial: np.ndarray | None = None,
     gauge_precondition: bool = False,
     t0: float | None = None,
@@ -684,10 +705,18 @@ def propagate(
     A run checks U at about 12 evenly spaced steps (every n // 12 steps, and
     the last).  At two levels the steps between two checkpoints are
     multiplied by a pairwise product tree of entrywise 2x2 products and
-    advance U once.  Larger dimensions exponentiate each batch of steps
-    block by block (_BlockExponentials) and hold U as the rows of each
-    invariant block, which every step moves with one stacked product per
-    group of equal-sized blocks; dense U is assembled at the checkpoints.
+    advance U once; the trees of a batch's pieces run together, as rows
+    padded with identities to a power of two.  There the ladder's first two
+    runs, of n and 2n steps, are made in one pass when 2n <= max_steps and
+    their 3n steps fit one batch: one call each to the protocol, the family,
+    the gauge term and the exponential over all 3n steps, each step with its
+    own run's dt, and one residual call over both runs' checkpoints.  Each
+    run keeps its own product trees and U, so both come out as if run
+    alone; above two levels the runs go one after the other.  Larger
+    dimensions exponentiate each batch of steps block by block
+    (_BlockExponentials) and hold U as the rows of each invariant block,
+    which every step moves with one stacked product per group of
+    equal-sized blocks; dense U is assembled at the checkpoints.
     Above two levels, a static metric and terms for the integrated family
     (hamiltonian_terms, or hermitian_frame_terms with gauge_precondition)
     assemble each batch's Omega from the terms, with the control values
@@ -696,10 +725,11 @@ def propagate(
     multiplied out.  The terms are checked against the family at the two
     window edges, and a ValueError names the pair that disagrees.  A
     non-finite initial condition, or one without columns, raises
-    ValueError before any step, and so does an hbar that is not finite and
-    positive.
-    The checkpoint propagators of a run are checked for finiteness and
-    against the metric in one batched call each.
+    ValueError before any step, and so do an hbar that is not finite and
+    positive and a step seed (steps, or 128 when not given) above
+    max_steps.  The checkpoint propagators of a run are checked for
+    finiteness in one batched call, and those of a pass against the metric
+    in one more.
 
     Raises SingularMetricError when the metric degenerates inside the window
     and NotConvergedError when max_steps is hit without acceptance, when
@@ -713,6 +743,9 @@ def propagate(
     hbar = float(hbar)
     if not 0.0 < hbar < math.inf:
         raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
+    n = max(int(steps) if steps else 128, 2)
+    if n > max_steps:
+        raise ValueError(f"the step seed {n} exceeds max_steps {max_steps}")
     t0 = protocol.t_start if t0 is None else float(t0)
     t1 = protocol.t_end if t1 is None else float(t1)
     if not t1 > t0:
@@ -753,11 +786,12 @@ def propagate(
         """(alpha, gamma) of Omega above two levels, with -i/hbar folded in."""
         return -0.5j * dt / hbar, -_COMMUTATOR * dt * dt / (hbar * hbar)
 
-    def step_exponentials(ts: np.ndarray, v: np.ndarray, dt: float):
+    def step_exponentials(ts: np.ndarray, v: np.ndarray, dt):
         """exp(Omega) of the steps whose Gauss nodes and control values are the rows of ts and v.
 
-        A (k, 2, 2) stack at two levels; otherwise one (k, c, b, b) stack
-        per group of `block_exponentials.index`.
+        A (k, 2, 2) stack at two levels, where dt may also be a (k, 1, 1)
+        array of each step's own dt; otherwise one (k, c, b, b) stack per
+        group of `block_exponentials.index`.
         """
         ts, v = ts.ravel(), v.ravel()
         A = h_of(v)
@@ -771,57 +805,91 @@ def propagate(
         omega = (0.5 * dt) * (A1 + A2) + (_COMMUTATOR * dt * dt) * (_mul2(A2, A1) - _mul2(A1, A2))
         return _expm2(omega)
 
-    def run(n: int):
+    def run(n: int) -> list:
+        """U after each checkpoint step of a run of n steps, made batch by batch."""
         dt = (t1 - t0) / n
-        every = max(1, n // _CHECKPOINTS)
-        marks = np.union1d(np.arange(every, n + 1, every), n)  # k % every == 0 or k == n
-        cuts = marks.tolist()
-        at_mark = []  # U after each checkpoint step
-        chain = _PairChain(X0) if dim == 2 else _BlockRows(X0, block_exponentials)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for head in range(0, n, chunk):
-                tail = min(head + chunk, n)
-                ts = t0 + (np.arange(head, tail)[:, None] + _NODES) * dt
-                v = protocol.value(ts)
+        cuts = _marks(n).tolist()
+        at_mark = []
+        chain = _PairChain(X0, _stride(n)) if dim == 2 else _BlockRows(X0, block_exponentials)
+        for head in range(0, n, chunk):
+            tail = min(head + chunk, n)
+            ts = t0 + (np.arange(head, tail)[:, None] + _NODES) * dt
+            v = protocol.value(ts)
+            if affine:
+                coef = block_exponentials.coefficients(v, *omega_scalars(dt))
+            for first in range(head, tail, block):
+                last = min(first + block, n)
+                here = slice(first - head, last - head)
                 if affine:
-                    coef = block_exponentials.coefficients(v, *omega_scalars(dt))
-                for first in range(head, tail, block):
-                    last = min(first + block, n)
-                    here = slice(first - head, last - head)
-                    if affine:
-                        E = block_exponentials.affine(coef[here])
-                    else:
-                        E = step_exponentials(ts[here], v[here], dt)
-                    # pieces end at the checkpoints and at the batch end, counted from its start
-                    inside = cuts[bisect.bisect_right(cuts, first) : bisect.bisect_right(cuts, last)]
-                    ends = [k - first for k in sorted({*inside, last})]
-                    at_mark.extend(chain.advance(E, ends, len(inside)))
-        # Coarse non-hermitian passes can overflow; return None so the
-        # doubling loop just keeps refining.
-        stack = np.stack(at_mark)
-        if not np.isfinite(stack).all():
-            return None, ()
-        tc = t0 + marks * dt
-        residuals = unitarity_residual(stack, M0, family.g(tc))
-        return at_mark[-1], tuple(zip(tc.tolist(), residuals.tolist()))  # n is the last mark
+                    E = block_exponentials.affine(coef[here])
+                else:
+                    E = step_exponentials(ts[here], v[here], dt)
+                # pieces end at the checkpoints and at the batch end, counted from its start
+                inside = cuts[bisect.bisect_right(cuts, first) : bisect.bisect_right(cuts, last)]
+                ends = [k - first for k in sorted({*inside, last})]
+                at_mark.extend(chain.advance(E, ends, len(inside)))
+        return at_mark
+
+    def run_pair(n: int) -> list:
+        """run(n) and run(2 n) at two levels, from one batch of their 3 n steps.
+
+        The steps keep the dt of their own run, and each run its own
+        product trees and U, so both come out as from `run`.
+        """
+        dt = np.repeat(((t1 - t0) / n, (t1 - t0) / (2 * n)), (n, 2 * n))
+        ts = t0 + (np.concatenate((np.arange(n), np.arange(2 * n)))[:, None] + _NODES) * dt[:, None]
+        E = step_exponentials(ts, protocol.value(ts), dt[:, None, None])
+        at_marks = []
+        for m, Em in ((n, E[:n]), (2 * n, E[n:])):
+            cuts = _marks(m).tolist()
+            at_marks.append(_PairChain(X0, _stride(m)).advance(Em, cuts, len(cuts)))
+        return at_marks
+
+    def runs(ns: tuple) -> list:
+        """(U, checkpoints) of a run of n steps for each n in ns: one n, or (n, 2 n) at two levels.
+
+        Coarse non-hermitian runs can overflow; such a run gives U None and
+        no checkpoints, so the doubling loop just keeps refining.  The
+        residuals of the finite runs take one metric evaluation and one
+        `unitarity_residual` call.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            at_marks = run_pair(ns[0]) if len(ns) == 2 else [run(ns[0])]
+        stacks = [np.stack(at) for at in at_marks]
+        kept = [j for j, stack in enumerate(stacks) if np.isfinite(stack).all()]
+        times = [t0 + _marks(ns[j]) * ((t1 - t0) / ns[j]) for j in kept]
+        results = [(None, ())] * len(ns)
+        if kept:
+            residuals = iter(unitarity_residual(np.concatenate([stacks[j] for j in kept]), M0,
+                                                family.g(np.concatenate(times))).tolist())
+            for j, tj in zip(kept, times):  # the last checkpoint is the last step
+                results[j] = at_marks[j][-1], tuple(zip(tj.tolist(), itertools.islice(residuals, len(tj))))
+        return results
 
     rungs = []
 
-    def rung(n: int, U_prev):
-        """run(n), recorded as a Rung against the previous run's U_prev."""
-        clock = time.perf_counter()
-        U, checkpoints = run(n)
-        seconds = time.perf_counter() - clock
-        change = worst = math.inf
-        if U is not None:
-            worst = max(r for _, r in checkpoints)
-            if U_prev is not None:
-                change = float(np.max(np.abs(U - U_prev)))
-        rungs.append(Rung(n, change, worst, seconds))
-        return U, checkpoints
+    def record(ns: tuple, U_prev) -> list:
+        """runs(ns), each recorded as a Rung against the run before it (U_prev before the first).
 
-    n = max(int(steps) if steps else 128, 2)
-    U_prev, _ = rung(n, None)
+        The runs of one call share its wall time in proportion to their steps.
+        """
+        clock = time.perf_counter()
+        results = runs(ns)
+        per_step = (time.perf_counter() - clock) / sum(ns)
+        for n, (U, checkpoints) in zip(ns, results):
+            change = worst = math.inf
+            if U is not None:
+                worst = max(r for _, r in checkpoints)
+                if U_prev is not None:
+                    change = float(np.max(np.abs(U - U_prev)))
+            rungs.append(Rung(n, change, worst, per_step * n))
+            U_prev = U
+        return results
+
+    # at two levels the ladder's first two rungs share one batch when they fit it
+    pair = dim == 2 and 2 * n <= max_steps and 3 * n <= block
+    ahead = record((n, 2 * n) if pair else (n,), None)
+    U_prev = ahead.pop(0)[0]
     change = np.inf
     changes = []  # entry changes of the doublings since U last overflowed
     gate_misses = 0
@@ -832,7 +900,7 @@ def propagate(
                 f"(last entry change {change:.3e})"
             )
         n *= 2
-        U, checkpoints = rung(n, U_prev)
+        U, checkpoints = ahead.pop() if ahead else record((n,), U_prev)[0]
         entry_ok = False
         if U is not None and U_prev is not None:
             change = rungs[-1].entry_change

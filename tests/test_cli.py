@@ -89,6 +89,22 @@ class TestConfigValidation:
         assert main(["spectrum", "--config", write_config(tmp_path, cfg)]) == 2
         assert "output.directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, cfg, field",
+        [
+            ("evolve", dict(BASE, propagation={"steps": 10**30}), "propagation.steps"),
+            ("work", dict(BASE, propagation={"steps": pseudotherm.dynamics.MAX_STEPS + 1}),
+             "propagation.steps"),
+            ("fig2-right", {"seed": -1}, "seed"),
+            ("fig2-right", {"count": 10**30}, "count"),
+        ],
+        ids=["steps-huge", "steps-above-cap", "negative-seed", "huge-count"],
+    )
+    def test_out_of_range_integer_exits_2(self, tmp_path, capsys, command, cfg, field):
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+        assert f"{field}: must be" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         cfg = {"model": {"kind": "two_level"}, "at": 1.0, "seed": 0}
         assert main(["spectrum", "--config", write_config(tmp_path, cfg)]) == 3

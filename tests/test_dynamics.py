@@ -37,7 +37,7 @@ from pseudotherm.dynamics import (
     _expm_taylor,
     _invariant_blocks,
     _mul2,
-    _tree_product,
+    _piece_products,
 )
 
 from conftest import SIGMA_X
@@ -225,6 +225,13 @@ def test_bad_hbar_is_refused_up_front(hbar):
         propagate(_Untouchable(), Protocol.linear(0.0, 0.5, 1.0), hbar=hbar)
 
 
+@pytest.mark.parametrize("steps, max_steps", [(1 << 40, dynamics.MAX_STEPS), (300, 256), (None, 100)])
+def test_step_seed_above_max_steps_is_refused_up_front(steps, max_steps):
+    for model in (TwoLevel(), _Untouchable()):
+        with pytest.raises(ValueError, match=f"exceeds max_steps {max_steps}"):
+            propagate(model, Protocol.linear(0.0, 0.5, 1.0), steps=steps, max_steps=max_steps)
+
+
 def test_rungs_record_the_doubling_ladder():
     res = propagate(TwoLevel(), Protocol.erf(0.0, 0.5, 0.5), steps=16, entry_tol=1e-10)
     assert len(res.rungs) >= 2
@@ -409,15 +416,40 @@ def test_entrywise_two_by_two_product_matches_matmul(shapes, data):
 
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_product_tree_matches_sequential_product(rng, batch):
+    # a batch of pieces of equal length, one product each
     for length in range(1, 41):
         shape = batch + (length, 2, 2)
         S = np.eye(2) + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         expected = np.broadcast_to(np.eye(2, dtype=complex), batch + (2, 2))
         for k in range(length):
             expected = S[..., k, :, :] @ expected
-        got = _tree_product(S)
-        assert got.shape == batch + (2, 2)
+        got = _piece_products(S.reshape(-1, 2, 2), length)
+        assert got.shape == (int(np.prod(batch)), 2, 2)
+        got = got.reshape(batch + (2, 2))
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def _carried_tree(S):
+    """S[L-1] @ ... @ S[0] by pairwise levels that carry each level's odd factor up unpaired."""
+    while len(S) > 1:
+        even = len(S) // 2 * 2
+        S = [*(_mul2(S[j + 1], S[j]) for j in range(0, even, 2)), *S[even:]]
+    return S[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(every=st.integers(1, 40), full=st.integers(0, 5), last=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_padded_tree_pairs_like_the_carried_tree(every, full, last, seed):
+    # `full` pieces of `every` steps and a last piece, possibly shorter
+    last = min(last, every)
+    k = full * every + last
+    rng = np.random.default_rng(seed)
+    E = np.eye(2) + 0.3 * (rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2)))
+    expected = np.stack([_carried_tree(list(E[j : j + every])) for j in range(0, k, every)])
+    got = _piece_products(E, every)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("dim, cols", [(2, 2), (2, 1), (5, 5), (5, 3)])
@@ -457,7 +489,8 @@ def test_two_level_chaining_matches_per_step_product(monkeypatch, steps):
     n = res.steps_used
     assert n == 2 * steps and n % (n // 12) != 0
     blocks = -(-n // _block_steps(2))
-    per_step = np.concatenate(calls[-blocks:])
+    # the accepted run's steps come last (at 50, after the first run's in the same call)
+    per_step = np.concatenate(calls[-blocks:])[-n:]
     assert len(per_step) == n
     U = col.astype(complex)
     for E in per_step:
@@ -468,26 +501,125 @@ def test_two_level_chaining_matches_per_step_product(monkeypatch, steps):
     assert [t for t, _ in res.checkpoints] == expected_times
 
 
+def _overflow_first_call(monkeypatch, rows):
+    """Make the first `_expm2` call return inf in its first `rows(k)` of k exponentials."""
+    first = []
+
+    def overflow_once(omega):
+        E = _expm2(omega)
+        if not first:
+            first.append(True)
+            E[: rows(len(E))] = np.inf
+        return E
+
+    monkeypatch.setattr(dynamics, "_expm2", overflow_once)
+    return first
+
+
+def _assert_refines_past_overflow(res, expected, overflowed):
+    assert res.steps_used >= expected.steps_used
+    assert np.max(np.abs(res.U - expected.U)) <= 1e-9
+    # neither an overflowing run nor the next has an entry change
+    for rung in res.rungs[:overflowed]:
+        assert rung.worst_checkpoint == rung.entry_change == np.inf
+    after = res.rungs[overflowed]
+    assert after.entry_change == np.inf and np.isfinite(after.worst_checkpoint)
+    assert all(np.isfinite(r.entry_change) for r in res.rungs[overflowed + 1 :])
+
+
 def test_overflowing_first_run_keeps_refining(monkeypatch):
     model = TwoLevel()
     proto = Protocol.linear(0.0, 0.5, 1.0)
     expected = propagate(model, proto, entry_tol=1e-10)
-    first = []
-
-    def overflow_once(omega):
-        if not first:
-            first.append(True)
-            return np.full_like(omega, np.inf)
-        return _expm2(omega)
-
-    monkeypatch.setattr(dynamics, "_expm2", overflow_once)
+    # the first call holds the steps of the first two runs, which share a pass
+    first = _overflow_first_call(monkeypatch, lambda k: k)
     res = propagate(model, proto, entry_tol=1e-10)
-    assert first and res.steps_used >= expected.steps_used
-    assert np.max(np.abs(res.U - expected.U)) <= 1e-9
-    # neither the overflowing run nor the next has an entry change
-    overflowed, after = res.rungs[:2]
-    assert overflowed.worst_checkpoint == overflowed.entry_change == after.entry_change == np.inf
-    assert np.isfinite(after.worst_checkpoint)
+    assert first
+    _assert_refines_past_overflow(res, expected, overflowed=2)
+
+
+def test_overflowing_first_of_two_shared_runs_keeps_refining(monkeypatch):
+    model = TwoLevel()
+    proto = Protocol.linear(0.0, 0.5, 1.0)
+    expected = propagate(model, proto, entry_tol=1e-10)
+    # the first run's n steps lead the 3 n of the shared pass
+    first = _overflow_first_call(monkeypatch, lambda k: k // 3)
+    res = propagate(model, proto, entry_tol=1e-10)
+    assert first
+    _assert_refines_past_overflow(res, expected, overflowed=1)
+
+
+class _CountingTwoLevel(TwoLevel):
+    """TwoLevel that counts its hamiltonian and metric calls."""
+
+    def __init__(self):
+        object.__setattr__(self, "calls", {"hamiltonian": 0, "metric": 0})
+
+    def hamiltonian(self, v):
+        self.calls["hamiltonian"] += 1
+        return super().hamiltonian(v)
+
+    def metric(self, v):
+        self.calls["metric"] += 1
+        return super().metric(v)
+
+
+def test_first_two_rungs_share_one_pass():
+    model = _CountingTwoLevel()
+    res = propagate(model, Protocol.linear(0.0, 0.5, 1.0), steps=128, **NO_ACCEPTANCE)
+    assert [r.n for r in res.rungs] == [128, 256]
+    first, second = res.rungs
+    assert first.entry_change == np.inf and np.isfinite(second.entry_change)
+    assert first.seconds > 0 and second.seconds > 0
+    # the pass's wall time is shared in proportion to the steps
+    assert second.seconds == pytest.approx(2 * first.seconds)
+    # one family evaluation for all 3 n steps; the metric at the two window
+    # edges and once for both runs' checkpoints
+    assert model.calls == {"hamiltonian": 1, "metric": 3}
+
+
+def _explicit_magnus_product(model, proto, n, hbar):
+    """U of n Magnus steps, each built from the model and exponentiated on its own."""
+    t0, dt = proto.t_start, (proto.t_end - proto.t_start) / n
+    nodes = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+    U = np.eye(2, dtype=complex)
+    for k in range(n):
+        A1, A2 = (
+            (-1j / hbar) * (model.hamiltonian(v) + gauge_field(model.metric(v), model.metric_rate(v, r), hbar))
+            for v, r in ((proto.value(t), proto.rate(t)) for t in t0 + (k + nodes) * dt)
+        )
+        omega = 0.5 * dt * (A1 + A2) + np.sqrt(3.0) / 12.0 * dt * dt * (A2 @ A1 - A1 @ A2)
+        U = _expm2(omega[None])[0] @ U
+    return U
+
+
+@pytest.mark.parametrize("proto", [Protocol.linear(0.0, 0.6, 1.0), Protocol.erf(0.1, 0.7, 0.4)])
+def test_joint_pass_matches_an_explicit_step_by_step_product(proto):
+    # each run of the shared pass takes its own dt: a wrong one moves U by
+    # far more than rounding
+    hbar = 0.7
+    res = propagate(TwoLevel(), proto, hbar=hbar, steps=48, **NO_ACCEPTANCE)
+    assert [r.n for r in res.rungs] == [48, 96]
+    expected = _explicit_magnus_product(TwoLevel(), proto, 96, hbar)
+    assert np.max(np.abs(res.U - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "steps, max_steps, sizes",
+    [
+        (1045, dynamics.MAX_STEPS, [3135]),  # 3 n fills the batch of 3136 steps
+        (1046, dynamics.MAX_STEPS, [1046, 2092]),  # 3 n exceeds it
+        (128, 255, [128]),  # 2 n exceeds max_steps: one run, then no convergence
+    ],
+)
+def test_first_two_rungs_share_a_pass_only_where_they_fit(monkeypatch, steps, max_steps, sizes):
+    calls = _recording_expm2(monkeypatch)
+    try:
+        propagate(TwoLevel(), Protocol.linear(0.0, 0.5, 1.0), steps=steps, max_steps=max_steps,
+                  **NO_ACCEPTANCE)
+    except NotConvergedError:
+        assert 2 * steps > max_steps
+    assert [len(E) for E in calls] == sizes
 
 
 def test_unreachable_checkpoint_gate_fails_loudly():
