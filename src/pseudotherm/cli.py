@@ -194,6 +194,8 @@ def _sweep(cfg: dict, fn, required=None):
         values = [_as_number(v, f"sweep.values[{i}]") for i, v in enumerate(values)]
         node = cfg
         parts = name.split(".")
+        if parts[0] == "sweep":
+            _fail("sweep.name", "a sweep cannot set its own fields")
         for i, part in enumerate(parts[:-1]):
             node = node.get(part)
             if not isinstance(node, dict):
@@ -214,8 +216,21 @@ def _sweep(cfg: dict, fn, required=None):
     return name, rows
 
 
+def _copy_json(value):
+    """A copy of a JSON object or array that shares no dict or list with it."""
+    nested = (dict, list)
+    if isinstance(value, dict):
+        return {key: _copy_json(item) if isinstance(item, nested) else item for key, item in value.items()}
+    return [_copy_json(item) if isinstance(item, nested) else item for item in value]
+
+
 def _apply_sweep(cfg: dict, name: str, value) -> dict:
-    out = json.loads(json.dumps(cfg))
+    """cfg without its sweep, with the field at the dotted path name set to value.
+
+    The result shares no dict or list with cfg.  Leaving the sweep's value
+    list out keeps each point's copy the size of the rest of the config.
+    """
+    out = _copy_json({key: item for key, item in cfg.items() if key != "sweep"})
     node = out
     parts = name.split(".")
     for part in parts[:-1]:

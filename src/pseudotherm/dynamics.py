@@ -166,9 +166,15 @@ class Protocol:
         return self.samples[-1][0]
 
     def _check_range(self, t) -> np.ndarray:
+        """t as a float array; times within 1e-9 of the window width outside it are clipped in.
+
+        Times whose min and max lie in the window come back as they are.
+        """
         lo, hi = self.t_start, self.t_end
-        slack = 1e-9 * (hi - lo)
         t = np.asarray(t, dtype=float)
+        if t.size and lo <= t.min() and t.max() <= hi:
+            return t
+        slack = 1e-9 * (hi - lo)
         outside = (t < lo - slack) | (t > hi + slack)
         if np.any(outside):
             raise ProtocolRangeError(
@@ -764,7 +770,7 @@ def propagate(
     if X0.shape[1] == 0 or not np.isfinite(X0).all():
         raise ValueError("initial condition must be finite and have at least one column")
 
-    g_start, g_end = family.g(t0), family.g(t1)
+    g_start, g_end = (family.g(t0),) * 2 if family.static else family.g(np.array([t0, t1]))
     M0 = X0.conj().T @ g_start @ X0
     gate = unitarity_gate
     if gate is None:
@@ -805,10 +811,10 @@ def propagate(
         omega = (0.5 * dt) * (A1 + A2) + (_COMMUTATOR * dt * dt) * (_mul2(A2, A1) - _mul2(A1, A2))
         return _expm2(omega)
 
-    def run(n: int) -> list:
-        """U after each checkpoint step of a run of n steps, made batch by batch."""
+    def run(n: int, marks: np.ndarray) -> list:
+        """U after each checkpoint step (marks, from _marks(n)) of a run of n steps, made batch by batch."""
         dt = (t1 - t0) / n
-        cuts = _marks(n).tolist()
+        cuts = marks.tolist()
         at_mark = []
         chain = _PairChain(X0, _stride(n)) if dim == 2 else _BlockRows(X0, block_exponentials)
         for head in range(0, n, chunk):
@@ -830,8 +836,8 @@ def propagate(
                 at_mark.extend(chain.advance(E, ends, len(inside)))
         return at_mark
 
-    def run_pair(n: int) -> list:
-        """run(n) and run(2 n) at two levels, from one batch of their 3 n steps.
+    def run_pair(n: int, marks: list) -> list:
+        """run(n) and run(2 n) at two levels (marks of both), from one batch of their 3 n steps.
 
         The steps keep the dt of their own run, and each run its own
         product trees and U, so both come out as from `run`.
@@ -840,8 +846,8 @@ def propagate(
         ts = t0 + (np.concatenate((np.arange(n), np.arange(2 * n)))[:, None] + _NODES) * dt[:, None]
         E = step_exponentials(ts, protocol.value(ts), dt[:, None, None])
         at_marks = []
-        for m, Em in ((n, E[:n]), (2 * n, E[n:])):
-            cuts = _marks(m).tolist()
+        for m, Em, at in zip((n, 2 * n), (E[:n], E[n:]), marks):
+            cuts = at.tolist()
             at_marks.append(_PairChain(X0, _stride(m)).advance(Em, cuts, len(cuts)))
         return at_marks
 
@@ -853,11 +859,12 @@ def propagate(
         residuals of the finite runs take one metric evaluation and one
         `unitarity_residual` call.
         """
+        marks = [_marks(m) for m in ns]
         with np.errstate(over="ignore", invalid="ignore"):
-            at_marks = run_pair(ns[0]) if len(ns) == 2 else [run(ns[0])]
+            at_marks = run_pair(ns[0], marks) if len(ns) == 2 else [run(ns[0], marks[0])]
         stacks = [np.stack(at) for at in at_marks]
         kept = [j for j, stack in enumerate(stacks) if np.isfinite(stack).all()]
-        times = [t0 + _marks(ns[j]) * ((t1 - t0) / ns[j]) for j in kept]
+        times = [t0 + marks[j] * ((t1 - t0) / ns[j]) for j in kept]
         results = [(None, ())] * len(ns)
         if kept:
             residuals = iter(unitarity_residual(np.concatenate([stacks[j] for j in kept]), M0,

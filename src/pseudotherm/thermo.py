@@ -262,17 +262,24 @@ def transition_matrix(
 class WorkDistribution:
     """Exact delta-comb work measure: all (w_nm, p_nm) pairs, unbinned.
 
-    Z0/Ztau are real partition functions over the full eigenvalue lists
-    supplied at construction; entries may cover a trimmed index set, so
-    their total weight can fall short of 1 by the trimmed Gibbs mass.
+    log_Z0/log_Ztau are the logs of the real partition functions over the
+    full eigenvalue lists supplied at construction, finite at any beta;
+    entries may cover a trimmed index set, so their total weight can fall
+    short of 1 by the trimmed Gibbs mass.
     """
 
     entries: tuple
     beta: float
-    Z0: float
-    Ztau: float
+    log_Z0: float
+    log_Ztau: float
     Emin_initial: float
     Emin_final: float
+
+
+def _log_partition(E: np.ndarray, beta: float) -> float:
+    """ln sum_n e^{-beta E_n} of a real spectrum, shifted as `_shifted_weights` is so nothing overflows."""
+    shift, _, total = _shifted_weights(E, beta)
+    return float(np.log(total) - beta * shift)
 
 
 def work_distribution(
@@ -302,8 +309,8 @@ def work_distribution(
     return WorkDistribution(
         entries=entries,
         beta=beta,
-        Z0=float(np.sum(np.exp(-beta * E0))),
-        Ztau=float(np.sum(np.exp(-beta * ET))),
+        log_Z0=_log_partition(E0, beta),
+        log_Ztau=_log_partition(ET, beta),
         Emin_initial=float(E0.min()),
         Emin_final=float(ET.min()),
     )
@@ -321,19 +328,27 @@ class JarzynskiReport:
 
 
 def jarzynski_report(wd: WorkDistribution) -> JarzynskiReport:
-    """<e^{-beta W}> against Z_tau/Z_0, plus mean and irreversible work."""
+    """<e^{-beta W}> against Z_tau/Z_0, plus mean and irreversible work.
+
+    Each term p e^{-beta w} is formed as exp(ln p - beta w), so a level
+    with zero population adds 0 however large e^{-beta w} is; Z_tau/Z_0 is
+    exp(ln Z_tau - ln Z_0), and the relative residual divides each term by
+    it in the exponent, so it stays finite where either side over- or
+    underflows.
+    """
     if not wd.entries:
         raise ValueError("work distribution has no entries")
     w = np.array([e[0] for e in wd.entries])
     pr = np.array([e[1] for e in wd.entries])
-    exp_avg = float(np.sum(pr * np.exp(-wd.beta * w)))
-    exp_dF = wd.Ztau / wd.Z0
+    log_ratio = wd.log_Ztau - wd.log_Z0
+    with np.errstate(divide="ignore"):  # ln 0 = -inf
+        log_terms = np.log(pr) - wd.beta * w
     mean_work = float(np.sum(pr * w))
-    delta_F = (math.log(wd.Z0) - math.log(wd.Ztau)) / wd.beta
+    delta_F = -log_ratio / wd.beta
     return JarzynskiReport(
-        exp_avg_work=exp_avg,
-        exp_delta_F=exp_dF,
-        relative_residual=abs(exp_avg - exp_dF) / exp_dF,
+        exp_avg_work=float(np.sum(np.exp(log_terms))),
+        exp_delta_F=float(np.exp(log_ratio)),
+        relative_residual=abs(float(np.sum(np.exp(log_terms - log_ratio))) - 1.0),
         mean_work=mean_work,
         delta_F=delta_F,
         irreversible_work=mean_work - delta_F,
@@ -390,17 +405,14 @@ def two_time_work(
     precondition = (
         hasattr(model, "hermitian_frame") if gauge_precondition is None else gauge_precondition
     )
-    v0 = protocol.value(protocol.t_start)
-    v1 = protocol.value(protocol.t_end)
+    edges = protocol.value(np.array([protocol.t_start, protocol.t_end]))
     if precondition:
-        frame = _hermitian_frame(model)
-        H0, H1 = frame(v0), frame(v1)
+        H = _hermitian_frame(model)(edges)
         G0 = np.eye(model.dimension, dtype=complex)
     else:
-        H0, H1 = model.hamiltonian(v0), model.hamiltonian(v1)
-        G0 = _metric_matrix(model.metric(v0))
-    eig0 = eigendecompose(H0, tol)
-    eigT = eigendecompose(H1, tol)
+        H = model.hamiltonian(edges)
+        G0 = _metric_matrix(model.metric(edges[0]))
+    eig0, eigT = (eigendecompose(h, tol) for h in H)
     _require_all_real("initial", eig0, tol)
     _require_all_real("final", eigT, tol)
 

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pseudotherm
 from pseudotherm import Oscillator, Protocol, TwoLevel, cli, load_matrix, two_time_work
@@ -76,6 +78,12 @@ class TestConfigValidation:
     def test_unknown_sweep_target(self, tmp_path, capsys):
         cfg = dict(BASE, sweep={"name": "protocol.wrong", "values": [0.1]})
         assert main(["jarzynski", "--config", write_config(tmp_path, cfg)]) == 2
+
+    @pytest.mark.parametrize("name", ["sweep", "sweep.name"])
+    def test_sweep_of_the_sweep_itself_exits_2(self, tmp_path, capsys, name):
+        cfg = dict(BASE, sweep={"name": name, "values": [0.1]})
+        assert main(["jarzynski", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "sweep cannot set its own fields" in capsys.readouterr().err
 
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -387,6 +395,25 @@ class TestToleranceGates:
         assert "IsentropeNotFoundError" in capsys.readouterr().err
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _scramble(node):
+    """Change every dict and list inside node in place."""
+    items = node.values() if isinstance(node, dict) else node
+    for item in list(items):
+        if isinstance(item, (dict, list)):
+            _scramble(item)
+    if isinstance(node, dict):
+        node["scrambled"] = True
+    else:
+        node.append("scrambled")
+
+
 class TestSweeps:
     def test_parallel_matches_serial(self, tmp_path):
         cfg = dict(BASE, sweep={"name": "protocol.end", "values": [0.5, 0.2, 0.35]})
@@ -402,6 +429,29 @@ class TestSweeps:
         assert header[0] == "protocol.end"
         # rows come back sorted by the sweep key regardless of input order
         assert [r[0] for r in rows] == [0.2, 0.35, 0.5]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        extra=st.dictionaries(st.text(max_size=3), _JSON, max_size=4),
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=6),
+    )
+    def test_sweep_points_equal_the_json_round_trip_and_share_nothing(self, extra, values):
+        cfg = {**extra, "protocol": {"kind": "linear", "end": 0.5, "ramp": {"knots": [[0, 1], {}]}},
+               "sweep": {"name": "protocol.end", "values": values}}
+        before = json.dumps(cfg)
+
+        def expected(value):
+            # a point is the config without its sweep, through JSON, with the value set
+            out = json.loads(before)
+            del out["sweep"]
+            out["protocol"]["end"] = value
+            return out
+
+        points = [cli._apply_sweep(cfg, "protocol.end", v) for v in values]
+        assert points == [expected(v) for v in values]
+        _scramble(points[0])
+        assert json.dumps(cfg) == before
+        assert points[1:] == [expected(v) for v in values[1:]]
 
     def test_sweep_point_failure_names_point(self, tmp_path, capsys):
         cfg = dict(BASE, sweep={"name": "protocol.end", "values": [0.2, 1.5]})

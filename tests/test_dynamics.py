@@ -70,6 +70,36 @@ class TestProtocol:
         with pytest.raises(ProtocolRangeError):
             p.rate(-0.1)
 
+    @pytest.mark.parametrize(
+        "p",
+        [Protocol.linear(0.0, 0.5, 2.0), Protocol.erf(0.2, 0.6, 1.0),
+         Protocol.tabulated([(-1.0, 0.0), (0.5, 2.0), (3.0, 1.0)])],
+        ids=["linear", "erf", "tabulated"],
+    )
+    def test_range_check_returns_in_window_times_bit_for_bit(self, p):
+        lo, hi = p.t_start, p.t_end
+        t = np.array([[lo, hi], [np.nextafter(lo, hi), np.nextafter(hi, lo)], [0.3 * lo + 0.7 * hi, -0.0]])
+        out = p._check_range(t)
+        assert out.dtype == float and out.tobytes() == t.tobytes()
+        assert p._check_range(hi).tobytes() == np.float64(hi).tobytes()
+
+    def test_range_check_clips_the_slack_band_and_raises_beyond_it(self):
+        p = Protocol.linear(0.0, 0.5, 2.0)
+        slack = 1e-9 * 2.0
+        npt.assert_array_equal(p._check_range([-0.5 * slack, 1.0, 2.0 + 0.5 * slack]), [0.0, 1.0, 2.0])
+        assert p.value(2.0 + 0.5 * slack) == 0.5
+        with pytest.raises(ProtocolRangeError, match=r"^t = 2\.1 outside protocol window \[0, 2\]$"):
+            p._check_range([1.0, 2.1, -3.0])
+        with pytest.raises(ProtocolRangeError, match=r"^t = -3 outside"):
+            p._check_range([np.nan, -3.0, 2.1])
+
+    def test_range_check_passes_nan_through(self):
+        p = Protocol.linear(0.0, 0.5, 2.0)
+        out = p._check_range([0.5, np.nan])
+        assert out[0] == 0.5 and np.isnan(out[1])
+        assert np.isnan(p.value(np.nan))
+        assert np.isnan(p._check_range(np.nan))
+
     def test_tabulated_interpolation(self):
         p = Protocol.tabulated([(0.0, 0.0), (1.0, 2.0), (3.0, 2.0)])
         assert p.value(0.5) == pytest.approx(1.0)
@@ -573,9 +603,9 @@ def test_first_two_rungs_share_one_pass():
     assert first.seconds > 0 and second.seconds > 0
     # the pass's wall time is shared in proportion to the steps
     assert second.seconds == pytest.approx(2 * first.seconds)
-    # one family evaluation for all 3 n steps; the metric at the two window
-    # edges and once for both runs' checkpoints
-    assert model.calls == {"hamiltonian": 1, "metric": 3}
+    # one family evaluation for all 3 n steps; the metric once at both
+    # window edges and once for both runs' checkpoints
+    assert model.calls == {"hamiltonian": 1, "metric": 2}
 
 
 def _explicit_magnus_product(model, proto, n, hbar):

@@ -231,6 +231,24 @@ class TestJarzynski:
         with pytest.raises(ValueError, match="no hermitian frame"):
             two_time_work(TwoLevel(), Protocol.linear(0.0, 0.1, 1.0), 1.0, gauge_precondition=True)
 
+    def test_low_temperature_ramp_stays_finite(self):
+        # Z0 = e^1000 overflows a float; its log does not, and the excited
+        # row's zero population must add 0, not 0 * e^{1866}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # thermal_state's own Z overflows
+            res = two_time_work(TwoLevel(1.0), Protocol.linear(0.0, 0.5, 1.0), 1000.0)
+        rep = res.report
+        assert res.work.log_Z0 == pytest.approx(1000.0, rel=1e-15)
+        assert rep.relative_residual <= 1e-10
+        assert rep.exp_delta_F == pytest.approx(np.exp(-1000.0 * (1.0 - np.sqrt(0.75))), rel=1e-12)
+        assert rep.irreversible_work == pytest.approx(0.0, abs=1e-10)
+
+    def test_zero_probability_entries_add_nothing(self):
+        es = eigendecompose(TwoLevel().hamiltonian(0.0))
+        p = np.array([[1.0, 0.0], [0.0, 0.0]])  # w = +2 and -2 off the diagonal
+        rep = jarzynski_report(work_distribution(p, es, es, 400.0))
+        assert rep.exp_avg_work == 1.0 and rep.relative_residual == 0.0
+
     def test_report_identity_protocol(self):
         wd = work_distribution(np.diag([0.7, 0.3]).astype(float),
                                eigendecompose(TwoLevel().hamiltonian(0.2)),
