@@ -314,7 +314,7 @@ def _format_rows(rows: list) -> list:
 
 
 def write_csv(path: Path, provenance: str, header, rows, lines=()) -> None:
-    """Provenance, header, the rows formatted by _format_rows, then the preformatted lines."""
+    """Provenance, header, the rows formatted by _format_rows, then the preformatted lines or blocks."""
     out = [provenance, ",".join(header), *_format_rows(list(map(tuple, rows))), *lines]
     path.write_text("\n".join(out) + "\n")
 
@@ -618,9 +618,9 @@ def cmd_carnot(cfg: dict) -> _Report:
     else:
         report = quasistatic_cycle(build_model(cfg), T_hot, T_cold, legs, steps)
 
-    lines = []
-    for leg, values, S in report.entropy_trace:
-        lines += map((leg + ",%.17g,%.17g").__mod__, zip(values.tolist(), S.tolist()))
+    # each leg's rows come from one "%" over its interleaved (value, S) pairs
+    blocks = [((leg + ",%.17g,%.17g\n") * len(v))[:-1] % tuple(np.column_stack((v, S)).ravel().tolist())
+              for leg, v, S in report.entropy_trace]
     summary = [tuple(getattr(report, name) for name in _SUMMARY_COLUMNS)]
 
     def checks():
@@ -636,7 +636,7 @@ def cmd_carnot(cfg: dict) -> _Report:
     return _Report(
         {
             "carnot_summary.csv": (_SUMMARY_COLUMNS, summary),
-            "carnot_trace.csv": (["leg", "value", "entropy"], (), lines),
+            "carnot_trace.csv": (["leg", "value", "entropy"], (), blocks),
         },
         f"efficiency={report.efficiency:.6f} bound={report.carnot_bound:.6f} "
         f"W_net={report.W_net:.6g}",

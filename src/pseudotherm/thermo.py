@@ -24,6 +24,7 @@ DefectiveMatrixError: it reaches an exceptional point.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -85,9 +86,11 @@ class ThermalState:
 
     eigen_populations holds Re(e^{-beta E_n}/Z), aligned with `energies`;
     for a real spectrum these are the exact populations and sum to 1.
-    Z and F are kept complex; reality is a property of the spectrum class
-    and is checked where a real number is actually extracted
-    (internal_energy, entropy, free_energy).
+    log_Z, Z and F are kept complex; reality is a property of the spectrum
+    class and is checked where a real number is actually extracted
+    (internal_energy, entropy, free_energy).  log_Z and F = -log_Z/beta are
+    finite at any beta; Z itself overflows to inf at low temperature, and a
+    real spectrum's Z is real even then.
     """
 
     beta: float
@@ -95,6 +98,7 @@ class ThermalState:
     eigen_populations: np.ndarray
     Z: complex
     F: complex
+    log_Z: complex
 
 
 def partition_function(eigs, beta: float) -> complex:
@@ -141,9 +145,17 @@ def thermal_state(eigs, beta: float) -> ThermalState:
     w = _eigenvalues_of(eigs)
     shift, q, total = _shifted_weights(w, beta)
     pops = (q / total).real
-    Z = complex(np.exp(-beta * shift) * total)
-    F = complex(shift - np.log(total) / beta)
-    return ThermalState(beta=beta, energies=w, eigen_populations=pops, Z=Z, F=F)
+    total, shift = complex(total), float(shift)
+    log_Z = cmath.log(total) - beta * shift
+    try:
+        scale = math.exp(-beta * shift)
+    except OverflowError:  # Z is beyond the float range; log_Z still holds it
+        scale = math.inf
+    # a zero imaginary part stays zero when scale is inf
+    Z = complex(scale * total.real, scale * total.imag if total.imag else 0.0)
+    return ThermalState(
+        beta=beta, energies=w, eigen_populations=pops, Z=Z, F=-log_Z / beta, log_Z=log_Z
+    )
 
 
 def _complex_internal_energy(w: np.ndarray, beta: float) -> complex:
@@ -484,7 +496,9 @@ class CycleReport:
     grid point of every leg.  Every leg's eigenvector matrices passed the
     defectiveness gate (2-norm condition number at most `defective_cond`),
     whether they came from the two-level closed form or from the general
-    eigensolver.
+    eigensolver.  isentrope_evaluations and entropy_mismatch map each
+    isentrope ("cool", "heat") to its solver's number of entropy-kernel
+    evaluations and its worst |S - target|, at most `entropy_match`.
     """
 
     T_hot: float
@@ -497,6 +511,8 @@ class CycleReport:
     entropy_trace: tuple
     first_law_defect: float
     g_trace_crosscheck: float
+    isentrope_evaluations: dict
+    entropy_mismatch: dict
 
 
 def _require_diagonalizable(cond: np.ndarray, values: np.ndarray, tol: Tolerances):
@@ -576,7 +592,7 @@ def _leg_spectra(h_of, values: np.ndarray, tol: Tolerances):
     return (H, *eig(H, values, tol))
 
 
-def _entropy_curve(E: np.ndarray, beta, *, slope: bool = False):
+def _entropy_curve(E: np.ndarray, beta, *, slope: bool = False, weights=None):
     """S = beta (U - F) per column for (d, k) eigenvalues and (k,) betas.
 
     Evaluated as beta sum (E - shift) q / sum q + ln sum q, with
@@ -587,8 +603,9 @@ def _entropy_curve(E: np.ndarray, beta, *, slope: bool = False):
     accuracy; complex spectra take ln sum q.  (d,) eigenvalues and a scalar
     beta give one value.  With slope, also returns
     dS/d(ln beta) = -beta^2 Var(E), the variance taken in shifted energies.
+    weights, when given, is _shifted_weights(E, beta) already evaluated.
     """
-    shift, q, total = _shifted_weights(E, beta)
+    shift, q, total = _shifted_weights(E, beta) if weights is None else weights
     dE = E - shift
     mean = (dE * q).sum(axis=0) / total
     if np.iscomplexobj(E):
@@ -604,14 +621,15 @@ def _entropy_curve(E: np.ndarray, beta, *, slope: bool = False):
     return S, -beta * beta * var
 
 
-def _populations(E: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    _, q, total = _shifted_weights(E, beta)
-    return q / total
+def _leg_gibbs(E: np.ndarray, beta: np.ndarray):
+    """Populations and entropy per column from one evaluation of the Gibbs weights."""
+    weights = _shifted_weights(E, beta)
+    return weights[1] / weights[2], _entropy_curve(E, beta, weights=weights)
 
 
 def _solve_isentrope(
     E: np.ndarray, target: float, beta_from: float, beta_to: float, tol: Tolerances
-) -> np.ndarray:
+) -> tuple[np.ndarray, int, float]:
     """beta(lambda) with S = target at every grid point, by bracketed Newton in ln beta.
 
     E holds the real (d, k) energies.  S is monotone decreasing in beta, so
@@ -622,7 +640,9 @@ def _solve_isentrope(
     the sign of S - target excludes, and a step that is not finite (a flat
     column) or leaves the bracket is replaced by the bracket's midpoint.
     The loop stops once every step is below 1e-12 max(1, |x|), after at
-    most 64 evaluations.
+    most 64 evaluations.  Returns beta, the number of entropy-kernel
+    evaluations (the bracket's two ends, the loop's, the final check) and
+    the worst |S - target|, which the final check gates at entropy_match.
     """
     k = E.shape[1]
     lo = np.full(k, tol.beta_min)
@@ -638,7 +658,7 @@ def _solve_isentrope(
         )
     xlo, xhi = np.log(lo), np.log(hi)
     x = np.clip(np.linspace(math.log(beta_from), math.log(beta_to), k), xlo, xhi)
-    for _ in range(64):
+    for evaluations in range(4, 68):  # this one, the bracket's two ends and the final check
         S, dS = _entropy_curve(E, np.exp(x), slope=True)
         above = S > target  # beta is too small: x is the new lower end
         xlo = np.where(above, x, xlo)
@@ -658,15 +678,15 @@ def _solve_isentrope(
         raise IsentropeNotFoundError(
             f"isentrope solve stalled; entropy mismatch {worst:.3e}"
         )
-    return beta
+    return beta, evaluations, worst
 
 
 def _isentrope_betas(
     E: np.ndarray, name: str, s_target: float, beta_from: float, beta_land: float, tol: Tolerances
 ):
-    """beta along an isentrope from the temperature 1/beta_from, which must end on 1/beta_land."""
+    """_solve_isentrope from the temperature 1/beta_from, which must end on 1/beta_land."""
     E = np.ascontiguousarray(E.real)
-    beta = _solve_isentrope(E, s_target, beta_from, beta_land, tol)
+    solved = _solve_isentrope(E, s_target, beta_from, beta_land, tol)
     landing = float(_entropy_curve(E[:, -1:], np.array([beta_land]))[0])
     if abs(landing - s_target) > tol.entropy_match:
         raise IsentropeNotFoundError(
@@ -674,27 +694,27 @@ def _isentrope_betas(
             f"T = {1.0 / beta_land:.6g}, but the leg requires {s_target:.8g}; "
             "the chosen endpoints cannot connect the isotherms"
         )
-    return beta
+    return solved
 
 
-def _leg_accounting(H, VR, VLh, pops):
-    """(heat, work) totals over one leg from the discrete first law (grid index last)."""
+def _leg_accounting(H, E, VR, VLh, pops):
+    """(heat, work) over one leg from the discrete first law, and its worst energy crosscheck.
+
+    Grid index last, dH = H_hi - H_lo per step.  The work contracts dH as it
+    is, so a small step keeps its relative accuracy; as H_mid = H_lo + dH/2 =
+    H_hi - dH/2, the heat telescopes to U_end - U_start - W, U = sum_n p_n D_n
+    with D = diag(VLh H VR).  The crosscheck is |tr(rho H) - sum_n p_n E_n| =
+    |U - sum_n p_n E_n|, rho = VR diag(p) VLh.
+    """
     lo, hi = np.s_[..., :-1], np.s_[..., 1:]
-    Hmid = 0.5 * (H[lo] + H[hi])
     dH = H[hi] - H[lo]
-    d_lo = np.einsum("nek,efk,fnk->nk", VLh[lo], Hmid, VR[lo])
-    d_hi = np.einsum("nek,efk,fnk->nk", VLh[hi], Hmid, VR[hi])
+    D = np.einsum("nek,efk,fnk->nk", VLh, H, VR)
     w_lo = np.einsum("nek,efk,fnk->nk", VLh[lo], dH, VR[lo])
     w_hi = np.einsum("nek,efk,fnk->nk", VLh[hi], dH, VR[hi])
-    dQ = (pops[hi] * d_hi).sum(axis=0) - (pops[lo] * d_lo).sum(axis=0)
-    dW = 0.5 * ((pops[lo] * w_lo).sum(axis=0) + (pops[hi] * w_hi).sum(axis=0))
-    return complex(dQ.sum()), complex(dW.sum())
-
-
-def _crosscheck_g_trace(H, E, VR, VLh, pops) -> float:
-    """Worst |tr(rho H) - sum_n p_n E_n| over a leg (grid index last), rho = VR diag(p) VLh."""
-    via_trace = np.einsum("nek,efk,fnk,nk->k", VLh, H, VR, pops)
-    return float(np.max(np.abs(via_trace - (pops * E).sum(axis=0))))
+    U = (pops * D).sum(axis=0)
+    W = 0.5 * complex(((pops[lo] * w_lo).sum(axis=0) + (pops[hi] * w_hi).sum(axis=0)).sum())
+    cross = float(np.max(np.abs(U - (pops * E).sum(axis=0))))
+    return complex(U[-1] - U[0]) - W, W, cross
 
 
 def quasistatic_cycle(
@@ -741,9 +761,17 @@ def quasistatic_cycle(
 
     heats, works, imag_worst, cross_worst = {}, {}, 0.0, 0.0
     trace: list = []
+    evaluations, mismatch = {}, {}
+
+    def isentrope(E, name, s_target, beta_from, beta_land):
+        """_isentrope_betas, keeping its solver's evaluation count and entropy mismatch."""
+        beta, evaluations[name], mismatch[name] = _isentrope_betas(
+            E, name, s_target, beta_from, beta_land, tol
+        )
+        return beta
 
     def run_leg(name, v_from, v_to, beta_of):
-        """Spectra, reality gate, beta(lambda) = beta_of(E), accounting, trace, crosscheck."""
+        """Spectra, reality gate, beta(lambda) = beta_of(E), Gibbs weights, trace, accounting."""
         nonlocal imag_worst, cross_worst
         values = np.linspace(v_from, v_to, n + 1)
         H, E, VR, VLh = _leg_spectra(h_of, values, tol)
@@ -752,21 +780,19 @@ def quasistatic_cycle(
             raise NonRealResultError(
                 f"spectrum on leg {name} has imaginary parts up to {r:.3e}"
             )
-        beta = beta_of(E)
-        pops = _populations(E, beta)
-        S = _entropy_curve(E, beta)
+        pops, S = _leg_gibbs(E, beta_of(E))
         imag_worst = max(imag_worst, float(np.max(np.abs(S.imag))))
         trace.append((name, values, S.real))
-        q, w = _leg_accounting(H, VR, VLh, pops)
+        q, w, cross = _leg_accounting(H, E, VR, VLh, pops)
         imag_worst = max(imag_worst, abs(q.imag), abs(w.imag))
         heats[name], works[name] = q.real, w.real
-        cross_worst = max(cross_worst, _crosscheck_g_trace(H, E, VR, VLh, pops))
+        cross_worst = max(cross_worst, cross)
         return float(S[-1].real)
 
     s_B = run_leg("hot", vA, vB, lambda E: np.full(n + 1, beta_h))
-    run_leg("cool", vB, vC, lambda E: _isentrope_betas(E, "cool", s_B, beta_h, beta_c, tol))
+    run_leg("cool", vB, vC, lambda E: isentrope(E, "cool", s_B, beta_h, beta_c))
     s_D = run_leg("cold", vC, vD, lambda E: np.full(n + 1, beta_c))
-    run_leg("heat", vD, vA, lambda E: _isentrope_betas(E, "heat", s_D, beta_c, beta_h, tol))
+    run_leg("heat", vD, vA, lambda E: isentrope(E, "heat", s_D, beta_c, beta_h))
 
     if imag_worst > tol.reality * 10:
         raise NonRealResultError(
@@ -793,4 +819,6 @@ def quasistatic_cycle(
         entropy_trace=tuple(trace),
         first_law_defect=first_law,
         g_trace_crosscheck=cross_worst,
+        isentrope_evaluations=evaluations,
+        entropy_mismatch=mismatch,
     )

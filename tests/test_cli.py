@@ -162,6 +162,25 @@ class TestArtifacts:
         write_csv(path, "# provenance", ["h1", "h2"], rows)
         assert path.read_text().split("\n") == ["# provenance", "h1,h2", *map(per_cell, rows), ""]
 
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "pseudo"])
+    def test_carnot_trace_blocks_match_per_row_formatting(self, hermitian):
+        # one "%" per leg must give the rows of the per-row "leg,%.17g,%.17g" join
+        g = 0.85
+        legs = [0.0, 0.4, float(np.sqrt(g * g - 0.375**2)), float(np.sqrt(g * g - 0.425**2))]
+        pseudo = {"model": {"kind": "two_level", "coupling": g},
+                  "cycle": {"T_hot": 2.0, "T_cold": 1.0, "legs": legs, "steps": 2000}}
+        report = cli.cmd_carnot(CYCLE if hermitian else pseudo)
+        _, rows, blocks = report.files["carnot_trace.csv"]
+        trace = report.svg[-1]
+        per_row = [
+            (leg + ",%.17g,%.17g") % pair for leg, values, S in trace for pair in zip(values.tolist(), S.tolist())
+        ]
+        assert rows == () and len(blocks) == len(trace) == 4
+        assert "\n".join(blocks).split("\n") == per_row
+        # the isentrope solver's records stay out of the CSVs
+        assert set(report.files["carnot_summary.csv"][0]) == set(cli._SUMMARY_COLUMNS)
+        assert not {"isentrope_evaluations", "entropy_mismatch"} & set(cli._SUMMARY_COLUMNS)
+
     def test_coupling_family_is_the_stacked_two_level_hamiltonian(self):
         gammas = np.linspace(0.2, 1.3, 7)
         for fixed in (0.0, 0.35, -0.35):

@@ -80,6 +80,26 @@ class TestThermalState:
         S = entropy(st)
         assert S == pytest.approx(np.log(np.exp(1) + np.exp(-1)) - np.tanh(1.0))
 
+    def test_low_temperature_state_keeps_log_z(self):
+        # Z = e^1000 overflows a float; it was stored as inf+nanj with two
+        # RuntimeWarnings, while log_Z and F stay finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = thermal_state([-1.0, 1.0], 1000.0)
+        assert st.Z.real == np.inf and st.Z.imag == 0.0
+        assert st.log_Z == 1000.0 and st.F == -1.0
+        npt.assert_array_equal(st.eigen_populations, [1.0, 0.0])
+        assert internal_energy(st) == -1.0
+
+    def test_log_z_matches_z(self):
+        for E, beta in (([-1.0, 0.5, 2.0], 1.3), ([3.0, 3.5], 0.2)):
+            st = thermal_state(E, beta)
+            assert st.log_Z == pytest.approx(np.log(st.Z), rel=1e-15)
+            assert st.F == pytest.approx(-np.log(st.Z) / beta, rel=1e-15)
+        m = HatanoNelson(length=4, hopping=1.0, asymmetry=0.5, boundary="periodic")
+        st = thermal_state(np.linalg.eigvals(m.hamiltonian()), 1.0)
+        assert abs(np.exp(st.log_Z) - st.Z) <= 1e-14 * abs(st.Z)
+
     def test_ground_state_limit(self):
         st = thermal_state([-1.0, 1.0], 200.0)
         assert internal_energy(st) == pytest.approx(-1.0, abs=1e-12)
@@ -235,7 +255,7 @@ class TestJarzynski:
         # Z0 = e^1000 overflows a float; its log does not, and the excited
         # row's zero population must add 0, not 0 * e^{1866}
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # thermal_state's own Z overflows
+            warnings.simplefilter("error")
             res = two_time_work(TwoLevel(1.0), Protocol.linear(0.0, 0.5, 1.0), 1000.0)
         rep = res.report
         assert res.work.log_Z0 == pytest.approx(1000.0, rel=1e-15)
@@ -399,7 +419,7 @@ class TestIsentropeSolver:
         # along the isentrope from (c = 0.75, T = 2) to c = 0.375
         E = _coupling_leg(0.75, 0.375)
         target = float(thermo._entropy_curve(E[:, :1], np.array([0.5]))[0])
-        beta = thermo._solve_isentrope(E, target, 0.5, 1.0, DEFAULT)
+        beta, _, _ = thermo._solve_isentrope(E, target, 0.5, 1.0, DEFAULT)
         bc = beta * E[1]
         assert np.max(np.abs(bc / 0.375 - 1.0)) <= 1e-14
 
@@ -416,9 +436,9 @@ class TestIsentropeSolver:
         target = np.log(2.0) - 1e-11
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            beta = thermo._solve_isentrope(E, target, 1.0, 1.0, DEFAULT)
+            beta, _, mismatch = thermo._solve_isentrope(E, target, 1.0, 1.0, DEFAULT)
             S = thermo._entropy_curve(E, beta)
-        assert np.all(np.abs(S - target) <= DEFAULT.entropy_match)
+        assert mismatch == np.max(np.abs(S - target)) <= DEFAULT.entropy_match
         assert beta[1] == pytest.approx(np.sqrt(8e-11), rel=1e-6)
 
     @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "pseudo"])
@@ -446,9 +466,13 @@ class TestIsentropeSolver:
 
         monkeypatch.setattr(thermo, "_shifted_weights", counted_weights)
         monkeypatch.setattr(thermo, "_solve_isentrope", counted_solve)
-        quasistatic_cycle(*args, steps=10000)
+        rep = quasistatic_cycle(*args, steps=10000)
         assert len(counts) == 2
         assert max(counts) <= 12
+        # the report records the same counts per isentrope, and each solve's entropy mismatch
+        assert set(rep.isentrope_evaluations) == set(rep.entropy_mismatch) == {"cool", "heat"}
+        assert [rep.isentrope_evaluations[leg] for leg in ("cool", "heat")] == counts
+        assert all(0.0 <= m <= DEFAULT.entropy_match for m in rep.entropy_mismatch.values())
 
 
 @st.composite
@@ -469,7 +493,7 @@ def _real_legs(draw):
 @given(leg=_real_legs(), log_start=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
 def test_isentrope_solve_matches_bisection_on_random_real_legs(leg, log_start):
     E, target = leg
-    beta = thermo._solve_isentrope(E, target, *np.exp(log_start), DEFAULT)
+    beta, _, _ = thermo._solve_isentrope(E, target, *np.exp(log_start), DEFAULT)
     reference = _bisection_isentrope(E, target)
     assert np.all(np.abs(beta - reference) <= 1e-13 * reference)
 
@@ -497,17 +521,67 @@ def test_leg_gibbs_kernels_match_the_scalar_path(E, log_beta):
     # the cycle's column-wise entropy and populations against thermal_state,
     # for real and complex-typed spectra (the cycle passes both).  Both paths
     # evaluate S without cancellation; ln Z contributes an absolute rounding
-    # error, which vanishes with beta max|E| (a flat spectrum is exact)
+    # error, which vanishes with beta max|E| (a flat spectrum is exact).
+    # thermal_state warns at no beta, though Z itself may overflow
     beta = np.exp(log_beta[: E.shape[1]])
     for spectrum in (E, E.astype(complex)):
-        S = thermo._entropy_curve(spectrum, beta)
-        pops = thermo._populations(spectrum, beta)
+        pops, S = thermo._leg_gibbs(spectrum, beta)
+        npt.assert_array_equal(S, thermo._entropy_curve(spectrum, beta))
         for j, b in enumerate(beta):
-            with np.errstate(over="ignore", invalid="ignore"):  # Z itself may overflow
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 state = thermal_state(E[:, j], b)
             scale = min(1.0, b * np.max(np.abs(E[:, j]))) + abs(S[j])
             assert abs(S[j] - entropy(state)) <= 1e-13 * scale
             npt.assert_allclose(pops[:, j].real, state.eigen_populations, rtol=1e-13, atol=0)
+
+
+def _four_contraction_accounting(H, E, VR, VLh, pops):
+    """Reference: the first law from midpoint-H and dH contractions at both step ends, and tr(rho H)."""
+    lo, hi = np.s_[..., :-1], np.s_[..., 1:]
+    Hmid = 0.5 * (H[lo] + H[hi])
+    dH = H[hi] - H[lo]
+    d_lo = np.einsum("nek,efk,fnk->nk", VLh[lo], Hmid, VR[lo])
+    d_hi = np.einsum("nek,efk,fnk->nk", VLh[hi], Hmid, VR[hi])
+    w_lo = np.einsum("nek,efk,fnk->nk", VLh[lo], dH, VR[lo])
+    w_hi = np.einsum("nek,efk,fnk->nk", VLh[hi], dH, VR[hi])
+    dQ = (pops[hi] * d_hi).sum(axis=0) - (pops[lo] * d_lo).sum(axis=0)
+    dW = 0.5 * ((pops[lo] * w_lo).sum(axis=0) + (pops[hi] * w_hi).sum(axis=0))
+    via_trace = np.einsum("nek,efk,fnk,nk->k", VLh, H, VR, pops)
+    cross = float(np.max(np.abs(via_trace - (pops * E).sum(axis=0))))
+    return complex(dQ.sum()), complex(dW.sum()), cross
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 5]),
+    k=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+    log_beta=st.floats(np.log(0.05), np.log(20.0)),
+    noise=st.sampled_from([0.0, 1e-6, 1e-2]),
+)
+def test_leg_accounting_matches_the_four_contraction_first_law(d, k, seed, log_beta, noise):
+    # a biorthogonal leg of k + 1 points: VLh = VR^-1 with VR = 1 + (a norm
+    # below 0.6), H = VR diag(E) VLh plus complex noise, so the energy
+    # crosscheck is not only rounding, E complex and the cycle's populations
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+
+    VR = np.eye(d) + 0.4 / d * cplx(k + 1, d, d)
+    E = rng.uniform(-2, 2, (k + 1, d)) + 1e-3j * rng.uniform(-1, 1, (k + 1, d))
+    VLh = np.linalg.inv(VR)
+    H = VR @ (E[:, :, None] * VLh) + noise * cplx(k + 1, d, d)
+    H, VR, VLh, E = (thermo._grid_last(A) for A in (H, VR, VLh, E))
+    pops, _ = thermo._leg_gibbs(E, np.full(k + 1, np.exp(log_beta)))
+    got = thermo._leg_accounting(H, E, VR, VLh, pops)
+    want = _four_contraction_accounting(H, E, VR, VLh, pops)
+    # relative to the magnitude of the terms summed, sum_k sum_n |p_n| |VLh H VR|_nn
+    terms = np.einsum("nek,efk,fnk,nk->k", np.abs(VLh), np.abs(H), np.abs(VR), np.abs(pops))
+    for new, old in zip(got[:2], want[:2]):
+        assert abs(new - old) <= 1e-12 * terms.sum()
+    assert abs(got[2] - want[2]) <= 1e-12 * (terms + (np.abs(pops) * np.abs(E)).sum(axis=0)).max()
 
 
 @settings(max_examples=40, deadline=None)
