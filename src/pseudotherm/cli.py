@@ -18,20 +18,18 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import os
 import sys
 from importlib import resources
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .dynamics import MAX_STEPS, Protocol, propagate, unitarity_residual
+from .dynamics import MAX_STEPS, Protocol, propagate
 from .errors import ConfigError, PseudothermError
 from .linalg import build_metric, classify_spectrum, eigendecompose, save_matrix
 from .linalg import pseudo_hermiticity_residual
@@ -135,7 +133,7 @@ def build_model(cfg: dict):
     potential = m.get("potential", [])
     if not isinstance(potential, list):
         _fail("model.potential", "expected a list of reals")
-    return HatanoNelson(
+    chain = dict(
         length=_as_int(m.get("length"), "model.length", minimum=2),
         hopping=_as_number(m.get("hopping", 1.0), "model.hopping"),
         asymmetry=_as_number(m.get("asymmetry", 0.0), "model.asymmetry"),
@@ -144,6 +142,11 @@ def build_model(cfg: dict):
         ),
         boundary=_as_str(m.get("boundary", "open"), "model.boundary", {"open", "periodic"}),
     )
+    # the fields above are checked one by one; the chain checks how they fit together
+    try:
+        return HatanoNelson(**chain)
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}") from exc
 
 
 def build_protocol(cfg: dict) -> Protocol:
@@ -292,30 +295,9 @@ def _row_format(row) -> str:
     return ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in row)
 
 
-def _format_rows(rows: list) -> list:
-    """Each row as a CSV line; text cells as they are, numbers as "%.17g" % float(x).
-
-    The first row's format string serves every row when all rows have its
-    width and its text columns hold only str; otherwise, or when a number
-    column holds a str, each row is formatted by its own.
-    """
-    if not rows:
-        return []
-    first = rows[0]
-    text = [i for i, cell in enumerate(first) if isinstance(cell, str)]
-    if set(map(len, rows)) == {len(first)} and all(
-        issubclass(t, str) for i in text for t in set(map(type, map(itemgetter(i), rows)))
-    ):
-        try:
-            return list(map(_row_format(first).__mod__, rows))
-        except TypeError:  # a number column holds a str
-            pass
-    return [_row_format(row) % row for row in rows]
-
-
 def write_csv(path: Path, provenance: str, header, rows, lines=()) -> None:
-    """Provenance, header, the rows formatted by _format_rows, then the preformatted lines or blocks."""
-    out = [provenance, ",".join(header), *_format_rows(list(map(tuple, rows))), *lines]
+    """Provenance, header, each row by its own _row_format, then the preformatted lines or blocks."""
+    out = [provenance, ",".join(header), *(_row_format(row) % tuple(row) for row in rows), *lines]
     path.write_text("\n".join(out) + "\n")
 
 
@@ -494,16 +476,16 @@ def cmd_evolve(cfg: dict) -> _Report:
     options = _propagation_options(cfg, model)
     hbar = _as_number(cfg.get("hbar", 1.0), "hbar", positive=True)
     result = propagate(model, protocol, hbar, **options)
-    final = unitarity_residual(result.U, result.g_start, result.g_end)
+    final = result.checkpoints[-1][1]  # the last checkpoint is the last step
     worst = max(r for _, r in result.checkpoints)
-    default = DEFAULT.propagation * max(1.0, float(np.linalg.norm(result.g_start)))
     return _Report(
         {
             "evolve_U.txt": lambda path: save_matrix(path, result.U),
             "evolve_checkpoints.csv": (["t", "residual"], result.checkpoints),
         },
         f"steps={result.steps_used} final_residual={final:.3e}",
-        lambda: [_Check("checkpoint_unitarity", worst, _check_value(cfg, "unitarity", default))],
+        lambda: [_Check("checkpoint_unitarity", worst,
+                        _check_value(cfg, "unitarity", result.unitarity_gate))],
     )
 
 
@@ -522,9 +504,9 @@ def _two_time(cfg: dict):
 
 def cmd_work(cfg: dict) -> _Report:
     res = _two_time(cfg)
-    E0, ET = res.energies_initial.real, res.energies_final.real
-    levels = itertools.product(res.rows, res.cols)  # the order of res.work.entries
-    rows = [(n, m, E0[n], ET[m], w, p) for (n, m), (w, p) in zip(levels, res.work.entries)]
+    E0, ET, w, p = res.energies_initial.real, res.energies_final.real, res.work.w, res.p
+    rows = [(n, m, E0[n], ET[m], w[j, k], p[j, k])
+            for j, n in enumerate(res.rows) for k, m in enumerate(res.cols)]
     return _Report(
         {"work.csv": (["n", "m", "E_initial", "E_final", "w", "p"], rows)},
         f"{len(rows)} entries total_weight={res.report.total_weight:.6f} "
@@ -603,6 +585,8 @@ def cmd_carnot(cfg: dict) -> _Report:
     cyc = _as_dict(cfg.get("cycle"), "cycle") if "cycle" in cfg else _fail("cycle", "missing")
     T_hot = _as_number(cyc.get("T_hot"), "cycle.T_hot", positive=True)
     T_cold = _as_number(cyc.get("T_cold"), "cycle.T_cold", positive=True)
+    if not T_hot > T_cold:
+        _fail("cycle.T_hot", f"must exceed cycle.T_cold = {T_cold!r}, got {T_hot!r}")
     legs = cyc.get("legs")
     if not isinstance(legs, list) or len(legs) != 4:
         _fail("cycle.legs", "expected [A, B, C, D] control values")
@@ -653,8 +637,7 @@ def cmd_fig1_left(cfg: dict) -> _Report:
     res = _two_time(cfg)
     target = res.report.exp_delta_F
     levels = sorted(set(res.rows) | set(res.cols))
-    w = np.array([e[0] for e in res.work.entries]).reshape(res.p.shape)
-    terms = res.p * np.exp(-res.beta * w)
+    terms = res.p * np.exp(-res.work.beta * res.work.w)
     rows, cols = np.array(res.rows), np.array(res.cols)
     rows_out = []
     for n_max in levels:

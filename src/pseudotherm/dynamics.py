@@ -241,8 +241,10 @@ class PropagationResult:
     hermitian frame they sit at rounding level, since every step is unitary
     to rounding.
     entry_change is the largest entry change of U under the last step
-    halving.  rungs records every run of the doubling ladder in order (the
-    last is the accepted one), and steps_computed sums their step counts.
+    halving, and unitarity_gate the limit the accepted run's worst
+    checkpoint met.  rungs records every run of the doubling ladder in order
+    (the last is the accepted one), and steps_computed sums their step
+    counts.
     g_start/g_end are the metric family evaluated at the window
     edges; downstream two-time measurements must weigh overlaps with exactly
     these matrices, otherwise row sums drift away from 1.
@@ -254,9 +256,8 @@ class PropagationResult:
     step_size: float
     g_start: np.ndarray
     g_end: np.ndarray
-    t_start: float
-    t_end: float
     entry_change: float
+    unitarity_gate: float
     rungs: tuple
 
     @property
@@ -946,8 +947,7 @@ def propagate(
         step_size=(t1 - t0) / n,
         g_start=g_start,
         g_end=g_end,
-        t_start=t0,
-        t_end=t1,
         entry_change=change,
+        unitarity_gate=gate,
         rungs=tuple(rungs),
     )

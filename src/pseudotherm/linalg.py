@@ -61,7 +61,6 @@ class SpectrumKind(Enum):
 @dataclass(frozen=True)
 class SpectrumClass:
     kind: SpectrumKind
-    imag_tolerance: float
     # pairing[i] = index of the eigenvalue equal to conj(E_i); i itself if real.
     # None when kind is GENERIC.
     pairing: tuple | None = None
@@ -88,16 +87,12 @@ class BiorthogonalEigensystem:
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    degeneracy_groups: tuple
     biortho_residual: float
     completeness_residual: float
 
     @property
     def dim(self) -> int:
         return self.right.shape[0]
-
-    def __len__(self) -> int:
-        return self.eigenvalues.size
 
 
 @dataclass(frozen=True)
@@ -176,18 +171,10 @@ def eigendecompose(H, tol: Tolerances | None = None) -> BiorthogonalEigensystem:
             f"{completeness:.3e}); matrix is defective within tolerance"
         )
 
-    groups: list[list[int]] = [[0]]
-    for i in range(1, n):
-        if abs(w[i] - w[i - 1]) <= tol.degeneracy * (1.0 + abs(w[i])):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
     return BiorthogonalEigensystem(
         eigenvalues=w,
         right=vr,
         left=left,
-        degeneracy_groups=tuple(tuple(g) for g in groups),
         biortho_residual=biortho,
         completeness_residual=completeness,
     )
@@ -232,11 +219,11 @@ def classify_spectrum(eigs: Sequence[complex], tol: float | None = None) -> Spec
     imag_tol = DEFAULT.spectrum_imag if tol is None else float(tol)
 
     if np.max(np.abs(w.imag)) < imag_tol:
-        return SpectrumClass(SpectrumKind.ALL_REAL, imag_tol, tuple(range(w.size)))
+        return SpectrumClass(SpectrumKind.ALL_REAL, tuple(range(w.size)))
     pairing = conjugate_pairing(w, imag_tol)
     if pairing is not None:
-        return SpectrumClass(SpectrumKind.CONJUGATE_PAIRED, imag_tol, tuple(int(p) for p in pairing))
-    return SpectrumClass(SpectrumKind.GENERIC, imag_tol, None)
+        return SpectrumClass(SpectrumKind.CONJUGATE_PAIRED, tuple(int(p) for p in pairing))
+    return SpectrumClass(SpectrumKind.GENERIC, None)
 
 
 def build_metric(eigsys: BiorthogonalEigensystem, tol: Tolerances | None = None) -> MetricOperator:

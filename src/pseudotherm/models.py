@@ -1,14 +1,24 @@
 """Concrete model builders.
 
-Three systems, all exposing the same small surface consumed by the
-propagator and the work-statistics pipeline:
+Three systems expose the small surface that the propagator and the
+work-statistics pipeline read:
 
     dimension            basis size
     hamiltonian(v)       matrix at control value v
     metric(v)            intertwining metric at v
-    metric_inverse(v)
-    metric_rate(v, dv)   d(metric)/dt given dv/dt (zero when static)
     metric_is_static     True when the metric ignores the drive
+
+The metric comes under one of two contracts.  A static metric
+(metric_is_static True: the oscillator and the chain) declares metric(v)
+alone; the propagator evaluates it once, at the window start, and adds no
+gauge term.  A moving metric (the two-level system) also declares
+
+    metric_inverse(v)
+    metric_rate(v, dv)        d(metric)/dt given dv/dt
+    metric_min_eigenvalue(v)  optional; else taken from metric(v)
+
+which the propagator reads for the gauge term and its positive-definiteness
+scan.
 
 hamiltonian, hermitian_frame and the metric methods also take a 1-D array
 of control values and then return the stack of the scalar results, (k, d, d)
@@ -37,7 +47,6 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .tolerances import DEFAULT
 
 __all__ = ["TwoLevel", "Oscillator", "HatanoNelson", "relaxation_time"]
 
@@ -55,10 +64,6 @@ def _two_by_two(shape, m00, m01, m10, m11) -> np.ndarray:
 def _per_value(matrix: np.ndarray, v) -> np.ndarray:
     """A control-independent matrix: itself for scalar v, a read-only stack for an array."""
     return matrix if np.ndim(v) == 0 else np.broadcast_to(matrix, np.shape(v) + matrix.shape)
-
-
-def _scalar_or_array(x):
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def _affine(terms, v) -> np.ndarray:
@@ -104,7 +109,8 @@ class TwoLevel:
 
     def metric_min_eigenvalue(self, v):
         # metric eigenvalues are 2 (1 +/- v/coupling)
-        return _scalar_or_array(2.0 * (1.0 - np.abs(v) / self.coupling))
+        m = 2.0 * (1.0 - np.abs(v) / self.coupling)
+        return float(m) if np.ndim(m) == 0 else m
 
 
 @dataclass(frozen=True)
@@ -218,18 +224,6 @@ class Oscillator:
     def metric(self, v=0.0) -> np.ndarray:
         return _per_value(self.position_exponential(2.0 * self.shift), v)
 
-    def metric_inverse(self, v=0.0) -> np.ndarray:
-        return _per_value(self.position_exponential(-2.0 * self.shift), v)
-
-    def metric_rate(self, v, dv_dt) -> np.ndarray:
-        shape = np.broadcast_shapes(np.shape(v), np.shape(dv_dt))
-        return np.zeros(shape + (self.n_basis, self.n_basis), dtype=complex)
-
-    def metric_min_eigenvalue(self, v=0.0):
-        vals, _ = self._x_eig
-        edge = vals.min() if self.shift >= 0 else vals.max()
-        return _scalar_or_array(np.full(np.shape(v), np.exp(2.0 * self.shift * edge)))
-
     def ladder_energies(self, omega: float, count: int | None = None) -> np.ndarray:
         n = self.n_basis if count is None else count
         return omega * (np.arange(n) + 0.5)
@@ -290,25 +284,14 @@ class HatanoNelson:
         return np.diag(np.exp(2.0 * self.asymmetry * x)).astype(complex)
 
     @cached_property
-    def _metric_pair(self):
+    def _metric(self) -> np.ndarray:
         diag = self.diagonal_metric()
         if diag is not None:
-            x = np.arange(self.length)
-            inv = np.diag(np.exp(-2.0 * self.asymmetry * x)).astype(complex)
-            return diag, inv
-        eigsys = linalg.eigendecompose(self.hamiltonian())
-        op = linalg.build_metric(eigsys)
-        return op.g, op.g_inverse
+            return diag
+        return linalg.build_metric(linalg.eigendecompose(self.hamiltonian())).g
 
     def metric(self, v=0.0) -> np.ndarray:
-        return _per_value(self._metric_pair[0], v)
-
-    def metric_inverse(self, v=0.0) -> np.ndarray:
-        return _per_value(self._metric_pair[1], v)
-
-    def metric_rate(self, v, dv_dt) -> np.ndarray:
-        shape = np.broadcast_shapes(np.shape(v), np.shape(dv_dt))
-        return np.zeros(shape + (self.length, self.length), dtype=complex)
+        return _per_value(self._metric, v)
 
 
 def relaxation_time(eigenvalues) -> float:

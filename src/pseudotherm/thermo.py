@@ -272,20 +272,20 @@ def transition_matrix(
 
 @dataclass(frozen=True)
 class WorkDistribution:
-    """Exact delta-comb work measure: all (w_nm, p_nm) pairs, unbinned.
+    """Exact delta-comb work measure, unbinned: w[j, k] with probability p[j, k].
 
-    log_Z0/log_Ztau are the logs of the real partition functions over the
-    full eigenvalue lists supplied at construction, finite at any beta;
-    entries may cover a trimmed index set, so their total weight can fall
-    short of 1 by the trimmed Gibbs mass.
+    w and p have one row per initial level and one column per final level
+    that the transition matrix covers.  log_Z0/log_Ztau are the logs of the
+    real partition functions over the full eigenvalue lists supplied at
+    construction, finite at any beta; the levels may be a trimmed index
+    set, so the total weight can fall short of 1 by the trimmed Gibbs mass.
     """
 
-    entries: tuple
+    w: np.ndarray
+    p: np.ndarray
     beta: float
     log_Z0: float
     log_Ztau: float
-    Emin_initial: float
-    Emin_final: float
 
 
 def _log_partition(E: np.ndarray, beta: float) -> float:
@@ -303,7 +303,7 @@ def work_distribution(
     rows=None,
     cols=None,
 ) -> WorkDistribution:
-    """Enumerate (w_nm = E_m' - E_n, p_nm) from a transition matrix.
+    """The work values w_nm = E_m' - E_n beside the transition matrix p_nm.
 
     rows/cols map the axes of p into the eigenvalue lists when p covers
     only a sub-block (truncated models); by default they are ranges.
@@ -316,15 +316,12 @@ def work_distribution(
     cols = np.arange(p.shape[1]) if cols is None else np.asarray(cols, dtype=int)
     if rows.shape[0] != p.shape[0] or cols.shape[0] != p.shape[1]:
         raise ValueError("rows/cols index lists must match the shape of p")
-    w = ET[cols][None, :] - E0[rows][:, None]
-    entries = tuple(zip(w.ravel().tolist(), p.ravel().tolist()))
     return WorkDistribution(
-        entries=entries,
+        w=ET[cols][None, :] - E0[rows][:, None],
+        p=p,
         beta=beta,
         log_Z0=_log_partition(E0, beta),
         log_Ztau=_log_partition(ET, beta),
-        Emin_initial=float(E0.min()),
-        Emin_final=float(ET.min()),
     )
 
 
@@ -346,12 +343,11 @@ def jarzynski_report(wd: WorkDistribution) -> JarzynskiReport:
     with zero population adds 0 however large e^{-beta w} is; Z_tau/Z_0 is
     exp(ln Z_tau - ln Z_0), and the relative residual divides each term by
     it in the exponent, so it stays finite where either side over- or
-    underflows.
+    underflows.  The sums run over the pairs in row-major order.
     """
-    if not wd.entries:
+    if not wd.p.size:
         raise ValueError("work distribution has no entries")
-    w = np.array([e[0] for e in wd.entries])
-    pr = np.array([e[1] for e in wd.entries])
+    w, pr = wd.w.ravel(), wd.p.ravel()
     log_ratio = wd.log_Ztau - wd.log_Z0
     with np.errstate(divide="ignore"):  # ln 0 = -inf
         log_terms = np.log(pr) - wd.beta * w
@@ -373,12 +369,12 @@ class TwoTimeResult:
     """Full two-time-measurement pipeline output.
 
     p[j, k] is the transition probability from initial level rows[j] to
-    final level cols[k]; row_sum_defect is the worst deviation of
-    sum_m |<psi_m', g' U psi_n>|^2 from 1 over the *complete* final basis,
-    a direct check of metric unitarity in the measurement frame.
+    final level cols[k] (the array work.p); row_sum_defect is the worst
+    deviation of sum_m |<psi_m', g' U psi_n>|^2 from 1 over the *complete*
+    final basis, a direct check of metric unitarity in the measurement
+    frame.
     """
 
-    beta: float
     rows: tuple
     cols: tuple
     p: np.ndarray
@@ -467,10 +463,9 @@ def two_time_work(
 
     work = work_distribution(p, eig0, eigT, beta, rows=rows, cols=cols)
     return TwoTimeResult(
-        beta=beta,
         rows=tuple(rows),
         cols=tuple(cols),
-        p=p,
+        p=work.p,
         row_sum_defect=row_sum_defect,
         energies_initial=eig0.eigenvalues.copy(),
         energies_final=eigT.eigenvalues.copy(),

@@ -12,8 +12,6 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    # eigenvalues within degeneracy*(1+|E|) of each other share a block
-    degeneracy: float = 1e-8
     # overlap-matrix condition number above this means defective
     defective_cond: float = 1e8
     # biorthonormalization residual above this also means defective

@@ -15,7 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudotherm
-from pseudotherm import Oscillator, Protocol, TwoLevel, cli, load_matrix, two_time_work
+from pseudotherm import (
+    HatanoNelson,
+    Oscillator,
+    Protocol,
+    TwoLevel,
+    build_metric,
+    cli,
+    eigendecompose,
+    load_matrix,
+    propagate,
+    two_time_work,
+    unitarity_residual,
+)
 from pseudotherm.cli import _CouplingFamily, main, random_metric_norms, read_csv, write_csv
 
 BASE = {
@@ -111,6 +123,19 @@ class TestConfigValidation:
     def test_out_of_range_integer_exits_2(self, tmp_path, capsys, command, cfg, field):
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
         assert f"{field}: must be" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("T_hot", [1.0, 2.0], ids=["colder", "equal"])
+    def test_carnot_needs_t_hot_above_t_cold_exits_2(self, tmp_path, capsys, T_hot):
+        cfg = dict(CYCLE, cycle=dict(CYCLE["cycle"], T_hot=T_hot, T_cold=2.0))
+        assert main(["carnot", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+        assert "config error: cycle.T_hot: must exceed cycle.T_cold" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_chain_potential_of_the_wrong_length_exits_2(self, tmp_path, capsys):
+        cfg = {"model": {"kind": "hatano_nelson", "length": 4, "potential": [0.1, 0.2]}}
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+        assert "config error: model: potential list" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
@@ -221,6 +246,70 @@ class TestArtifacts:
         _, _, rows = read_csv(tmp_path / "evolve_checkpoints.csv")
         assert len(rows) >= 10
         assert all(r[1] >= 0 for r in rows)
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [BASE["protocol"], {"kind": "erf", "start": 0.0, "end": 0.5, "duration": 1.0, "window": 3.0}],
+        ids=["linear", "erf"],
+    )
+    def test_evolve_summary_residual_is_the_last_checkpoint(self, tmp_path, capsys, protocol):
+        cfg_path = write_config(tmp_path, dict(BASE, protocol=protocol))
+        assert main(["evolve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        _, _, rows = read_csv(tmp_path / "evolve_checkpoints.csv")
+        assert f" final_residual={rows[-1][1]:.3e} " in capsys.readouterr().out
+        # the last checkpoint is U's residual at the window end, up to rounding
+        result = propagate(TwoLevel(), cli.build_protocol({"protocol": protocol}))
+        assert rows[-1] == list(result.checkpoints[-1])
+        final = unitarity_residual(result.U, result.g_start, result.g_end)
+        assert rows[-1][1] == pytest.approx(final, abs=1e-14)
+
+    def test_evolve_takes_a_tabulated_drive(self, tmp_path):
+        # collinear knots: the ramp 0 -> 0.4 of a linear protocol
+        samples = [[0.0, 0.0], [0.5, 0.2], [1.0, 0.4]]
+        cfg = dict(BASE, protocol={"kind": "tabulated", "samples": samples})
+        assert main(["evolve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+        linear = propagate(TwoLevel(), Protocol.linear(0.0, 0.4, 1.0))
+        npt.assert_allclose(load_matrix(tmp_path / "evolve_U.txt"), linear.U, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "extra, value",
+        [({"at": 0.3}, 0.3), ({"protocol": dict(BASE["protocol"], start=0.6)}, 0.6), ({}, 0.0)],
+        ids=["at", "protocol-start", "zero"],
+    )
+    def test_spectrum_control_value_fallbacks(self, tmp_path, extra, value):
+        # "at", else the protocol's start, else 0
+        cfg = {"model": BASE["model"], **extra}
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+        _, _, rows = read_csv(tmp_path / "spectrum.csv")
+        npt.assert_allclose([r[1] for r in rows], np.array([-1.0, 1.0]) * np.sqrt(1 - value**2), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "boundary, kind, definite",
+        [("open", "ALL_REAL", True), ("periodic", "CONJUGATE_PAIRED", False)],
+    )
+    def test_hatano_nelson_spectrum_and_metric(self, tmp_path, capsys, boundary, kind, definite):
+        potential = [0.1, -0.2, 0.0, 0.3, 0.2, -0.1] if boundary == "open" else []
+        cfg = {"model": {"kind": "hatano_nelson", "length": 6, "asymmetry": 0.3,
+                         "potential": potential, "boundary": boundary}}
+        chain = HatanoNelson(length=6, asymmetry=0.3, potential=tuple(potential), boundary=boundary)
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["spectrum", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        assert f"spectrum: {kind} dim=6 " in capsys.readouterr().out
+        _, _, rows = read_csv(tmp_path / "spectrum.csv")
+        npt.assert_array_equal([complex(re, im) for _, re, im in rows],
+                               eigendecompose(chain.hamiltonian()).eigenvalues)
+        assert main(["metric", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        assert f"metric: positive_definite={definite} " in capsys.readouterr().out
+        _, _, rows = read_csv(tmp_path / "metric.csv")
+        g = np.reshape([complex(re, im) for *_, re, im in rows], (6, 6))
+        npt.assert_array_equal(g, build_metric(eigendecompose(chain.hamiltonian())).g)
+        # the chain's own metric: diag(e^{2 g x}) when open, else the one the CLI wrote;
+        # built once per chain
+        if boundary == "open":
+            npt.assert_allclose(chain.metric(), np.diag(np.exp(0.6 * np.arange(6))), rtol=1e-15)
+        else:
+            npt.assert_array_equal(chain.metric(), g)
+        assert chain.metric() is chain.metric(1.0)
 
     def test_work_rows_consistent(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE)

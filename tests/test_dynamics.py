@@ -203,6 +203,22 @@ def test_checkpoints_below_gate_and_result_fields():
     npt.assert_allclose(res.g_end, model.metric(proto.value(proto.t_end)), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "model, proto",
+    [
+        (TwoLevel(), Protocol.erf(0.0, 0.5, 0.5, window=3.0)),
+        (HatanoNelson(length=5, asymmetry=0.3), Protocol.linear(0.0, 1.0, 0.5)),
+    ],
+    ids=["two-level", "open-chain"],
+)
+def test_result_records_the_unitarity_gate_it_met(model, proto):
+    # the default scales with ||g_start||, which exceeds 1 for the chain's diag(e^{2 g x})
+    res = propagate(model, proto)
+    assert res.unitarity_gate == DEFAULT.propagation * max(1.0, float(np.linalg.norm(res.g_start)))
+    assert max(r for _, r in res.checkpoints) <= res.unitarity_gate
+    assert propagate(model, proto, unitarity_gate=1e-7).unitarity_gate == 1e-7
+
+
 def test_refinement_decreases_unitarity_defect():
     # seed the integrator at fixed coarse counts with acceptance disabled;
     # the g-unitarity defect must fall as the grid refines

@@ -16,6 +16,7 @@ from pseudotherm import (
     Oscillator,
     SpectrumKind,
     TwoLevel,
+    UnpairedSpectrumError,
     build_metric,
     classify_spectrum,
     conjugate_pairing,
@@ -181,6 +182,14 @@ def test_classify_generic_unpaired():
     sc = classify_spectrum([1 + 1j, 2.0])
     assert sc.kind is SpectrumKind.GENERIC
     assert sc.pairing is None
+
+
+def test_build_metric_refuses_a_generic_spectrum():
+    # 1 + i has no conjugate partner beside 2, so no metric intertwines H
+    H = np.array([[1 + 1j, 0.3], [0.0, 2.0]])
+    assert classify_spectrum(eigendecompose(H).eigenvalues).kind is SpectrumKind.GENERIC
+    with pytest.raises(UnpairedSpectrumError, match="neither all-real nor conjugate-paired"):
+        build_metric(eigendecompose(H))
 
 
 def test_finiteness_checks_accept_non_contiguous_views():

@@ -17,6 +17,7 @@ from pseudotherm import (
     DefectiveMatrixError,
     HatanoNelson,
     IsentropeNotFoundError,
+    JarzynskiReport,
     NonRealResultError,
     Oscillator,
     Protocol,
@@ -204,15 +205,41 @@ class TestWorkDistribution:
     def test_two_level_entries(self):
         res = two_time_work(TwoLevel(), Protocol.linear(0.0, 0.5, 1.0), 1.0)
         wd = res.work
-        assert len(wd.entries) == 4
+        assert wd.w.shape == wd.p.shape == (2, 2)
         gap = np.sqrt(1 - 0.25)
         expected_w = sorted([-gap - (-1.0), gap - (-1.0), -gap - 1.0, gap - 1.0])
-        npt.assert_allclose(sorted(w for w, _ in wd.entries), expected_w, atol=1e-10)
-        total = sum(p for _, p in wd.entries)
+        npt.assert_allclose(sorted(wd.w.ravel()), expected_w, atol=1e-10)
+        total = wd.p.sum()
         assert total == pytest.approx(1.0, abs=1e-9)
-        assert all(p >= 0 for _, p in wd.entries)
-        assert wd.Emin_initial == pytest.approx(-1.0)
-        assert wd.Emin_final == pytest.approx(-gap)
+        assert (wd.p >= 0).all()
+
+    def test_arrays_hold_the_row_major_pairs(self):
+        # at beta = 20 the cutoff drops the sparsely populated initial levels,
+        # so p covers fewer rows than columns
+        res = two_time_work(Oscillator(omega_ref=0.3, shift=0.4, n_basis=16), Protocol.erf(0.3, 0.45, 0.4), 20.0)
+        wd = res.work
+        assert wd.w.shape == wd.p.shape == (len(res.rows), len(res.cols))
+        assert len(res.rows) < len(res.cols)
+        assert res.p is wd.p
+        E0, ET = res.energies_initial.real, res.energies_final.real
+        pairs = [(ET[m] - E0[n], wd.p[j, k]) for j, n in enumerate(res.rows) for k, m in enumerate(res.cols)]
+        # the report as the sums over the list of (w, p) pairs, bit for bit
+        w, pr = np.array([w for w, _ in pairs]), np.array([p for _, p in pairs])
+        npt.assert_array_equal(wd.w.ravel(), w)
+        log_ratio = wd.log_Ztau - wd.log_Z0
+        with np.errstate(divide="ignore"):
+            log_terms = np.log(pr) - wd.beta * w
+        mean_work, delta_F = float(np.sum(pr * w)), -log_ratio / wd.beta
+        expected = JarzynskiReport(
+            exp_avg_work=float(np.sum(np.exp(log_terms))),
+            exp_delta_F=float(np.exp(log_ratio)),
+            relative_residual=abs(float(np.sum(np.exp(log_terms - log_ratio))) - 1.0),
+            mean_work=mean_work,
+            delta_F=delta_F,
+            irreversible_work=mean_work - delta_F,
+            total_weight=float(np.sum(pr)),
+        )
+        assert jarzynski_report(wd) == expected == res.report
 
     def test_index_mismatch_rejected(self):
         es = eigendecompose(TwoLevel().hamiltonian(0.0))
@@ -244,7 +271,7 @@ class TestJarzynski:
         assert rep.relative_residual < 1e-8
         assert rep.irreversible_work >= -1e-8
         assert res.row_sum_defect < 1e-10
-        total = sum(p for _, p in res.work.entries)
+        total = res.work.p.sum()
         assert 1.0 - 1e-7 <= total <= 1.0 + 1e-12
 
     def test_precondition_needs_a_hermitian_frame(self):
