@@ -15,11 +15,11 @@ sum_n p_n E_n against tr(rho H), rho = V diag(p) V^-1.
 
 Each cycle leg is a handful of array operations over its whole grid, with
 the grid index last so that sums over levels run along contiguous rows.
-The leg's eigensystems come in closed form for two levels (E = m -/+ s,
-m = tr H/2, s = sqrt(((H00 - H11)/2)^2 + H01 H10)) and from a batched
-np.linalg.eig and inv otherwise.  Either way a leg whose eigenvector
-matrix has a condition number above `Tolerances.defective_cond` raises
-DefectiveMatrixError: it reaches an exceptional point.
+The leg's eigensystems come from the stacked kernel in `linalg`: closed
+form for two levels, a batched np.linalg.eig and inv otherwise.  Either
+way a leg whose eigenvector matrix has a condition number above
+`Tolerances.defective_cond` raises DefectiveMatrixError: it reaches an
+exceptional point.
 """
 
 from __future__ import annotations
@@ -34,14 +34,20 @@ import numpy as np
 from .dynamics import PropagationResult, Protocol, _hermitian_frame, propagate
 from .errors import (
     ComplexPartitionFunctionError,
-    DefectiveMatrixError,
     IsentropeNotFoundError,
     NonRealResultError,
     NonRealSpectrumError,
     SingularMetricError,
     TruncationWarning,
 )
-from .linalg import BiorthogonalEigensystem, _metric_matrix, classify_spectrum, eigendecompose
+from .linalg import (
+    BiorthogonalEigensystem,
+    _eig_stack,
+    _grid_last,
+    _metric_matrix,
+    classify_spectrum,
+    eigendecompose,
+)
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -510,81 +516,17 @@ class CycleReport:
     entropy_mismatch: dict
 
 
-def _require_diagonalizable(cond: np.ndarray, values: np.ndarray, tol: Tolerances):
-    """Refuse a leg whose eigenvector matrix is singular within tolerance.
-
-    cond is the 2-norm condition number of the unit-column eigenvector
-    matrix at each control value; it diverges where eigenvectors coalesce,
-    at an exceptional point.  NaN fails the gate too.
-    """
-    worst = int(np.argmax(cond))
-    if not cond[worst] <= tol.defective_cond:
-        raise DefectiveMatrixError(
-            f"eigenvector matrix condition number {cond[worst]:.3e} at control value "
-            f"{values[worst]:.6g} exceeds {tol.defective_cond:.1e}; the leg reaches "
-            "an exceptional point"
-        )
-
-
-def _grid_last(A: np.ndarray) -> np.ndarray:
-    """A contiguous copy of a stack with its leading (grid) axis moved last."""
-    return np.ascontiguousarray(np.moveaxis(A, 0, -1))
-
-
-def _eig2(H: np.ndarray, values: np.ndarray, tol: Tolerances):
-    """Closed-form eigensystems of a (2, 2, k) stack: E (2, k), VR and VLh (2, 2, k).
-
-    With m = tr/2, a = (H00 - H11)/2 and s = sqrt(a^2 + H01 H10) the
-    eigenvalues are m -/+ s.  The right vector of m + r (r = -/+s) is
-    [H01, r - a], or equally [a + r, H10]; the longer of the two is
-    normalised, which avoids the cancellation in r - a for a nearly diagonal
-    H.  Both vanish only for a scalar H, which keeps the unit vectors.  VLh
-    is the closed-form inverse of VR.
-    """
-    a = 0.5 * (H[0, 0] - H[1, 1])
-    b, c = H[0, 1], H[1, 0]
-    r = np.array([[-1.0], [1.0]]) * np.sqrt(a * a + b * c)
-    E = 0.5 * (H[0, 0] + H[1, 1]) + r
-    x0, x1 = np.broadcast_to(b, r.shape), r - a
-    y0, y1 = a + r, np.broadcast_to(c, r.shape)
-    nx = x0.real**2 + x0.imag**2 + x1.real**2 + x1.imag**2
-    ny = y0.real**2 + y0.imag**2 + y1.real**2 + y1.imag**2
-    longer = nx >= ny
-    norm = np.sqrt(np.where(longer, nx, ny))
-    scalar = norm == 0
-    norm[scalar] = 1.0
-    VR = np.empty_like(H)
-    VR[0] = np.where(scalar, [[1.0], [0.0]], np.where(longer, x0, y0)) / norm
-    VR[1] = np.where(scalar, [[0.0], [1.0]], np.where(longer, x1, y1)) / norm
-    det = VR[0, 0] * VR[1, 1] - VR[0, 1] * VR[1, 0]
-    # unit columns: sigma_max sigma_min = |det| and sigma_max^2 + sigma_min^2 = 2
-    D = np.abs(det)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _require_diagonalizable((1.0 + np.sqrt(np.maximum(1.0 - D * D, 0.0))) / D, values, tol)
-    VLh = np.array([[VR[1, 1], -VR[0, 1]], [-VR[1, 0], VR[0, 0]]]) / det
-    return E, VR, VLh
-
-
-def _eig_general(H: np.ndarray, values: np.ndarray, tol: Tolerances):
-    """Batched np.linalg.eig and inv of a (d, d, k) stack: E (d, k), VR and VLh (d, d, k)."""
-    E, VR = np.linalg.eig(np.moveaxis(H, -1, 0))
-    _require_diagonalizable(np.linalg.cond(VR), values, tol)
-    return _grid_last(E), _grid_last(VR), _grid_last(np.linalg.inv(VR))
-
-
 def _leg_spectra(h_of, values: np.ndarray, tol: Tolerances):
     """Batched eigen-data along one leg of k control values: H, E, VR, VLh.
 
     h_of maps the array of control values to the (k, d, d) stack.  The grid
     index runs last in what is returned, H, VR and VLh being (d, d, k) and
     E (d, k), so sums over levels and products of matrices run along
-    contiguous rows.  Two levels take the closed form, larger dimensions the
-    general eigensolver; both raise DefectiveMatrixError at an exceptional
-    point.
+    contiguous rows.  The eigen-data come from linalg's stacked kernel,
+    which raises DefectiveMatrixError at an exceptional point.
     """
     H = _grid_last(np.asarray(h_of(values), dtype=complex))
-    eig = _eig2 if H.shape[0] == 2 else _eig_general
-    return (H, *eig(H, values, tol))
+    return (H, *_eig_stack(H, values, tol))
 
 
 def _entropy_curve(E: np.ndarray, beta, *, slope: bool = False, weights=None):

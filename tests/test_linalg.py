@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pseudotherm import (
@@ -27,6 +29,7 @@ from pseudotherm import (
     pseudo_hermiticity_residual,
     save_matrix,
 )
+from pseudotherm import linalg
 
 from conftest import SIGMA_X, random_real_spectrum_matrix, two_level_matrix
 
@@ -47,18 +50,17 @@ def test_two_level_eigenvalues(lam, expected):
 @pytest.mark.parametrize(
     "H",
     [
-        TwoLevel().hamiltonian(0.5),
         Oscillator(omega_ref=2.0, shift=1.0, n_basis=28).hamiltonian(2.4),
         HatanoNelson(length=40, hopping=1.0, asymmetry=0.3, boundary="open").hamiltonian(),
         HatanoNelson(length=40, hopping=1.0, asymmetry=0.3, boundary="periodic").hamiltonian(),
     ],
-    ids=["two_level", "oscillator", "chain_open", "chain_periodic"],
+    ids=["oscillator", "chain_open", "chain_periodic"],
 )
 def test_phase_convention_matches_per_column_loop(H):
     # the per-column loop the vectorised phase convention replaced, applied
-    # to the same sorted eig output (of the real part when H is real and
-    # larger than 2 x 2) and the left vectors as rows of its inverse
-    real = H.shape[0] > 2 and not H.imag.any()
+    # to the same sorted eig output (of the real part when H is real) and
+    # the left vectors as rows of its inverse
+    real = not H.imag.any()
     w, vr = np.linalg.eig(H.real if real else H)
     order = np.lexsort((w.imag, w.real))
     vr = vr[:, order].astype(complex)
@@ -71,6 +73,215 @@ def test_phase_convention_matches_per_column_loop(H):
     es = eigendecompose(H)
     npt.assert_array_equal(es.right, vr)
     npt.assert_array_equal(es.left, left)
+
+
+def _general(H, tol=DEFAULT):
+    return linalg._eigendecompose_general(np.asarray(H, dtype=complex), tol)
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        TwoLevel().hamiltonian(0.5),
+        TwoLevel().hamiltonian(1.5),
+        np.array([[1 + 2j, 0.3], [-0.7j, -0.5]]),
+    ],
+    ids=["two_level", "two_level_broken", "generic"],
+)
+def test_two_level_closed_form_meets_the_convention_and_the_general_path(H):
+    # the closed form has bits of its own: the peak of each right column
+    # (the first of the largest moduli, up to rounding) is exactly
+    # real-positive, and the output is the general path's up to one unit
+    # phase per column, which rotates the right and left vectors alike
+    es = eigendecompose(H)
+    for col in es.right.T:
+        modulus = np.abs(col)
+        j = int(np.flatnonzero(modulus >= modulus.max() * (1.0 - 2e-15))[0])
+        assert col[j].imag == 0 and col[j].real > 0
+    general = _general(H)
+    npt.assert_allclose(es.eigenvalues, general.eigenvalues, rtol=0, atol=1e-12)
+    phase = np.sum(general.right.conj() * es.right, axis=0)
+    phase /= np.abs(phase)
+    npt.assert_allclose(es.right, general.right * phase, rtol=0, atol=1e-12)
+    npt.assert_allclose(es.left, general.left * phase, rtol=0, atol=1e-12)
+
+
+def _verdict(decompose, H):
+    try:
+        return decompose(H)
+    except DefectiveMatrixError:
+        return None
+
+
+def _near_a_gate_line(H) -> bool:
+    """Whether the general path's verdict on H flips when every DefectiveMatrixError
+    threshold moves by a relative 1e-6, stricter or looser."""
+    raised = set()
+    for f in (1.0 - 1e-6, 1.0 + 1e-6):
+        tol = DEFAULT.with_(
+            defective_cond=DEFAULT.defective_cond * f,
+            defective_residual=DEFAULT.defective_residual * f,
+        )
+        with mock.patch.object(linalg, "_COALESCE_GAP", linalg._COALESCE_GAP / f), mock.patch.object(
+            linalg, "_COALESCE_PARALLEL", linalg._COALESCE_PARALLEL / f
+        ):
+            raised.add(_verdict(lambda A: _general(A, tol), H) is None)
+    return len(raised) > 1
+
+
+def _pair_check_within_rounding(H, es) -> bool:
+    """Whether rounding can decide the coalescing-pair check on H.
+
+    es is an accepted eigensystem of H.  A perturbation of size
+    err = 4 eps ||H|| moves the eigenvalues by up to kappa err (kappa the
+    largest left-vector norm) and, near a Jordan block, splits or closes a
+    pair by up to 2 sqrt(err ||H - tr(H)/2||); it turns the right vectors
+    by about err / gap.  The verdict rests on rounding where the gap lies
+    within that of zero or of its line, or for a pair below the line where
+    the angle between the right vectors lies within err / gap of its line.
+    """
+    w = es.eigenvalues
+    gap, line = float(abs(w[1] - w[0])), linalg._COALESCE_GAP * (1.0 + abs(w[0]))
+    err = 4.0 * np.finfo(float).eps * max(1.0, np.linalg.norm(H))
+    traceless = np.linalg.norm(H - 0.5 * np.trace(H) * np.eye(2))
+    shift = float(np.max(np.linalg.norm(es.left, axis=0))) * err + 2.0 * np.sqrt(err * traceless)
+    if gap <= shift or abs(gap - line) <= 1e-6 * line + shift:
+        return True
+    if gap >= line:
+        return False
+    angle = np.arccos(min(1.0, abs(np.vdot(es.right[:, 0], es.right[:, 1]))))
+    return abs(angle - np.arccos(1.0 - linalg._COALESCE_PARALLEL)) <= err / gap
+
+
+def _rounding_bound(H, es) -> float:
+    """eps-level error allowed on es: 1e-15 max(1, ||H||) times the largest
+    left-vector norm (the eigenvalue condition number), at least 1e3."""
+    kappa = float(np.max(np.linalg.norm(es.left, axis=0)))
+    return 1e-15 * max(1.0, np.linalg.norm(H)) * max(1e3, kappa)
+
+
+def _check_closed_form_against_general(H):
+    # both paths are backward stable, so their eigenvalues carry an error of
+    # about eps ||H|| times the eigenvalue condition number: the 1e-12 bound
+    # holds up to a condition number of 1e3 and grows with it beyond
+    closed, general = _verdict(eigendecompose, H), _verdict(_general, H)
+    if closed is not None:
+        atol = _rounding_bound(H, closed)
+        npt.assert_allclose(H @ closed.right, closed.right * closed.eigenvalues, rtol=0, atol=atol)
+        biortho = closed.left.conj().T @ closed.right
+        npt.assert_allclose(biortho, np.eye(2), rtol=0, atol=atol / max(1.0, np.linalg.norm(H)))
+    if general is not None:
+        residual = np.max(np.abs(H @ general.right - general.right * general.eigenvalues))
+        if residual > _rounding_bound(H, general):
+            # np.linalg.eig's balancing can fail on a badly scaled H: it gave
+            # [1, 0] for E = 0 of [[0, 2.8e-143j], [1j, 1e-15j]], no reference
+            return
+    if (closed is None) != (general is None):
+        accepted = closed or general
+        assert _near_a_gate_line(H) or _pair_check_within_rounding(H, accepted), (
+            "one path raises DefectiveMatrixError, the other does not"
+        )
+    elif closed is not None:
+        w, v = closed.eigenvalues, general.eigenvalues
+        atol = max(_rounding_bound(H, closed), _rounding_bound(H, general))
+        assert min(np.max(np.abs(w - v)), np.max(np.abs(w - v[::-1]))) <= atol
+
+
+def _unit_complex(draw):
+    return complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+
+
+@st.composite
+def _two_by_two(draw):
+    """Random complex 2 x 2 matrices: generic, scalar or nearly so, nearly
+    diagonal, and rotated Jordan blocks, exact or nearly so, at scales 1e-3
+    to 1e3."""
+    kind = draw(st.sampled_from(["generic", "scalar", "near_scalar", "nearly_diagonal", "nilpotent_like"]))
+    z0, z1, z2, z3 = (_unit_complex(draw) for _ in range(4))
+    eps = draw(st.sampled_from([0.0, 10.0 ** draw(st.floats(-16.0, -1.0))]))
+    if kind == "generic":
+        H = np.array([[z0, z1], [z2, z3]])
+    elif kind == "scalar":
+        H = np.array([[z0, 0.0], [0.0, z0]])
+    elif kind == "near_scalar":
+        H = z0 * np.eye(2) + eps * np.array([[z1, z2], [z3, -z1]])
+    elif kind == "nearly_diagonal":
+        H = np.array([[z0, eps * z1], [eps * z2, z3]])
+    else:
+        theta, phi = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2 * np.pi))
+        R = np.array([[np.cos(theta), -np.sin(theta) * np.exp(1j * phi)],
+                      [np.sin(theta) * np.exp(-1j * phi), np.cos(theta)]])
+        H = R @ np.array([[z0, z1], [eps * z2, z0]]) @ R.conj().T
+    return H * 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(H=_two_by_two())
+def test_two_level_closed_form_matches_the_general_path(H):
+    _check_closed_form_against_general(H)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coupling=st.floats(1e-2, 1e2), ratio=st.floats(0.9, 1.1), sign=st.sampled_from([-1.0, 1.0]))
+@example(coupling=1.0, ratio=1.0, sign=1.0)
+@example(coupling=1.0, ratio=1.0 + 1e-13, sign=1.0)
+@example(coupling=1.0, ratio=1.0 - 1e-13, sign=-1.0)
+@example(coupling=3.0, ratio=1.0 - 1e-9, sign=1.0)
+@example(coupling=0.5, ratio=1.0 + 1e-7, sign=-1.0)
+def test_two_level_closed_form_matches_the_general_path_near_the_exceptional_point(coupling, ratio, sign):
+    _check_closed_form_against_general(TwoLevel(coupling).hamiltonian(sign * ratio * coupling))
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        np.array([[1j, 0.0], [1.1920929e-13j, 1j]]),
+        np.array([[0.3 - 0.2j, 4.0], [0.0, 0.3 - 0.2j]]),
+        np.array([[2.0, -1e-9j], [0.0, 2.0]]),
+    ],
+)
+def test_two_level_jordan_blocks_are_refused(H):
+    # exactly defective: equal eigenvalues and a single eigenvector.  The
+    # closed form's vectors are exactly parallel; np.linalg.eig returned an
+    # overlap of 0.99999827 for the first, below the coalescing check's
+    # 1 - 1e-6, and the general path passed it
+    with pytest.raises(DefectiveMatrixError):
+        eigendecompose(H)
+
+
+def test_two_level_gates_raise():
+    # each DefectiveMatrixError gate of the closed form: a Jordan block has
+    # no second right vector (infinite overlap condition number), the PT
+    # qubit 1e-13 past its exceptional point a coalescing pair, and either
+    # gate fires on a clean matrix when its threshold is tightened
+    with pytest.raises(DefectiveMatrixError, match="condition number inf"):
+        eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(DefectiveMatrixError, match="coalesce with parallel eigenvectors"):
+        eigendecompose(TwoLevel(1.0).hamiltonian(1.0 + 1e-13))
+    H = np.array([[1 + 2j, 0.3], [-0.7j, -0.5]])
+    es = eigendecompose(H)
+    assert 0 < es.biortho_residual < 1e-15 and 0 < es.completeness_residual < 1e-15
+    with pytest.raises(DefectiveMatrixError, match="condition number"):
+        eigendecompose(H, DEFAULT.with_(defective_cond=0.5))
+    with pytest.raises(DefectiveMatrixError, match="biorthonormalization failed"):
+        eigendecompose(H, DEFAULT.with_(defective_residual=1e-17))
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        2.5 * np.eye(2),
+        np.array([[1.0, 1e-200], [2e-200, 1.0]]),
+        np.array([[1e200, 3e199], [-2e199j, -1e200]]),
+    ],
+    ids=["scalar", "tiny_traceless_part", "huge"],
+)
+def test_two_level_far_scales_take_the_general_path(H):
+    # a scalar matrix, and traceless parts whose squares would leave the
+    # normal floats, are decomposed by np.linalg.eig
+    es, general = eigendecompose(H), _general(H)
+    npt.assert_array_equal(es.eigenvalues, general.eigenvalues)
+    npt.assert_array_equal(es.right, general.right)
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ from pseudotherm import (
     two_time_work,
     work_distribution,
 )
-from pseudotherm import thermo
+from pseudotherm import linalg, thermo
 from pseudotherm.thermo import _g_normalized_columns
 
 
@@ -371,7 +371,7 @@ class TestQuasistaticCycle:
         # a leg spectrum off by 1e-6 from the H it claims to diagonalize
         # must show in the crosscheck; a uniform shift leaves the entropies
         # and the accounting untouched
-        eig2 = thermo._eig2
+        eig2 = linalg._eig2
 
         def shifted(H, values, tol):
             E, VR, VLh = eig2(H, values, tol)
@@ -380,7 +380,7 @@ class TestQuasistaticCycle:
         g = 0.85
         legs = (0.0, 0.4, np.sqrt(g * g - 0.375**2), np.sqrt(g * g - 0.425**2))
         assert quasistatic_cycle(TwoLevel(g), 2.0, 1.0, legs, 4000).g_trace_crosscheck < 1e-10
-        monkeypatch.setattr(thermo, "_eig2", shifted)
+        monkeypatch.setattr(linalg, "_eig2", shifted)
         assert quasistatic_cycle(TwoLevel(g), 2.0, 1.0, legs, 4000).g_trace_crosscheck >= 1e-8
 
     def test_exceptional_point_leg_raises_without_crosscheck(self):
@@ -412,7 +412,7 @@ class TestQuasistaticCycle:
             legs = (0.0, 0.4, float(np.sqrt(g * g - 0.375**2)), float(np.sqrt(g * g - 0.425**2)))
             args = (TwoLevel(g), 2.0, 1.0, legs)
         closed = quasistatic_cycle(*args, steps=10000)
-        monkeypatch.setattr(thermo, "_eig2", thermo._eig_general)
+        monkeypatch.setattr(linalg, "_eig2", linalg._eig_general)
         general = quasistatic_cycle(*args, steps=10000)
         for name in ("efficiency", "Q_hot", "W_net"):
             assert getattr(closed, name) == pytest.approx(getattr(general, name), rel=1e-12, abs=0)
@@ -528,7 +528,7 @@ def test_isentrope_solve_matches_bisection_on_random_real_legs(leg, log_start):
 def _check_leg_eigensystem(H: np.ndarray):
     """The closed-form leg eigensystem of a (k, 2, 2) stack against its definition."""
     values = np.arange(H.shape[0], dtype=float)
-    E, VR, VLh = thermo._eig2(np.moveaxis(H, 0, -1), values, DEFAULT)
+    E, VR, VLh = linalg._eig2(np.moveaxis(H, 0, -1), values, DEFAULT)
     E, VR, VLh = E.T, np.moveaxis(VR, -1, 0), np.moveaxis(VLh, -1, 0)
     scale = np.maximum(1.0, np.linalg.norm(H, axis=(1, 2)))
     residual = np.linalg.norm(H @ VR - VR * E[:, None, :], axis=(1, 2))
@@ -600,7 +600,7 @@ def test_leg_accounting_matches_the_four_contraction_first_law(d, k, seed, log_b
     E = rng.uniform(-2, 2, (k + 1, d)) + 1e-3j * rng.uniform(-1, 1, (k + 1, d))
     VLh = np.linalg.inv(VR)
     H = VR @ (E[:, :, None] * VLh) + noise * cplx(k + 1, d, d)
-    H, VR, VLh, E = (thermo._grid_last(A) for A in (H, VR, VLh, E))
+    H, VR, VLh, E = (linalg._grid_last(A) for A in (H, VR, VLh, E))
     pops, _ = thermo._leg_gibbs(E, np.full(k + 1, np.exp(log_beta)))
     got = thermo._leg_accounting(H, E, VR, VLh, pops)
     want = _four_contraction_accounting(H, E, VR, VLh, pops)

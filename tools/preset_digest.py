@@ -3,14 +3,16 @@
     python3 tools/preset_digest.py [--root DIR] [--compare OTHER_ROOT]
 
 Runs the four figure presets (`fig1-left`, `fig1-right`, `fig2-left`,
-`fig2-right`, each with --svg) and one two-level `carnot` config with the
-package of the checkout at --root (by default the one holding this script),
-and prints the sha256 of every file they write as JSON:
+`fig2-right`), one two-level `carnot` config, and two-level `spectrum` (in
+the broken regime) and `metric` (in the unbroken one) configs, each with
+--svg, with the package of the checkout at --root (by default the one
+holding this script), and prints the sha256 of every file they write as
+JSON:
 {"<run>": {"exit": code, "files": {"<name>": sha256}}}.
 
 With --compare OTHER_ROOT it runs the same in the other checkout and prints
 one line per file: identical, or different with the largest change of a
-numeric CSV cell.  It exits 1 when any file or exit code differs.  Digests
+numeric CSV cell in each column that changed.  It exits 1 when any file or exit code differs.  Digests
 depend on the BLAS build, so compare two checkouts on one machine rather
 than against stored digests.
 """
@@ -39,12 +41,18 @@ CARNOT = {
         "legs": [0.0, 0.4, math.sqrt(0.85**2 - 0.375**2), math.sqrt(0.85**2 - 0.425**2)],
     },
 }
+# The PT qubit E = +/- sqrt(1 - v^2) on either side of its exceptional point:
+# a conjugate pair at v = 1.3, a positive-definite metric at v = 0.6.
+SPECTRUM = {"model": {"kind": "two_level", "coupling": 1.0}, "at": 1.3}
+METRIC = {"model": {"kind": "two_level", "coupling": 1.0}, "at": 0.6}
 RUNS = {
     "fig1-left": None,
     "fig1-right": None,
     "fig2-left": None,
     "fig2-right": None,
     "carnot": CARNOT,
+    "spectrum": SPECTRUM,
+    "metric": METRIC,
 }
 
 
@@ -82,11 +90,11 @@ def _cells(path: Path) -> list:
 
 
 def largest_cell_change(a: Path, b: Path) -> str:
-    """The largest |change| of a numeric cell between two CSVs, with its place, or why there is none."""
+    """The largest |change| of a numeric cell in each changed column, with its row, or why there is none."""
     rows_a, rows_b = _cells(a), _cells(b)
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return "rows or columns differ"
-    worst, where = 0.0, None
+    worst = {}  # column: (change, row)
     for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
         for j, (x, y) in enumerate(zip(ra, rb)):
             if x == y:
@@ -96,11 +104,12 @@ def largest_cell_change(a: Path, b: Path) -> str:
             except ValueError:
                 return f"text cell differs at row {i}, column {j}"
             change = math.inf if math.isnan(change) else change  # a NaN on one side only
-            if change > worst or where is None:
-                worst, where = change, (i, j)
-    if where is None:
+            if j not in worst or change > worst[j][0]:
+                worst[j] = (change, i)
+    if not worst:
         return "only the provenance or header differs"
-    return f"largest cell change {worst:.3e} at row {where[0]}, column {where[1]}"
+    cells = ", ".join(f"column {j} {c:.3e} (row {i})" for j, (c, i) in sorted(worst.items()))
+    return f"largest cell change {cells}"
 
 
 def compare(mine: dict, other: dict) -> list:
