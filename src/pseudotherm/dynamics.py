@@ -15,16 +15,18 @@ of a block of steps are built in one call to the model and exponentiated in
 one batched call: in closed form for two levels, and otherwise with a
 scaled Taylor polynomial in Paterson-Stockmeyer form (Higham, SIAM J.
 Matrix Anal. Appl. 26, 1179 (2005); Al-Mohy & Higham, SIAM J. Sci. Comput.
-33, 488 (2011)), applied to the invariant blocks that the exact zeros of
-the generators leave (the hermitian frame of the oscillator splits into its
-two parity blocks) and written into buffers that the `propagate` call owns.
-When the model declares its family as affine terms H0 + f(v) H1 (see
-`models`) and no gauge term is needed, the model is not called per step:
-the commutator is (f_2 - f_1)[H1, H0], so the Omegas of a batch are one
-product of a (k, 3) coefficient array with the fixed H0, H1 and [H1, H0]
-on the blocks, and the coefficients come from the control values of a
-chunk of batches at a time.  A batch holds more steps the smaller the
-dimension, so a two-level run usually fits in one batch.  Two-level runs
+33, 488 (2011)), applied to invariant blocks fixed once per `propagate`
+call and written into buffers that the call owns.  When the model declares
+its family as affine terms H0 + f(v) H1 (see `models`) and no gauge term is
+needed, the blocks are those that the exact zeros of H0 and H1 leave (the
+hermitian frame of the oscillator splits into its two parity blocks), and
+the model is not called per step: the commutator is (f_2 - f_1)[H1, H0], so
+the Omegas of a batch are one product of a (k, 3) coefficient array with
+the fixed H0, H1 and [H1, H0] on the blocks, and the coefficients come from
+the control values of a chunk of batches at a time.  Other families are
+evaluated at the Gauss nodes of each batch and run as one dense block of
+all d levels.  A batch holds more steps the smaller the dimension, so a
+two-level run usually fits in one batch.  Two-level runs
 are array arithmetic throughout: 2x2 products are written out entrywise
 (`_mul2`), and the steps between two checkpoints are multiplied by a
 pairwise product tree before they act on U once, the pieces of a batch
@@ -34,8 +36,9 @@ batch when their 3n steps fit it: one evaluation of the family, the gauge
 term and the exponential, each step with its own run's dt, and one
 residual call for both runs' checkpoints.  Larger dimensions hold U
 as the rows of each invariant block and advance them step by step, one
-stacked block product per group of equal-sized blocks; no dense
-exponential is formed, and dense U is assembled only at the checkpoints.
+stacked block product per group of equal-sized blocks; no exponential
+larger than a block is formed, and dense U is assembled only at the
+checkpoints.
 The checkpoint residuals of a run are evaluated in one batched call.  The gauge
 term G_t keeps U metric-unitary, U† g_t U = g_0, when the metric family g_t
 moves with the drive; it vanishes for a static metric.  In the hermitian
@@ -437,45 +440,32 @@ def _invariant_blocks(pattern: np.ndarray) -> list:
 class _BlockExponentials:
     """exp(Omega) of batches of d > 2 Magnus steps, invariant block by block.
 
-    The symmetrised exact-zero pattern of the generators splits the levels
-    into invariant blocks, grouped by size: `index` holds one (c, b) array
-    per group, each row the sorted levels of one of its c blocks of b
-    levels.  Omega is built and exponentiated on the blocks only, and a
-    batch of k steps comes back as one (k, c, b, b) stack per group.  No
-    dense E is formed: the exponential of a block-diagonal matrix is block
-    diagonal, so each step moves only the rows of U in its own block.
-    Built from an affine family's terms (H0, H1, f), the pattern is H0's
-    and H1's; `coefficients` turns the node control values of any number of
-    steps into (k, 3) weights, and `affine` makes each Omega one combination
-    of H0, H1 and [H1, H0], taken on the blocks once.  Otherwise `__call__`
-    builds Omega from each batch's node generators and, when their pattern
-    changes, recomputes the partition as a new `index` list.  The buffers
-    live as long as the object, one `propagate` call, and the stacks
+    The partition is fixed when the object is built.  `index` holds one
+    (c, b) array per group of equal-sized blocks, each row the sorted levels
+    of one of its c blocks of b levels, and a batch of k steps comes back as
+    one (k, c, b, b) stack per group.  Built from an affine family's terms
+    (H0, H1, f), the blocks are the connected components of the symmetrised
+    nonzero pattern of H0 | H1, and E is formed on the blocks only: the
+    exponential of a block-diagonal matrix is block diagonal, and each step
+    moves only the rows of U in its own block.  `coefficients` turns the
+    node control values of any number of steps into (k, 3) weights, and
+    `affine` makes each Omega one combination of H0, H1 and [H1, H0], taken
+    on the blocks once.  Without terms all d levels are one dense block, and
+    `__call__` builds each Omega from the batch's node generators.  The
+    buffers live as long as the object, one `propagate` call, and the stacks
     returned are overwritten by the next batch.
     """
 
     def __init__(self, dim: int, steps: int, terms: tuple | None = None):
-        self._steps = steps
-        self._pattern = None
-        if terms is not None:
+        if terms is None:
+            self.index = [np.arange(dim)[None]]
+        else:
             H0, H1, self._f = terms
-            self._partition((H0 != 0) | (H1 != 0))
+            pattern = (H0 != 0) | (H1 != 0)
+            self.index = _invariant_blocks(pattern | pattern.T)
             M = np.stack((H0, H1, H1 @ H0 - H0 @ H1)).astype(complex).reshape(3, -1)
-            self._terms = [M[:, flat] for flat, _ in self._groups]
-
-    def _partition(self, pattern: np.ndarray) -> None:
-        """`index`, and each group's flat entries and Taylor buffer, for the symmetrised pattern."""
-        pattern = pattern | pattern.T
-        if self._pattern is not None and np.array_equal(pattern, self._pattern):
-            return
-        self._pattern = pattern
-        d = pattern.shape[0]
-        self.index = _invariant_blocks(pattern)
-        self._groups = [
-            ((idx[:, :, None] * d + idx[:, None, :]).ravel(),
-             np.empty(10 * self._steps * idx.size * idx.shape[1], dtype=complex))
-            for idx in self.index
-        ]
+            self._terms = [M[:, (idx[:, :, None] * dim + idx[:, None, :]).ravel()] for idx in self.index]
+        self._buffers = [np.empty(10 * steps * idx.size * idx.shape[1], dtype=complex) for idx in self.index]
 
     def coefficients(self, v: np.ndarray, alpha: complex, gamma: float) -> np.ndarray:
         """Weights of H0, H1 and [H1, H0] in each step's Omega; v stacks each step's two node values."""
@@ -487,7 +477,7 @@ class _BlockExponentials:
         """As `__call__` for the Omegas given by (k, 3) `coefficients`."""
         k = coef.shape[0]
         stacks = []
-        for idx, (_, buf), M in zip(self.index, self._groups, self._terms):
+        for idx, buf, M in zip(self.index, self._buffers, self._terms):
             c, b = idx.shape
             work = buf[: 10 * k * c * b * b].reshape(10, k * c, b, b)
             np.matmul(coef, M, out=work[1].reshape(k, -1))
@@ -497,28 +487,21 @@ class _BlockExponentials:
     def __call__(self, A: np.ndarray, alpha: complex, gamma: float) -> list:
         """exp(alpha (A_1 + A_2) + gamma [A_2, A_1]) per step; A stacks each step's two nodes.
 
-        Returns one (k, c, b, b) stack per group of `index`.
+        Returns the (k, 1, d, d) stack of the one dense block.
         """
         k, d = A.shape[0] // 2, A.shape[-1]
-        self._partition(np.any(A != 0, axis=0))
-        nodes = np.asarray(A, dtype=complex).reshape(2 * k, d * d)
-        stacks = []
-        for idx, (flat, buf) in zip(self.index, self._groups):
-            c, b = idx.shape
-            work = buf[: 10 * k * c * b * b].reshape(10, k * c, b, b)
-            # each step's two node generators on the blocks, into work[5:7]
-            np.take(nodes, flat, axis=1, out=work[5:7].reshape(2 * k, -1), mode="clip")
-            A1, A2 = work[5:7].reshape(k, 2, c, b, b).transpose(1, 0, 2, 3, 4)
-            omega, C, T = (work[j].reshape(k, c, b, b) for j in (1, 2, 3))
-            np.add(A1, A2, out=omega)
-            omega *= alpha
-            np.matmul(A2, A1, out=C)
-            np.matmul(A1, A2, out=T)
-            C -= T
-            C *= gamma
-            omega += C
-            stacks.append(_expm_taylor(work).reshape(k, c, b, b))
-        return stacks
+        work = self._buffers[0][: 10 * k * d * d].reshape(10, k, d, d)
+        work[5:7].reshape(2 * k, d, d)[:] = A  # the node generators, as complex
+        A1, A2 = work[5:7].reshape(k, 2, d, d).transpose(1, 0, 2, 3)
+        omega, C, T = work[1:4]
+        np.add(A1, A2, out=omega)
+        omega *= alpha
+        np.matmul(A2, A1, out=C)
+        np.matmul(A1, A2, out=T)
+        C -= T
+        C *= gamma
+        omega += C
+        return [_expm_taylor(work).reshape(k, 1, d, d)]
 
 
 def _join_rows(rows: list, index: list, dim: int) -> np.ndarray:
@@ -557,24 +540,19 @@ class _PairChain:
 
 
 class _BlockRows:
-    """A d > 2 U held as the row blocks rows[g] = U[index[g]] of a `_BlockExponentials`.
+    """A d > 2 U held as the row blocks rows[g] = U[index[g]] of a `_BlockExponentials` partition.
 
     A step moves only the rows of its own blocks, so each group's (c, b, k)
-    rows advance by one stacked product per step; when the partition
-    changes the rows are regrouped, and dense U is assembled only where a
-    checkpoint asks for it.
+    rows advance by one stacked product per step, and dense U is assembled
+    only where a checkpoint asks for it.
     """
 
-    def __init__(self, U: np.ndarray, blocks: _BlockExponentials):
-        self._U, self._blocks, self._dim = U, blocks, U.shape[0]
-        self._index = self._rows = None
+    def __init__(self, U: np.ndarray, index: list):
+        self._index, self._dim = index, U.shape[0]
+        self._rows = [U[idx] for idx in index]
 
     def advance(self, E: list, ends: list, marks: int) -> list:
-        """As `_PairChain.advance` for one (k, c, b, b) stack per group of the blocks' `index`."""
-        index = self._blocks.index
-        if index is not self._index:
-            U = self._U if self._rows is None else _join_rows(self._rows, self._index, self._dim)
-            self._index, self._rows = index, [U[idx] for idx in index]
+        """As `_PairChain.advance` for one (k, c, b, b) stack per group of `index`."""
         rows = self._rows
         at = []
         start = 0
@@ -586,7 +564,7 @@ class _BlockRows:
                 rows[g] = R
             start = end
             if j < marks:
-                at.append(_join_rows(rows, index, self._dim))
+                at.append(_join_rows(rows, self._index, self._dim))
         return at
 
 
@@ -726,13 +704,14 @@ def propagate(
     equal-sized blocks; dense U is assembled at the checkpoints.
     Above two levels, a static metric and terms for the integrated family
     (hamiltonian_terms, or hermitian_frame_terms with gauge_precondition)
-    assemble each batch's Omega from the terms, with the control values
-    and coefficients of a chunk of batches evaluated at once; otherwise
-    the family is evaluated at every Gauss node and the commutator
-    multiplied out.  The terms are checked against the family at the two
-    window edges, and a ValueError names the pair that disagrees.  A
-    non-finite initial condition, or one without columns, raises
-    ValueError before any step, and so do an hbar that is not finite and
+    assemble each batch's Omega from the terms on the blocks they leave,
+    with the control values and coefficients of a chunk of batches
+    evaluated at once; otherwise the family is evaluated at every Gauss
+    node, the commutator multiplied out, and all d levels are one block.
+    The terms are checked against the family at the two window edges, and
+    a ValueError names the pair that disagrees.  A non-finite initial
+    condition, or one without columns, raises ValueError before any step,
+    and so do an hbar that is not finite and
     positive and a step seed (steps, or 128 when not given) above
     max_steps.  The checkpoint propagators of a run are checked for
     finiteness in one batched call, and those of a pass against the metric
@@ -797,8 +776,8 @@ def propagate(
         """exp(Omega) of the steps whose Gauss nodes and control values are the rows of ts and v.
 
         A (k, 2, 2) stack at two levels, where dt may also be a (k, 1, 1)
-        array of each step's own dt; otherwise one (k, c, b, b) stack per
-        group of `block_exponentials.index`.
+        array of each step's own dt; otherwise a list of the one dense
+        block's (k, 1, d, d) stack.
         """
         ts, v = ts.ravel(), v.ravel()
         A = h_of(v)
@@ -817,7 +796,7 @@ def propagate(
         dt = (t1 - t0) / n
         cuts = marks.tolist()
         at_mark = []
-        chain = _PairChain(X0, _stride(n)) if dim == 2 else _BlockRows(X0, block_exponentials)
+        chain = _PairChain(X0, _stride(n)) if dim == 2 else _BlockRows(X0, block_exponentials.index)
         for head in range(0, n, chunk):
             tail = min(head + chunk, n)
             ts = t0 + (np.arange(head, tail)[:, None] + _NODES) * dt

@@ -127,7 +127,9 @@ def eigendecompose(H, tol: Tolerances | None = None) -> BiorthogonalEigensystem:
     when that exceeds `defective_cond`, when two neighbouring eigenvalues
     coalesce with nearly parallel right vectors, or when either residual of
     left† right = I exceeds `defective_residual`; every call checks all
-    three.
+    three.  The eig path also raises when max|H V - V diag(E)| exceeds
+    `defective_residual` times max|H|, a vector that eig paired with the
+    wrong eigenvalue.
     """
     tol = tol or DEFAULT
     A = _as_square_matrix(H)
@@ -197,6 +199,14 @@ def _eigendecompose_general(A: np.ndarray, tol: Tolerances) -> BiorthogonalEigen
     biortho = float(np.max(np.abs(left.conj().T @ vr - np.eye(n))))
     completeness = float(np.linalg.norm(vr @ left.conj().T - np.eye(n)))
     _check_residuals(biortho, completeness, tol)
+    # eig can return a wrong vector when the entries span far-apart scales;
+    # a right one leaves a residual at rounding level
+    eigen, scale = float(np.max(np.abs(A @ vr - vr * w))), float(np.max(np.abs(A)))
+    if not eigen <= tol.defective_residual * scale:
+        raise DefectiveMatrixError(
+            f"eigenvector equation fails: max|H V - V diag(E)| = {eigen:.3e} "
+            f"against max|H| = {scale:.3e}"
+        )
     return BiorthogonalEigensystem(
         eigenvalues=w,
         right=vr,

@@ -792,19 +792,21 @@ def test_invariant_blocks_of_permuted_block_diagonal_stacks(sizes, seed):
     rng = np.random.default_rng(seed)
     d = sum(sizes)
     blocks = np.split(rng.permutation(d), np.cumsum(sizes)[:-1])
-    A = np.zeros((4, d, d), dtype=complex)  # two steps, two nodes each
+    H0, H1 = np.zeros((2, d, d), dtype=complex)
     for blk in blocks:
-        A[:, blk[:, None], blk] = _random_stack(rng, 4, blk.size)
-    pattern = np.any(A != 0, axis=0)
+        H0[blk[:, None], blk], H1[blk[:, None], blk] = _random_stack(rng, 2, blk.size)
+    pattern = (H0 != 0) | (H1 != 0)
     found = [tuple(row) for idx in _invariant_blocks(pattern | pattern.T) for row in idx]
     assert sorted(found) == sorted(tuple(sorted(blk)) for blk in blocks)
     # each group's stack holds the dense exponentials' diagonal blocks
+    exponentials = _BlockExponentials(d, 2, (H0, H1, lambda v: v + 0.5 * v**2))
+    assert sorted(tuple(row) for idx in exponentials.index for row in idx) == sorted(found)
     alpha, gamma = -0.3j, -0.05
+    v = np.array([[0.2, 0.7], [-0.4, 1.1]])  # two steps, two nodes each
+    stacks = exponentials.affine(exponentials.coefficients(v, alpha, gamma))
+    A = H0 + (v + 0.5 * v**2).reshape(-1)[:, None, None] * H1
     A1, A2 = A[0::2], A[1::2]
     dense = scipy.linalg.expm(alpha * (A1 + A2) + gamma * (A2 @ A1 - A1 @ A2))
-    exponentials = _BlockExponentials(d, 2)
-    stacks = exponentials(A, alpha, gamma)
-    assert sorted(tuple(row) for idx in exponentials.index for row in idx) == sorted(found)
     scale = max(1.0, np.max(np.abs(dense)))
     for idx, E in zip(exponentials.index, stacks, strict=True):
         assert E.shape == (2, *idx.shape, idx.shape[1])
@@ -1005,8 +1007,9 @@ def test_a_moving_metric_keeps_the_generic_assembly():
     c=st.floats(-1.0, 1.0),
     steps=st.integers(2, 24),
     seed=st.integers(0, 2**32 - 1),
+    generic=st.booleans(),
 )
-def test_random_affine_families_match_the_dense_magnus_steps(d, blocks, c, steps, seed):
+def test_random_affine_families_match_the_dense_magnus_steps(d, blocks, c, steps, seed, generic):
     rng = np.random.default_rng(seed)
     H0, H1 = 0.3 * _random_stack(rng, 2, d)
     if blocks:  # each term on its own permuted diagonal blocks
@@ -1014,7 +1017,8 @@ def test_random_affine_families_match_the_dense_magnus_steps(d, blocks, c, steps
         H0, H1 = (np.where(lab[:, None] == lab, H, 0.0) for lab, H in zip(labels, (H0, H1)))
     model = _AffineFamily(H0, H1, c)
     proto = Protocol.erf(-0.5, 1.0, 0.4)
-    res = propagate(model, proto, steps=steps, **NO_ACCEPTANCE)
+    # the generic case assembles each step from the node generators as one dense block
+    res = propagate(_TermsFree(model) if generic else model, proto, steps=steps, **NO_ACCEPTANCE)
     expected = _magnus_reference(model.hamiltonian, proto, res.steps_used, scipy.linalg.expm)
     assert np.max(np.abs(res.U - expected)) <= 1e-13 * np.max(np.abs(expected))
 
@@ -1091,12 +1095,14 @@ class _SwitchedCoupling:
         return np.eye(self.dimension, dtype=complex)
 
 
-def test_block_partition_follows_a_coupling_that_switches_on_and_off():
-    # 87 steps per batch: each run starts on the blocks, sees the coupled
-    # levels, and ends on the blocks in a short last batch
+def test_a_coupling_that_switches_on_and_off_runs_as_one_dense_block():
+    # a family without terms takes all 12 levels as one block whatever its
+    # zero pattern; 87 steps per batch: each run starts on the uncoupled
+    # blocks, sees the coupled levels, and ends uncoupled in a short last batch
     model = _SwitchedCoupling()
     proto = Protocol.tabulated([(0.0, 0.0), (2.0, 1.0), (4.0, 0.0)])
     assert _block_steps(model.dimension) == 87
+    assert [idx.shape for idx in _BlockExponentials(model.dimension, 87).index] == [(1, 12)]
     res = propagate(model, proto, steps=300, **NO_ACCEPTANCE)
     assert res.steps_used == 600
     expected = _magnus_reference(model.hamiltonian, proto, 600, scipy.linalg.expm)

@@ -3,11 +3,11 @@
     python3 tools/preset_digest.py [--root DIR] [--compare OTHER_ROOT]
 
 Runs the four figure presets (`fig1-left`, `fig1-right`, `fig2-left`,
-`fig2-right`), one two-level `carnot` config, and two-level `spectrum` (in
-the broken regime) and `metric` (in the unbroken one) configs, each with
---svg, with the package of the checkout at --root (by default the one
-holding this script), and prints the sha256 of every file they write as
-JSON:
+`fig2-right`), one two-level `carnot` config, two-level `spectrum` (in
+the broken regime) and `metric` (in the unbroken one) configs, and an
+`evolve` config on an open Hatano-Nelson chain, each with --svg, with the
+package of the checkout at --root (by default the one holding this
+script), and prints the sha256 of every file they write as JSON:
 {"<run>": {"exit": code, "files": {"<name>": sha256}}}.
 
 With --compare OTHER_ROOT it runs the same in the other checkout and prints
@@ -45,6 +45,17 @@ CARNOT = {
 # a conjugate pair at v = 1.3, a positive-definite metric at v = 0.6.
 SPECTRUM = {"model": {"kind": "two_level", "coupling": 1.0}, "at": 1.3}
 METRIC = {"model": {"kind": "two_level", "coupling": 1.0}, "at": 0.6}
+# An open Hatano-Nelson chain of 12 sites: a d > 2 family without affine
+# terms, so `propagate` assembles each step from the node generators.
+EVOLVE = {
+    "model": {
+        "kind": "hatano_nelson",
+        "length": 12,
+        "asymmetry": 0.3,
+        "potential": [round(0.4 * math.sin(x), 6) for x in range(12)],
+    },
+    "protocol": {"kind": "erf", "start": 0.0, "end": 1.0, "duration": 1.0},
+}
 RUNS = {
     "fig1-left": None,
     "fig1-right": None,
@@ -53,6 +64,7 @@ RUNS = {
     "carnot": CARNOT,
     "spectrum": SPECTRUM,
     "metric": METRIC,
+    "evolve": EVOLVE,
 }
 
 
