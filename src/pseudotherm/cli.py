@@ -29,12 +29,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .dynamics import MAX_STEPS, Protocol, propagate
+from .dynamics import MAX_STEPS, Protocol, _propagate_lanes, propagate
 from .errors import ConfigError, PseudothermError
 from .linalg import build_metric, classify_spectrum, eigendecompose, save_matrix
 from .linalg import pseudo_hermiticity_residual
 from .models import HatanoNelson, Oscillator, TwoLevel, _two_by_two, relaxation_time
-from .thermo import quasistatic_cycle, two_time_work
+from .thermo import _initial_columns, _two_time_setup, quasistatic_cycle, two_time_work
 from .tolerances import DEFAULT
 
 _FIG_PRESETS = {
@@ -179,13 +179,18 @@ def build_protocol(cfg: dict) -> Protocol:
         raise ConfigError(f"protocol: {exc}") from exc
 
 
-def _sweep(cfg: dict, fn, required=None):
-    """(swept field, rows), with one row fn(point_cfg, value) per sweep value in sorted order.
+def _sweep(cfg: dict, row, required=None, variants=lambda point_cfg: (point_cfg,)):
+    """(swept field, rows) of a two-time sweep, one row per sweep value in sorted order.
 
-    Without a sweep the field is "value" and the one row is fn(cfg, None).
-    required is (command, field) for a command that must sweep that field.
-    Sweeps run serially whatever --workers says: the points are numpy-bound,
-    so threads contend with the BLAS threads instead of overlapping.
+    Each point measures the configs variants(point_cfg) with `_two_time`,
+    and its row is row(value, *results).  Without a sweep the field is
+    "value" and the one row is that of cfg, with value None.  required is
+    (command, field) for a command that must sweep that field.  The
+    two-level propagations are made ahead of the measurements, as lanes
+    (`_propagate_ahead`); the measurements then run in sweep order, so the
+    first failing point raises what a serial sweep raises, named by its
+    value.  --workers changes nothing: the points are numpy-bound, so
+    threads contend with the BLAS threads instead of overlapping.
     """
     name = None
     if "sweep" in cfg:
@@ -208,15 +213,57 @@ def _sweep(cfg: dict, fn, required=None):
     if required and name != required[1]:
         _fail("sweep.name", "%s sweeps %s" % required)
     if name is None:
-        return "value", [fn(cfg, None)]
+        points = [(None, cfg)]
+    else:
+        points = [(value, _apply_sweep(cfg, name, value)) for value in sorted(values)]
+    measured = [variants(point_cfg) for _, point_cfg in points]
+    ahead = iter(_propagate_ahead([c for cfgs in measured for c in cfgs]))
     rows = []
-    points = [(value, _apply_sweep(cfg, name, value)) for value in sorted(values)]
-    for value, point_cfg in points:
+    for (value, _), cfgs in zip(points, measured):
         try:
-            rows.append(fn(point_cfg, value))
+            rows.append(row(value, *[_two_time(c, next(ahead)) for c in cfgs]))
         except PseudothermError as exc:
+            if name is None:
+                raise
             raise type(exc)(f"at {name} = {value:.6g}: {exc}") from exc
-    return name, rows
+    return name or "value", rows
+
+
+def _propagate_ahead(cfgs: list) -> list:
+    """Each two-time config read ahead: (its `_two_time_args`, its propagation), or None.
+
+    The configs are read and their initial columns measured in order, up
+    to the first that fails or has more than two levels; it and the
+    configs after it get None and are read and propagated by their own
+    measurement, so a larger model's sweep holds no model beyond its
+    point.  The two-level configs before it are grouped by model and
+    propagation options, and each group is propagated once, its configs
+    as lanes (`dynamics._propagate_lanes`); a propagation is the lane's
+    PropagationResult, or the exception the lane raised.
+    """
+    out = [None] * len(cfgs)
+    groups, memo = {}, {}
+    for i, cfg in enumerate(cfgs):
+        try:
+            args = model, protocol, beta, hbar, options = _two_time_args(cfg)
+            if model.dimension != 2:
+                break
+            precondition, initial = _initial_columns(model, protocol, beta, DEFAULT,
+                                                     options["gauge_precondition"], memo)
+        except Exception:
+            # its own measurement raises this again, in sweep order, and
+            # the sweep ends there
+            break
+        out[i] = args, None
+        key = (model, hbar, precondition, options["entry_tol"], options["steps"])
+        groups.setdefault(key, []).append((i, protocol, initial))
+    for (model, hbar, precondition, entry_tol, steps), lanes in groups.items():
+        index, protocols, initials = zip(*lanes)
+        outcomes = _propagate_lanes(model, protocols, initials, hbar, steps, tol=DEFAULT,
+                                    entry_tol=entry_tol, gauge_precondition=precondition)
+        for i, outcome in zip(index, outcomes):
+            out[i] = out[i][0], outcome
+    return out
 
 
 def _copy_json(value):
@@ -489,17 +536,27 @@ def cmd_evolve(cfg: dict) -> _Report:
     )
 
 
-def _two_time(cfg: dict):
+def _two_time_args(cfg: dict) -> tuple:
+    """(model, protocol, beta, hbar, propagation options) of a two-time config."""
     model = build_model(cfg)
     protocol = build_protocol(cfg)
     options = _propagation_options(cfg, model)
-    return two_time_work(
-        model,
-        protocol,
-        _as_number(cfg.get("beta", 1.0), "beta", positive=True),
-        hbar=_as_number(cfg.get("hbar", 1.0), "hbar", positive=True),
-        **options,
-    )
+    beta = _as_number(cfg.get("beta", 1.0), "beta", positive=True)
+    return model, protocol, beta, _as_number(cfg.get("hbar", 1.0), "hbar", positive=True), options
+
+
+def _two_time(cfg: dict, ahead=None):
+    """two_time_work of a config, given what `_propagate_ahead` made of it, if anything.
+
+    A propagation that raised in its lane raises here, after the checks
+    that the measurement makes before it propagates.
+    """
+    (model, protocol, beta, hbar, options), propagation = ahead or (_two_time_args(cfg), None)
+    if isinstance(propagation, Exception):
+        # what the measurement checks before it propagates fails first, as in a serial sweep
+        _two_time_setup(model, protocol, beta, DEFAULT, options["gauge_precondition"])
+        raise propagation
+    return two_time_work(model, protocol, beta, hbar=hbar, propagation=propagation, **options)
 
 
 def cmd_work(cfg: dict) -> _Report:
@@ -532,8 +589,7 @@ _REPORT_COLUMNS = (
 
 
 def cmd_jarzynski(cfg: dict) -> _Report:
-    def run(point_cfg, value):
-        res = _two_time(point_cfg)
+    def run(value, res):
         return (
             value if value is not None else 0.0,
             *(getattr(res.report, name) for name in _REPORT_COLUMNS),
@@ -657,13 +713,15 @@ def cmd_fig1_left(cfg: dict) -> _Report:
 
 
 def cmd_fig1_right(cfg: dict) -> _Report:
-    def run(point_cfg, tau):
-        erf = _two_time(point_cfg).report
-        lin = _two_time(_apply_sweep(point_cfg, "protocol.kind", "linear")).report
+    def run(tau, erf, lin):
+        erf, lin = erf.report, lin.report
         return (tau, erf.irreversible_work, lin.irreversible_work,
                 erf.relative_residual, lin.relative_residual)
 
-    _, rows = _sweep(cfg, run, ("fig1-right", "protocol.duration"))
+    def erf_and_linear(point_cfg):
+        return point_cfg, _apply_sweep(point_cfg, "protocol.kind", "linear")
+
+    _, rows = _sweep(cfg, run, ("fig1-right", "protocol.duration"), erf_and_linear)
     taus = [r[0] for r in rows]
     series = [
         ("erf", taus, [max(r[1], 1e-12) for r in rows]),
@@ -687,8 +745,7 @@ def cmd_fig1_right(cfg: dict) -> _Report:
 
 
 def cmd_fig2_left(cfg: dict) -> _Report:
-    def run(point_cfg, lam):
-        res = _two_time(point_cfg)
+    def run(lam, res):
         return (lam, relaxation_time(res.energies_final), res.report.relative_residual)
 
     _, rows = _sweep(cfg, run, ("fig2-left", "protocol.end"))

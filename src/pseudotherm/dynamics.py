@@ -32,14 +32,19 @@ are array arithmetic throughout: 2x2 products are written out entrywise
 pairwise product tree before they act on U once, the pieces of a batch
 together as the rows of one identity-padded array (`_piece_products`).
 The first two runs of the step-doubling ladder, n and 2n steps, share one
-batch when their 3n steps fit it: one evaluation of the family, the gauge
-term and the exponential, each step with its own run's dt, and one
-residual call for both runs' checkpoints.  Larger dimensions hold U
+pass; at two levels that is one evaluation of the family, the gauge term
+and the exponential per batch of their steps, each step with its own
+run's dt, and one residual call for both runs' checkpoints.
+`_propagate_lanes` runs the ladder of
+many propagations of one model at once, and `propagate` is its one-lane
+case: at two levels the runs of a group of lanes at one rung share each
+pass in the same way, so a sweep's points pay the per-call overhead once
+per group and rung rather than once per point.  Larger dimensions hold U
 as the rows of each invariant block and advance them step by step, one
 stacked block product per group of equal-sized blocks; no exponential
 larger than a block is formed, and dense U is assembled only at the
 checkpoints.
-The checkpoint residuals of a run are evaluated in one batched call.  The gauge
+The checkpoint residuals of a pass are evaluated in one batched call.  The gauge
 term G_t keeps U metric-unitary, U† g_t U = g_0, when the metric family g_t
 moves with the drive; it vanishes for a static metric.  In the hermitian
 frame (identity metric) i*Omega is hermitian, so every step is unitary to
@@ -49,6 +54,7 @@ rounding.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import time
@@ -221,9 +227,11 @@ class Rung(NamedTuple):
 
     n steps; the largest entry change of U against the run before (inf on
     the first run and where either run overflowed); the worst checkpoint
-    residual (inf where U overflowed); the wall time of the run.  Where two
-    runs share one pass (the first two at two levels), each is given the
-    pass's wall time in proportion to its steps, so a third and two thirds.
+    residual (inf where U overflowed); the wall time of the run.  Where
+    runs share one pass (the first two, and at two levels the runs of a
+    group of lanes at one rung of `_propagate_lanes`), each is given the
+    pass's wall time in proportion to its steps: a third and two thirds
+    for a lone pair.
     """
 
     n: int
@@ -247,7 +255,7 @@ class PropagationResult:
     halving, and unitarity_gate the limit the accepted run's worst
     checkpoint met.  rungs records every run of the doubling ladder in order
     (the last is the accepted one), and steps_computed sums their step
-    counts.
+    counts.  initial holds the initial columns, as complex.
     g_start/g_end are the metric family evaluated at the window
     edges; downstream two-time measurements must weigh overlaps with exactly
     these matrices, otherwise row sums drift away from 1.
@@ -262,6 +270,7 @@ class PropagationResult:
     entry_change: float
     unitarity_gate: float
     rungs: tuple
+    initial: np.ndarray
 
     @property
     def steps_computed(self) -> int:
@@ -337,27 +346,28 @@ def _mul2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _piece_products(E: np.ndarray, every: int) -> np.ndarray:
-    """Products of the consecutive pieces of `every` steps of a (k, 2, 2) stack.
+    """Products of the consecutive pieces of `every` steps of a (..., k, 2, 2) stack.
 
     The last piece may be shorter.  Each piece is reduced by a pairwise
-    tree, the later factor on the left, all pieces at once: they are the
-    rows of one entry-major (2, 2, pieces, 2^L) array padded with
-    identities, 2^L >= every, which L levels halve.  I @ X = X exactly for
-    finite X, so the padding pairs as a tree that carries each level's odd
-    factor up unpaired.  Returns a (pieces, 2, 2) stack.
+    tree, the later factor on the left, all pieces (of every leading index)
+    at once: they are the rows of one entry-major (2, 2, ..., pieces, 2^L)
+    array padded with identities, 2^L >= every, which L levels halve.
+    I @ X = X exactly for finite X, so the padding pairs as a tree that
+    carries each level's odd factor up unpaired.  Returns a
+    (..., pieces, 2, 2) stack.
     """
-    k = E.shape[0]
+    k, lead = E.shape[-3], E.shape[:-3]
     pieces = -(-k // every)
     full = (pieces - 1) * every
-    S = np.zeros((2, 2, pieces, 1 << (every - 1).bit_length()), dtype=complex)
+    S = np.zeros((2, 2, *lead, pieces, 1 << (every - 1).bit_length()), dtype=complex)
     S[0, 0] = S[1, 1] = 1.0
-    entries = E.transpose(1, 2, 0)
-    S[..., :-1, :every] = entries[..., :full].reshape(2, 2, pieces - 1, every)
+    entries = np.moveaxis(E, (-2, -1), (0, 1))
+    S[..., :-1, :every] = entries[..., :full].reshape(2, 2, *lead, pieces - 1, every)
     S[..., -1, : k - full] = entries[..., full:]
     while S.shape[-1] > 1:
         A, B = S[..., 1::2], S[..., 0::2]
         S = A[:, :1] * B[:1] + A[:, 1:] * B[1:]  # entry (i, j): A_i0 B_0j + A_i1 B_1j
-    return np.ascontiguousarray(S[..., 0].transpose(2, 0, 1))
+    return np.ascontiguousarray(np.moveaxis(S[..., 0], (0, 1), (-2, -1)))
 
 
 def _expm2(omega: np.ndarray) -> np.ndarray:
@@ -512,33 +522,6 @@ def _join_rows(rows: list, index: list, dim: int) -> np.ndarray:
     return U
 
 
-class _PairChain:
-    """A two-level U advanced by batches of (k, 2, 2) step exponentials.
-
-    Checkpoints fall every `every` steps (and at the last step), so a batch
-    is pieces of `every` steps, except a short first piece where the batch
-    starts between two checkpoints and a short last one.
-    """
-
-    def __init__(self, U: np.ndarray, every: int):
-        self._U, self._every = U, every
-
-    def advance(self, E: np.ndarray, ends: list, marks: int) -> list:
-        """Apply the batch E, cut into pieces that end at `ends`, one product-tree product per piece.
-
-        Returns U after each of the first `marks` pieces.
-        """
-        lead = ends[0] if len(ends) > 1 and ends[0] < self._every else 0
-        parts = (E[:lead], E[lead:]) if lead else (E,)
-        at = []
-        for j, P in enumerate(itertools.chain.from_iterable(
-                _piece_products(part, self._every) for part in parts)):
-            self._U = P @ self._U
-            if j < marks:
-                at.append(self._U)
-        return at
-
-
 class _BlockRows:
     """A d > 2 U held as the row blocks rows[g] = U[index[g]] of a `_BlockExponentials` partition.
 
@@ -552,7 +535,10 @@ class _BlockRows:
         self._rows = [U[idx] for idx in index]
 
     def advance(self, E: list, ends: list, marks: int) -> list:
-        """As `_PairChain.advance` for one (k, c, b, b) stack per group of `index`."""
+        """Apply the batch E, one (k, c, b, b) stack per group of `index`, in pieces that end at `ends`.
+
+        Returns U after each of the first `marks` pieces.
+        """
         rows = self._rows
         at = []
         start = 0
@@ -598,6 +584,13 @@ def _min_eigenvalue(g: np.ndarray):
     return np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g.conj(), -1, -2))).min(axis=-1)
 
 
+def _moving_gauge(model, v: np.ndarray, rate: np.ndarray, hbar: float) -> np.ndarray:
+    """Gauge terms of a moving metric at the control values v, which change at `rate`."""
+    dg = model.metric_rate(v, rate)
+    ginv = model.metric_inverse(v)
+    return _gauge(_mul2(ginv, dg) if model.dimension == 2 else ginv @ dg, hbar)
+
+
 class _MetricFamily:
     """Adapter bundling the metric callables a model exposes.
 
@@ -627,9 +620,7 @@ class _MetricFamily:
         """Gauge terms at the times ts (control values v); None when they vanish identically."""
         if self.static:
             return None
-        dg = self._model.metric_rate(v, self._protocol.rate(ts))
-        ginv = self._model.metric_inverse(v)
-        return _gauge(_mul2(ginv, dg) if self._model.dimension == 2 else ginv @ dg, hbar)
+        return _moving_gauge(self._model, v, self._protocol.rate(ts), hbar)
 
     def min_eigenvalue(self, ts: np.ndarray) -> np.ndarray:
         """Smallest metric eigenvalue at each of the times ts (moving metric)."""
@@ -662,6 +653,406 @@ def _scan_positive_definite(family: _MetricFamily, t0: float, t1: float, tol: To
         )
 
 
+class _Lane:
+    """One propagation among the lanes of `_propagate_lanes`.
+
+    Holds the window [t0, t1], the protocol and its metric family, the
+    initial columns X0 with their metric Gram matrix M0, the metric at the
+    window edges and the unitarity gate; `ladder` is set to the lane's
+    doubling ladder once it is open.
+    """
+
+    def __init__(self, protocol, t0, t1, X0, family, unitarity_gate, tol: Tolerances):
+        self.protocol, self.t0, self.t1, self.X0, self.family = protocol, t0, t1, X0, family
+        g_start, g_end = (family.g(t0),) * 2 if family.static else family.g(np.array([t0, t1]))
+        self.g_start, self.g_end = g_start, g_end
+        self.M0 = X0.conj().T @ g_start @ X0
+        self.gate = unitarity_gate
+        if unitarity_gate is None:
+            self.gate = tol.propagation * max(1.0, float(np.linalg.norm(g_start)))
+
+
+def _ladder(n: int, max_steps: int, entry_tol: float, gate: float):
+    """The step doubling of one lane, as a generator.
+
+    It yields the step counts of the runs it needs next, (n, 2 n) first
+    when 2 n <= max_steps and then one at a time, and is sent one (U,
+    checkpoints, seconds) per count, U None where the run overflowed.  It records each
+    run as a Rung against the run before it and returns (U, checkpoints,
+    n, entry change, rungs) of the accepted run, or raises
+    NotConvergedError.
+    """
+    rungs = []
+    last = [None]  # U of the run recorded last
+
+    def runs(ns: tuple):
+        results = yield ns
+        for m, (U, checkpoints, seconds) in zip(ns, results):
+            change = worst = math.inf
+            if U is not None:
+                worst = max(r for _, r in checkpoints)
+                if last[0] is not None:
+                    change = float(np.max(np.abs(U - last[0])))
+            rungs.append(Rung(m, change, worst, seconds))
+            last[0] = U
+        return [result[:2] for result in results]
+
+    ahead = yield from runs((n, 2 * n) if 2 * n <= max_steps else (n,))
+    U_prev = ahead.pop(0)[0]
+    change = math.inf
+    changes = []  # entry changes of the doublings since U last overflowed
+    gate_misses = 0
+    while True:
+        if 2 * n > max_steps:
+            raise NotConvergedError(
+                f"step doubling did not converge by {max_steps} steps "
+                f"(last entry change {change:.3e})"
+            )
+        n *= 2
+        U, checkpoints = ahead.pop() if ahead else (yield from runs((n,)))[0]
+        entry_ok = False
+        if U is not None and U_prev is not None:
+            change = rungs[-1].entry_change
+            changes.append(change)
+            scale = max(1.0, float(np.max(np.abs(U))))
+            entry_ok = change <= entry_tol * scale
+        else:
+            changes = []
+        if entry_ok:
+            worst = rungs[-1].worst_checkpoint
+            if worst <= gate:
+                return U, checkpoints, n, change, tuple(rungs)
+            gate_misses += 1
+            if gate_misses == 2:
+                raise NotConvergedError(
+                    f"entries converged at {n // 2} and {n} steps, but the worst "
+                    f"checkpoint residual {worst:.3e} still exceeds the unitarity "
+                    f"gate {gate:.3e} at n = {n}"
+                )
+        else:
+            gate_misses = 0
+            # at the rounding floor halving the step no longer shrinks the change
+            if len(changes) >= 3 and changes[-3] <= changes[-2] <= changes[-1]:
+                raise NotConvergedError(
+                    f"the entry change failed to decrease on two consecutive doublings "
+                    f"({changes[-3]:.3e}, {changes[-2]:.3e}, {changes[-1]:.3e} up to "
+                    f"n = {n}); entry_tol {entry_tol:.1e} cannot be met, likely below "
+                    "the rounding floor"
+                )
+        U_prev = U
+
+
+def _by_lane(pairs: list, fn: Callable) -> np.ndarray:
+    """fn(lane, t) for each (lane, t) in pairs, one call per stretch of one lane, concatenated."""
+    return np.concatenate([fn(lane, np.concatenate([t for _, t in group]))
+                           for lane, group in itertools.groupby(pairs, key=lambda pair: pair[0])])
+
+
+@functools.lru_cache(maxsize=1024)
+def _pieces(n: int, first: int, last: int) -> tuple:
+    """(ends, marks, lead) of the steps first..last of a run of n steps.
+
+    The pieces end at the checkpoints and at `last`, counted from `first`;
+    the first `marks` of them end at a checkpoint.  A batch that starts
+    between two checkpoints leads with a short piece of `lead` steps.
+    Cached: every lane at one rung asks the same.
+    """
+    cuts = _marks(n).tolist()
+    inside = cuts[bisect.bisect_right(cuts, first) : bisect.bisect_right(cuts, last)]
+    ends = tuple(k - first for k in sorted({*inside, last}))
+    return ends, len(inside), ends[0] if len(ends) > 1 and ends[0] < _stride(n) else 0
+
+
+def _two_level_pass(runs: list, h_of: Callable, model, hbar: float, moving: bool, block: int) -> list:
+    """U at the checkpoints of each run (lane, n) at two levels, one (marks, 2, k) stack per run.
+
+    Each run is cut at every `block` of its steps, and the pieces fill
+    batches of at most `block` steps, in order of step count.  A batch
+    takes one node-time array, one family and gauge-term evaluation, one
+    commutator and one `_expm2` call over all of its steps, each step with
+    its own run's dt and its own lane's protocol.  Consecutive pieces of
+    equal shape share their product trees and advance their U as one
+    stacked product per checkpoint piece; everything is elementwise or per
+    matrix, so each run comes out as if alone.
+    """
+    # the runs of one step count next to each other, so that their pieces line up
+    order = sorted(range(len(runs)), key=lambda r: runs[r][1])
+    segments = [(r, first, min(first + block, runs[r][1])) for r in order
+                for first in range(0, runs[r][1], block)]
+    batches, size = [], block
+    for segment in segments:
+        k = segment[2] - segment[1]
+        if size + k > block:
+            batches.append([])
+            size = 0
+        batches[-1].append(segment)
+        size += k
+    U = [lane.X0 for lane, _ in runs]
+    at = [[] for _ in runs]
+    for batch in batches:
+        lengths = [last - first for _, first, last in batch]
+        dt = np.repeat([(runs[r][0].t1 - runs[r][0].t0) / runs[r][1] for r, _, _ in batch], lengths)
+        t0 = np.repeat([runs[r][0].t0 for r, _, _ in batch], lengths)
+        steps = np.concatenate([np.arange(first, last) for _, first, last in batch])
+        ts = t0[:, None] + (steps[:, None] + _NODES) * dt[:, None]
+        edges = np.cumsum([0, *lengths])
+        spans = [(runs[r][0], ts[a:b]) for (r, _, _), a, b in zip(batch, edges, edges[1:])]
+        v = _by_lane(spans, lambda lane, t: lane.protocol.value(t)).ravel()
+        A = h_of(v)
+        if moving:
+            A = A + _moving_gauge(model, v, _by_lane(spans, lambda lane, t: lane.protocol.rate(t)).ravel(), hbar)
+        A = (-1j / hbar) * A
+        A1, A2 = A[0::2], A[1::2]
+        dt = dt[:, None, None]
+        omega = (0.5 * dt) * (A1 + A2) + (_COMMUTATOR * dt * dt) * (_mul2(A2, A1) - _mul2(A1, A2))
+        E = _expm2(omega)
+
+        def shape(item):
+            (r, first, last), _ = item
+            return (last - first, _stride(runs[r][1]), *_pieces(runs[r][1], first, last)[1:], U[r].shape[1])
+
+        for (k, every, marks, lead, _), group in itertools.groupby(zip(batch, edges), key=shape):
+            group = [(r, a) for (r, _, _), a in group]
+            Eg = E[group[0][1] : group[0][1] + len(group) * k].reshape(len(group), k, 2, 2)
+            parts = (Eg[:, :lead], Eg[:, lead:]) if lead else (Eg,)
+            P = np.concatenate([_piece_products(part, every) for part in parts], axis=1)
+            X = np.stack([U[r] for r, _ in group])
+            marked = []
+            for j in range(P.shape[1]):
+                X = P[:, j] @ X
+                if j < marks:
+                    marked.append(X)
+            for g, (r, _) in enumerate(group):
+                U[r] = X[g]
+            if marks:
+                marked = np.stack(marked, axis=1)
+                for g, (r, _) in enumerate(group):
+                    at[r].append(marked[g])
+    return [np.concatenate(a) for a in at]
+
+
+def _checkpoint_results(runs: list, stacks: list, model, moving: bool) -> list:
+    """(U, checkpoints) of each run (lane, n), given its stack of U at the checkpoints.
+
+    Coarse non-hermitian runs can overflow; such a run gives U None and no
+    checkpoints, so the doubling ladder just keeps refining.  The residuals
+    of the finite runs with k columns take one metric evaluation and one
+    `unitarity_residual` call.
+    """
+    results = [(None, ())] * len(runs)
+    by_columns = {}
+    for j, stack in enumerate(stacks):
+        if np.isfinite(stack).all():
+            by_columns.setdefault(stack.shape[-1], []).append(j)
+    for kept in by_columns.values():
+        lanes = [runs[j][0] for j in kept]
+        times = [lane.t0 + _marks(n) * ((lane.t1 - lane.t0) / n) for lane, n in (runs[j] for j in kept)]
+
+        def per_checkpoint(matrices):
+            """The lanes' matrices, one per checkpoint."""
+            return np.concatenate([np.broadcast_to(m, (len(t), *m.shape)) for m, t in zip(matrices, times)])
+
+        M0 = per_checkpoint([lane.M0 for lane in lanes])
+        if moving:
+            gt = model.metric(_by_lane(list(zip(lanes, times)), lambda lane, t: lane.protocol.value(t)))
+        else:
+            gt = per_checkpoint([lane.g_start for lane in lanes])
+        residuals = iter(unitarity_residual(np.concatenate([stacks[j] for j in kept]), M0, gt).tolist())
+        for j, tj in zip(kept, times):  # the last checkpoint is the last step; a copy keeps no stack alive
+            results[j] = stacks[j][-1].copy(), tuple(zip(tj.tolist(), itertools.islice(residuals, len(tj))))
+    return results
+
+
+def _propagate_lanes(
+    model,
+    protocols: Sequence[Protocol],
+    initials: Sequence,
+    hbar: float = 1.0,
+    steps: int | None = None,
+    *,
+    tol: Tolerances | None = None,
+    entry_tol: float | None = None,
+    max_steps: int = MAX_STEPS,
+    gauge_precondition: bool = False,
+    windows: Sequence | None = None,
+    unitarity_gate: float | None = None,
+) -> list:
+    """`propagate` of one model for each protocol and initial condition, as lanes.
+
+    Lane i is propagate(model, protocols[i], hbar, steps, ...,
+    initial=initials[i], t0=windows[i][0], t1=windows[i][1]) bit for bit,
+    and the list returned holds its PropagationResult, or the exception
+    that call raises, at index i.  An hbar or a step seed that propagate
+    refuses raises here for all lanes.  Each lane keeps its own window,
+    initial columns, metric scan, step sizes, checkpoints and ladder
+    (`_ladder`).  At two levels the lanes open and climb in groups of as
+    many as fill one batch with their first two runs, n + 2 n steps each,
+    so a pass holds one batch's worth of lanes however many there are.
+    Every pass serves the group's lanes still climbing, at the same rung,
+    so they share each batch's evaluations (`_two_level_pass`) and the
+    pass's residual call, and each run is given the pass's wall time in
+    proportion to its steps.  Above two
+    levels the lanes run one after another (`_block_run`): the Taylor
+    kernel picks one degree per batch, so a shared batch would change the
+    bits.  A pass that raises is run again lane by lane, so only the lanes
+    that fail alone take the exception.
+    """
+    tol = tol or DEFAULT
+    entry_tol = tol.propagation if entry_tol is None else float(entry_tol)
+    hbar = float(hbar)
+    if not 0.0 < hbar < math.inf:
+        raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
+    n = max(int(steps) if steps else 128, 2)
+    if n > max_steps:
+        raise ValueError(f"the step seed {n} exceeds max_steps {max_steps}")
+
+    family_name = "hermitian_frame" if gauge_precondition else "hamiltonian"
+    try:
+        h_of = _hermitian_frame(model) if gauge_precondition else model.hamiltonian
+    except ValueError as exc:
+        h_of, frame_error = None, exc
+    terms_of = getattr(model, f"{family_name}_terms", None)
+    dim = model.dimension
+    moving = not (gauge_precondition or getattr(model, "metric_is_static", False))
+    affine = dim > 2 and not moving and terms_of is not None
+    terms = terms_of() if affine and h_of is not None else None
+    block = _block_steps(dim)
+
+    def open_lane(protocol, initial, window) -> _Lane:
+        t0, t1 = window
+        t0 = protocol.t_start if t0 is None else float(t0)
+        t1 = protocol.t_end if t1 is None else float(t1)
+        if not t1 > t0:
+            raise ValueError("t1 must exceed t0")
+        if h_of is None:
+            raise frame_error
+        family = _MetricFamily(model, protocol, identity=gauge_precondition)
+        _scan_positive_definite(family, t0, t1, tol)
+        X0 = np.eye(dim, dtype=complex) if initial is None else np.asarray(initial, dtype=complex)
+        if X0.ndim != 2 or X0.shape[0] != dim:
+            raise ValueError(f"initial condition must be ({dim} x k), got {X0.shape}")
+        if X0.shape[1] == 0 or not np.isfinite(X0).all():
+            raise ValueError("initial condition must be finite and have at least one column")
+        lane = _Lane(protocol, t0, t1, X0, family, unitarity_gate, tol)
+        if affine:
+            _check_terms(h_of, terms, protocol.value(np.array([t0, t1])), family_name)
+        lane.ladder = _ladder(n, max_steps, entry_tol, lane.gate)
+        return lane
+
+    if dim == 2:
+        def run_pass(runs):
+            return _two_level_pass(runs, h_of, model, hbar, moving, block)
+    else:
+        blocks = _BlockExponentials(dim, block, terms)
+        # the node times, control values and affine coefficients of whole
+        # batches are evaluated a chunk at a time: a bounded array however
+        # long the run
+        chunk = block * max(1, _BLOCK_ENTRIES // 3 // block)
+
+        def run_pass(runs):
+            return [_block_run(lane, n, h_of, hbar, blocks, affine, chunk, block) for lane, n in runs]
+
+    def one_pass(lanes: dict, wants: dict) -> dict:
+        """One pass over the runs that each lane in wants (index -> step counts) asks for.
+
+        Maps each index to its (U, checkpoints, seconds) per run.
+        """
+        runs = [(lanes[i], m) for i, ns in wants.items() for m in ns]
+        clock = time.perf_counter()
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = iter(_checkpoint_results(runs, run_pass(runs), model, moving))
+        per_step = (time.perf_counter() - clock) / sum(m for _, m in runs)
+        return {i: [(*next(results), per_step * m) for m in ns] for i, ns in wants.items()}
+
+    def serve(lanes: dict, wants: dict) -> dict:
+        """one_pass, or where it raises, one pass per lane: each index maps to its runs or its exception."""
+        try:
+            return one_pass(lanes, wants)
+        except Exception as exc:
+            if len(wants) == 1:
+                return dict.fromkeys(wants, exc)
+        alone = {}
+        for i, ns in wants.items():
+            try:
+                alone.update(one_pass(lanes, {i: ns}))
+            except Exception as exc:
+                alone[i] = exc
+        return alone
+
+    def climb(lanes: dict) -> None:
+        """Run the ladders of lanes (index -> _Lane) to their end, every pass shared by all of them."""
+        wants = {i: next(lane.ladder) for i, lane in lanes.items()}
+        while wants:
+            for i, got in serve(lanes, wants).items():
+                try:
+                    if isinstance(got, Exception):
+                        raise got
+                    wants[i] = lanes[i].ladder.send(got)
+                    continue
+                except StopIteration as stop:
+                    U, checkpoints, accepted, change, rungs = stop.value
+                    lane = lanes[i]
+                    outcomes[i] = PropagationResult(
+                        U=U,
+                        checkpoints=checkpoints,
+                        steps_used=accepted,
+                        step_size=(lane.t1 - lane.t0) / accepted,
+                        g_start=lane.g_start,
+                        g_end=lane.g_end,
+                        entry_change=change,
+                        unitarity_gate=lane.gate,
+                        rungs=rungs,
+                        initial=lane.X0,
+                    )
+                except Exception as exc:
+                    outcomes[i] = exc
+                del wants[i]
+
+    # the lanes open and climb in groups whose first pass, n + 2 n steps a
+    # lane, fills one batch, so a pass holds one batch's worth of lanes
+    # however many there are
+    size = max(1, block // (3 * n)) if dim == 2 else 1
+    lane_args = list(zip(protocols, initials, windows or [(None, None)] * len(protocols), strict=True))
+    outcomes = [None] * len(lane_args)
+    for first in range(0, len(lane_args), size):
+        lanes = {}
+        for i in range(first, min(first + size, len(lane_args))):
+            try:
+                lanes[i] = open_lane(*lane_args[i])
+            except Exception as exc:
+                outcomes[i] = exc
+        climb(lanes)
+    return outcomes
+
+
+def _block_run(lane: _Lane, n: int, h_of: Callable, hbar: float, blocks: _BlockExponentials,
+               affine: bool, chunk: int, block: int) -> np.ndarray:
+    """U at the checkpoints of a run of n steps above two levels, made batch by batch."""
+    t0, dt = lane.t0, (lane.t1 - lane.t0) / n
+    # alpha and gamma of Omega, with -i/hbar folded in
+    alpha, gamma = -0.5j * dt / hbar, -_COMMUTATOR * dt * dt / (hbar * hbar)
+    at_mark = []
+    chain = _BlockRows(lane.X0, blocks.index)
+    for head in range(0, n, chunk):
+        tail = min(head + chunk, n)
+        ts = t0 + (np.arange(head, tail)[:, None] + _NODES) * dt
+        v = lane.protocol.value(ts)
+        if affine:
+            coef = blocks.coefficients(v, alpha, gamma)
+        for first in range(head, tail, block):
+            last = min(first + block, n)
+            here = slice(first - head, last - head)
+            if affine:
+                E = blocks.affine(coef[here])
+            else:
+                A = h_of(v[here].ravel())
+                G = lane.family.gauge(ts[here].ravel(), v[here].ravel(), hbar)
+                E = blocks(A if G is None else A + G, alpha, gamma)
+            ends, marks, _ = _pieces(n, first, last)
+            at_mark.extend(chain.advance(E, ends, marks))
+    return np.stack(at_mark)
+
+
 def propagate(
     model,
     protocol: Protocol,
@@ -687,17 +1078,21 @@ def propagate(
     given columns only.  With gauge_precondition the model's hermitian frame
     is integrated instead (identity metric, no gauge term).
 
+    This is the one-lane case of `_propagate_lanes`, which runs the same
+    ladder for many protocols and initial conditions of one model at once.
     A run checks U at about 12 evenly spaced steps (every n // 12 steps, and
     the last).  At two levels the steps between two checkpoints are
     multiplied by a pairwise product tree of entrywise 2x2 products and
     advance U once; the trees of a batch's pieces run together, as rows
-    padded with identities to a power of two.  There the ladder's first two
-    runs, of n and 2n steps, are made in one pass when 2n <= max_steps and
-    their 3n steps fit one batch: one call each to the protocol, the family,
-    the gauge term and the exponential over all 3n steps, each step with its
-    own run's dt, and one residual call over both runs' checkpoints.  Each
-    run keeps its own product trees and U, so both come out as if run
-    alone; above two levels the runs go one after the other.  Larger
+    padded with identities to a power of two.  The ladder's first two
+    runs, of n and 2n steps, are made in one pass when 2n <= max_steps, and
+    each run is given the pass's wall time in proportion to its steps.  At
+    two levels their steps fill batches of at most _block_steps(2) steps in
+    order, and each batch takes one call each to the protocol, the family,
+    the gauge term and the exponential, each step with its own run's dt;
+    the pass takes one residual call over both runs' checkpoints.  Each run
+    keeps its own product trees and U, so both come out as if run alone;
+    above two levels the pass makes the runs one after the other.  Larger
     dimensions exponentiate each batch of steps block by block
     (_BlockExponentials) and hold U as the rows of each invariant block,
     which every step moves with one stacked product per group of
@@ -714,8 +1109,8 @@ def propagate(
     and so do an hbar that is not finite and
     positive and a step seed (steps, or 128 when not given) above
     max_steps.  The checkpoint propagators of a run are checked for
-    finiteness in one batched call, and those of a pass against the metric
-    in one more.
+    finiteness, and those of a pass against the metric in one batched
+    call.
 
     Raises SingularMetricError when the metric degenerates inside the window
     and NotConvergedError when max_steps is hit without acceptance, when
@@ -724,209 +1119,19 @@ def propagate(
     to decrease on two consecutive doublings (entry_tol below the rounding
     floor).
     """
-    tol = tol or DEFAULT
-    entry_tol = tol.propagation if entry_tol is None else float(entry_tol)
-    hbar = float(hbar)
-    if not 0.0 < hbar < math.inf:
-        raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
-    n = max(int(steps) if steps else 128, 2)
-    if n > max_steps:
-        raise ValueError(f"the step seed {n} exceeds max_steps {max_steps}")
-    t0 = protocol.t_start if t0 is None else float(t0)
-    t1 = protocol.t_end if t1 is None else float(t1)
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
-
-    family_name = "hermitian_frame" if gauge_precondition else "hamiltonian"
-    h_of = _hermitian_frame(model) if gauge_precondition else model.hamiltonian
-    terms_of = getattr(model, f"{family_name}_terms", None)
-    family = _MetricFamily(model, protocol, identity=gauge_precondition)
-    _scan_positive_definite(family, t0, t1, tol)
-
-    dim = model.dimension
-    X0 = np.eye(dim, dtype=complex) if initial is None else np.asarray(initial, dtype=complex)
-    if X0.ndim != 2 or X0.shape[0] != dim:
-        raise ValueError(f"initial condition must be ({dim} x k), got {X0.shape}")
-    if X0.shape[1] == 0 or not np.isfinite(X0).all():
-        raise ValueError("initial condition must be finite and have at least one column")
-
-    g_start, g_end = (family.g(t0),) * 2 if family.static else family.g(np.array([t0, t1]))
-    M0 = X0.conj().T @ g_start @ X0
-    gate = unitarity_gate
-    if gate is None:
-        gate = tol.propagation * max(1.0, float(np.linalg.norm(g_start)))
-
-    block = _block_steps(dim)
-    # the node times, control values and affine coefficients of whole
-    # batches are evaluated a chunk at a time: a bounded array however long
-    # the run
-    chunk = block * max(1, _BLOCK_ENTRIES // 3 // block)
-    affine = dim > 2 and family.static and terms_of is not None
-    terms = None
-    if affine:
-        terms = terms_of()
-        _check_terms(h_of, terms, protocol.value(np.array([t0, t1])), family_name)
-    block_exponentials = None if dim == 2 else _BlockExponentials(dim, block, terms)
-
-    def omega_scalars(dt: float) -> tuple:
-        """(alpha, gamma) of Omega above two levels, with -i/hbar folded in."""
-        return -0.5j * dt / hbar, -_COMMUTATOR * dt * dt / (hbar * hbar)
-
-    def step_exponentials(ts: np.ndarray, v: np.ndarray, dt):
-        """exp(Omega) of the steps whose Gauss nodes and control values are the rows of ts and v.
-
-        A (k, 2, 2) stack at two levels, where dt may also be a (k, 1, 1)
-        array of each step's own dt; otherwise a list of the one dense
-        block's (k, 1, d, d) stack.
-        """
-        ts, v = ts.ravel(), v.ravel()
-        A = h_of(v)
-        G = family.gauge(ts, v, hbar)
-        if G is not None:
-            A = A + G
-        if dim > 2:
-            return block_exponentials(A, *omega_scalars(dt))
-        A = (-1j / hbar) * A
-        A1, A2 = A[0::2], A[1::2]
-        omega = (0.5 * dt) * (A1 + A2) + (_COMMUTATOR * dt * dt) * (_mul2(A2, A1) - _mul2(A1, A2))
-        return _expm2(omega)
-
-    def run(n: int, marks: np.ndarray) -> list:
-        """U after each checkpoint step (marks, from _marks(n)) of a run of n steps, made batch by batch."""
-        dt = (t1 - t0) / n
-        cuts = marks.tolist()
-        at_mark = []
-        chain = _PairChain(X0, _stride(n)) if dim == 2 else _BlockRows(X0, block_exponentials.index)
-        for head in range(0, n, chunk):
-            tail = min(head + chunk, n)
-            ts = t0 + (np.arange(head, tail)[:, None] + _NODES) * dt
-            v = protocol.value(ts)
-            if affine:
-                coef = block_exponentials.coefficients(v, *omega_scalars(dt))
-            for first in range(head, tail, block):
-                last = min(first + block, n)
-                here = slice(first - head, last - head)
-                if affine:
-                    E = block_exponentials.affine(coef[here])
-                else:
-                    E = step_exponentials(ts[here], v[here], dt)
-                # pieces end at the checkpoints and at the batch end, counted from its start
-                inside = cuts[bisect.bisect_right(cuts, first) : bisect.bisect_right(cuts, last)]
-                ends = [k - first for k in sorted({*inside, last})]
-                at_mark.extend(chain.advance(E, ends, len(inside)))
-        return at_mark
-
-    def run_pair(n: int, marks: list) -> list:
-        """run(n) and run(2 n) at two levels (marks of both), from one batch of their 3 n steps.
-
-        The steps keep the dt of their own run, and each run its own
-        product trees and U, so both come out as from `run`.
-        """
-        dt = np.repeat(((t1 - t0) / n, (t1 - t0) / (2 * n)), (n, 2 * n))
-        ts = t0 + (np.concatenate((np.arange(n), np.arange(2 * n)))[:, None] + _NODES) * dt[:, None]
-        E = step_exponentials(ts, protocol.value(ts), dt[:, None, None])
-        at_marks = []
-        for m, Em, at in zip((n, 2 * n), (E[:n], E[n:]), marks):
-            cuts = at.tolist()
-            at_marks.append(_PairChain(X0, _stride(m)).advance(Em, cuts, len(cuts)))
-        return at_marks
-
-    def runs(ns: tuple) -> list:
-        """(U, checkpoints) of a run of n steps for each n in ns: one n, or (n, 2 n) at two levels.
-
-        Coarse non-hermitian runs can overflow; such a run gives U None and
-        no checkpoints, so the doubling loop just keeps refining.  The
-        residuals of the finite runs take one metric evaluation and one
-        `unitarity_residual` call.
-        """
-        marks = [_marks(m) for m in ns]
-        with np.errstate(over="ignore", invalid="ignore"):
-            at_marks = run_pair(ns[0], marks) if len(ns) == 2 else [run(ns[0], marks[0])]
-        stacks = [np.stack(at) for at in at_marks]
-        kept = [j for j, stack in enumerate(stacks) if np.isfinite(stack).all()]
-        times = [t0 + marks[j] * ((t1 - t0) / ns[j]) for j in kept]
-        results = [(None, ())] * len(ns)
-        if kept:
-            residuals = iter(unitarity_residual(np.concatenate([stacks[j] for j in kept]), M0,
-                                                family.g(np.concatenate(times))).tolist())
-            for j, tj in zip(kept, times):  # the last checkpoint is the last step
-                results[j] = at_marks[j][-1], tuple(zip(tj.tolist(), itertools.islice(residuals, len(tj))))
-        return results
-
-    rungs = []
-
-    def record(ns: tuple, U_prev) -> list:
-        """runs(ns), each recorded as a Rung against the run before it (U_prev before the first).
-
-        The runs of one call share its wall time in proportion to their steps.
-        """
-        clock = time.perf_counter()
-        results = runs(ns)
-        per_step = (time.perf_counter() - clock) / sum(ns)
-        for n, (U, checkpoints) in zip(ns, results):
-            change = worst = math.inf
-            if U is not None:
-                worst = max(r for _, r in checkpoints)
-                if U_prev is not None:
-                    change = float(np.max(np.abs(U - U_prev)))
-            rungs.append(Rung(n, change, worst, per_step * n))
-            U_prev = U
-        return results
-
-    # at two levels the ladder's first two rungs share one batch when they fit it
-    pair = dim == 2 and 2 * n <= max_steps and 3 * n <= block
-    ahead = record((n, 2 * n) if pair else (n,), None)
-    U_prev = ahead.pop(0)[0]
-    change = np.inf
-    changes = []  # entry changes of the doublings since U last overflowed
-    gate_misses = 0
-    while True:
-        if 2 * n > max_steps:
-            raise NotConvergedError(
-                f"step doubling did not converge by {max_steps} steps "
-                f"(last entry change {change:.3e})"
-            )
-        n *= 2
-        U, checkpoints = ahead.pop() if ahead else record((n,), U_prev)[0]
-        entry_ok = False
-        if U is not None and U_prev is not None:
-            change = rungs[-1].entry_change
-            changes.append(change)
-            scale = max(1.0, float(np.max(np.abs(U))))
-            entry_ok = change <= entry_tol * scale
-        else:
-            changes = []
-        if entry_ok:
-            worst = rungs[-1].worst_checkpoint
-            if worst <= gate:
-                break
-            gate_misses += 1
-            if gate_misses == 2:
-                raise NotConvergedError(
-                    f"entries converged at {n // 2} and {n} steps, but the worst "
-                    f"checkpoint residual {worst:.3e} still exceeds the unitarity "
-                    f"gate {gate:.3e} at n = {n}"
-                )
-        else:
-            gate_misses = 0
-            # at the rounding floor halving the step no longer shrinks the change
-            if len(changes) >= 3 and changes[-3] <= changes[-2] <= changes[-1]:
-                raise NotConvergedError(
-                    f"the entry change failed to decrease on two consecutive doublings "
-                    f"({changes[-3]:.3e}, {changes[-2]:.3e}, {changes[-1]:.3e} up to "
-                    f"n = {n}); entry_tol {entry_tol:.1e} cannot be met, likely below "
-                    "the rounding floor"
-                )
-        U_prev = U
-
-    return PropagationResult(
-        U=U,
-        checkpoints=checkpoints,
-        steps_used=n,
-        step_size=(t1 - t0) / n,
-        g_start=g_start,
-        g_end=g_end,
-        entry_change=change,
-        unitarity_gate=gate,
-        rungs=tuple(rungs),
+    (outcome,) = _propagate_lanes(
+        model,
+        [protocol],
+        [initial],
+        hbar,
+        steps,
+        tol=tol,
+        entry_tol=entry_tol,
+        max_steps=max_steps,
+        gauge_precondition=gauge_precondition,
+        windows=[(t0, t1)],
+        unitarity_gate=unitarity_gate,
     )
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -352,9 +352,24 @@ def _eig2(H: np.ndarray, values: np.ndarray, tol: Tolerances):
 
 
 def _eig_general(H: np.ndarray, values: np.ndarray, tol: Tolerances):
-    """Batched np.linalg.eig and inv of a (d, d, k) stack: E (d, k), VR and VLh (d, d, k)."""
-    E, VR = np.linalg.eig(np.moveaxis(H, -1, 0))
+    """Batched np.linalg.eig and inv of a (d, d, k) stack: E (d, k), VR and VLh (d, d, k).
+
+    As in `eigendecompose`, each matrix must also meet its eigenvector
+    equation, max|H V - V diag(E)| <= `defective_residual` max|H|: eig can
+    return a wrong vector when the entries span far-apart scales.
+    """
+    A = np.moveaxis(H, -1, 0)
+    E, VR = np.linalg.eig(A)
     _require_diagonalizable(np.linalg.cond(VR), values, tol)
+    eigen = np.abs(A @ VR - VR * E[:, None, :]).max(axis=(1, 2))
+    scale = np.abs(A).max(axis=(1, 2))
+    bad = np.flatnonzero(~(eigen <= tol.defective_residual * scale))
+    if bad.size:
+        i = bad[0]
+        raise DefectiveMatrixError(
+            f"eigenvector equation fails at control value {values[i]:.6g}: "
+            f"max|H V - V diag(E)| = {eigen[i]:.3e} against max|H| = {scale[i]:.3e}"
+        )
     return _grid_last(E), _grid_last(VR), _grid_last(np.linalg.inv(VR))
 
 
@@ -366,7 +381,8 @@ def _eig_stack(H: np.ndarray, values: np.ndarray, tol: Tolerances):
     closed form, larger dimensions one batched np.linalg.eig and inv.
     Either way DefectiveMatrixError names the control value where the
     2-norm condition number of the unit-column VR exceeds `defective_cond`:
-    the stack reaches an exceptional point there.
+    the stack reaches an exceptional point there.  The batched eig also
+    gates each matrix's eigenvector equation (`_eig_general`).
     """
     return (_eig2 if H.shape[0] == 2 else _eig_general)(H, values, tol)
 

@@ -392,6 +392,81 @@ class TwoTimeResult:
     propagation: PropagationResult
 
 
+def _edge_frame(model, protocol: Protocol, gauge_precondition: bool | None) -> tuple:
+    """(precondition, H at the two window edges, metric at the start) of a two-time measurement.
+
+    precondition says whether the measurement takes the model's hermitian
+    frame, where the metric is the identity.
+    """
+    precondition = (
+        hasattr(model, "hermitian_frame") if gauge_precondition is None else gauge_precondition
+    )
+    edges = protocol.value(np.array([protocol.t_start, protocol.t_end]))
+    if precondition:
+        return precondition, _hermitian_frame(model)(edges), np.eye(model.dimension, dtype=complex)
+    return precondition, model.hamiltonian(edges), _metric_matrix(model.metric(edges[0]))
+
+
+def _initial_state(model, eig0: BiorthogonalEigensystem, G0: np.ndarray, beta: float,
+                   tol: Tolerances) -> tuple:
+    """(populations, row levels, column levels, initial columns) of the Gibbs state on eig0.
+
+    The initial columns are the row levels' right eigenvectors, normalised
+    in the metric G0: the columns a two-time measurement propagates.
+    """
+    pops = thermal_state(eig0.eigenvalues, beta).eigen_populations
+    dim = model.dimension
+    keep = dim - dim // 8 if getattr(model, "is_truncated", False) else dim
+
+    if getattr(model, "is_truncated", False):
+        tail = float(np.sum(pops[dim - 5 :]))
+        if tail > tol.tail_mass:
+            warnings.warn(
+                f"Gibbs weight {tail:.3e} in the top 5 of {dim} levels exceeds "
+                f"{tol.tail_mass:.0e}; enlarge the basis for converged statistics",
+                TruncationWarning,
+                stacklevel=4,
+            )
+
+    rows = [n for n in range(keep) if pops[n] >= tol.population_cutoff]
+    min_rows = min(4, keep)
+    if len(rows) < min_rows:
+        rows = list(range(min_rows))
+    return pops, rows, list(range(keep)), _g_normalized_columns(eig0.right[:, rows], G0)
+
+
+def _two_time_setup(model, protocol: Protocol, beta: float, tol: Tolerances,
+                    gauge_precondition: bool | None) -> tuple:
+    """Everything `two_time_work` checks and measures before it propagates.
+
+    Returns (precondition, eig0, eigT, populations, row levels, column
+    levels, initial columns).
+    """
+    precondition, H, G0 = _edge_frame(model, protocol, gauge_precondition)
+    eig0, eigT = (eigendecompose(h, tol) for h in H)
+    _require_all_real("initial", eig0, tol)
+    _require_all_real("final", eigT, tol)
+    return precondition, eig0, eigT, *_initial_state(model, eig0, G0, beta, tol)
+
+
+def _initial_columns(model, protocol: Protocol, beta: float, tol: Tolerances,
+                     gauge_precondition: bool | None, memo: dict) -> tuple:
+    """(precondition, initial columns) that `two_time_work` propagates, bit for bit.
+
+    Only the start of the window is measured, and memo keeps the columns
+    of each start value, so a sweep that keeps the start decomposes it
+    once.  Raises what the initial measurement raises.
+    """
+    start = float(protocol.value(np.array([protocol.t_start, protocol.t_end]))[0])
+    key = (model, gauge_precondition, start.hex(), beta, tol)  # hex keeps the sign of a zero
+    if key not in memo:
+        precondition, H, G0 = _edge_frame(model, protocol, gauge_precondition)
+        eig0 = eigendecompose(H[0], tol)
+        _require_all_real("initial", eig0, tol)
+        memo[key] = precondition, _initial_state(model, eig0, G0, beta, tol)[-1]
+    return memo[key]
+
+
 def two_time_work(
     model,
     protocol: Protocol,
@@ -403,6 +478,7 @@ def two_time_work(
     entry_tol: float | None = None,
     gauge_precondition: bool | None = None,
     unitarity_gate: float | None = None,
+    propagation: PropagationResult | None = None,
 ) -> TwoTimeResult:
     """Measure, propagate, measure: the two-time work pipeline.
 
@@ -413,57 +489,34 @@ def two_time_work(
     top eighth of the spectrum in work sums: those levels are excluded
     from both measurement index sets, while populations stay normalized by
     the full-spectrum partition function, so no probability is invented.
+
+    A given `propagation` is measured instead of running `propagate`: it
+    must span the protocol's window, with the step size and last
+    checkpoint time that window gives, and start from initial columns
+    bit-equal to this measurement's, or ValueError is raised.  It should
+    come from the same model and propagation options, which it does not
+    record; the result is then that of the call without it, bit for bit.
     """
     tol = tol or DEFAULT
     beta = _check_beta(beta)
-    precondition = (
-        hasattr(model, "hermitian_frame") if gauge_precondition is None else gauge_precondition
+    precondition, eig0, eigT, pops, rows, cols, psi0 = _two_time_setup(
+        model, protocol, beta, tol, gauge_precondition
     )
-    edges = protocol.value(np.array([protocol.t_start, protocol.t_end]))
-    if precondition:
-        H = _hermitian_frame(model)(edges)
-        G0 = np.eye(model.dimension, dtype=complex)
+    if propagation is None:
+        propagation = propagate(
+            model,
+            protocol,
+            hbar,
+            steps,
+            tol=tol,
+            entry_tol=entry_tol,
+            initial=psi0,
+            gauge_precondition=precondition,
+            unitarity_gate=unitarity_gate,
+        )
     else:
-        H = model.hamiltonian(edges)
-        G0 = _metric_matrix(model.metric(edges[0]))
-    eig0, eigT = (eigendecompose(h, tol) for h in H)
-    _require_all_real("initial", eig0, tol)
-    _require_all_real("final", eigT, tol)
-
-    state0 = thermal_state(eig0.eigenvalues, beta)
-    pops = state0.eigen_populations
-    dim = model.dimension
-    keep = dim - dim // 8 if getattr(model, "is_truncated", False) else dim
-
-    if getattr(model, "is_truncated", False):
-        tail = float(np.sum(pops[dim - 5 :]))
-        if tail > tol.tail_mass:
-            warnings.warn(
-                f"Gibbs weight {tail:.3e} in the top 5 of {dim} levels exceeds "
-                f"{tol.tail_mass:.0e}; enlarge the basis for converged statistics",
-                TruncationWarning,
-                stacklevel=2,
-            )
-
-    rows = [n for n in range(keep) if pops[n] >= tol.population_cutoff]
-    min_rows = min(4, keep)
-    if len(rows) < min_rows:
-        rows = list(range(min_rows))
-    cols = list(range(keep))
-
-    psi0 = _g_normalized_columns(eig0.right[:, rows], G0)
-    prop = propagate(
-        model,
-        protocol,
-        hbar,
-        steps,
-        tol=tol,
-        entry_tol=entry_tol,
-        initial=psi0,
-        gauge_precondition=precondition,
-        unitarity_gate=unitarity_gate,
-    )
-    probs = _final_level_probabilities(eigT.right, prop.g_end, prop.U)
+        _check_propagation(propagation, protocol, psi0)
+    probs = _final_level_probabilities(eigT.right, propagation.g_end, propagation.U)
     row_sum_defect = float(np.max(np.abs(probs.sum(axis=0) - 1.0)))
     p = probs[cols, :].T * pops[rows][:, None]
 
@@ -477,8 +530,22 @@ def two_time_work(
         energies_final=eigT.eigenvalues.copy(),
         work=work,
         report=jarzynski_report(work),
-        propagation=prop,
+        propagation=propagation,
     )
+
+
+def _check_propagation(prop: PropagationResult, protocol: Protocol, initial: np.ndarray) -> None:
+    """Refuse a propagation of another window or from other initial columns (ValueError)."""
+    t0, t1 = protocol.t_start, protocol.t_end
+    n = prop.steps_used
+    if prop.step_size != (t1 - t0) / n or prop.checkpoints[-1][0] != t0 + n * ((t1 - t0) / n):
+        raise ValueError(
+            f"the propagation ends at t = {prop.checkpoints[-1][0]:.17g} after {n} steps of "
+            f"{prop.step_size:.17g}, not on the protocol window [{t0:.17g}, {t1:.17g}]"
+        )
+    got = np.asarray(prop.initial)
+    if got.shape != initial.shape or got.dtype != initial.dtype or got.tobytes() != initial.tobytes():
+        raise ValueError("the propagation starts from other initial columns than this measurement's")
 
 
 # ---------------------------------------------------------------------------

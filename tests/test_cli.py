@@ -568,6 +568,63 @@ class TestSweeps:
         assert "protocol.end = 1.5" in capsys.readouterr().err
 
 
+    def test_first_failing_point_fails_in_its_setup(self, tmp_path, capsys):
+        # 1.2 and 1.5 lie past the exceptional point: the final spectrum is
+        # a conjugate pair, refused before any propagation
+        cfg = dict(BASE, sweep={"name": "protocol.end", "values": [0.3, 1.2, 0.6, 1.5]})
+        assert main(["fig2-left", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("NonRealSpectrumError: at protocol.end = 1.2: final spectrum is CONJUGATE_PAIRED")
+
+    def test_first_failing_point_fails_in_its_propagation(self, tmp_path, capsys):
+        # the entry tolerance sits below the rounding floor, so 0.3 fails in
+        # its propagation before 1.2 fails in its setup
+        cfg = dict(BASE, propagation={"entry_tolerance": 1e-16},
+                   sweep={"name": "protocol.end", "values": [1.2, 0.3]})
+        assert main(["jarzynski", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("NotConvergedError: at protocol.end = 0.3: the entry change failed to decrease")
+
+    def test_a_propagation_failure_between_passing_points(self, tmp_path, capsys):
+        # the drive passes 1.15 mid-window: the metric degenerates inside the
+        # window at coupling 1.1, but at neither edge
+        cfg = dict(BASE, protocol={"kind": "tabulated", "samples": [[0, 0.3], [0.5, 1.15], [1, 0.2]]},
+                   sweep={"name": "model.coupling", "values": [2.0, 1.1, 1.3]})
+        assert main(["jarzynski", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("SingularMetricError: at model.coupling = 1.1: metric loses positive-definiteness")
+
+    @pytest.mark.parametrize(
+        "command, sweep, per_point",
+        [
+            ("jarzynski", {"name": "protocol.duration", "values": [2.0, 0.5, 1.0]}, 1),
+            ("fig1-right", {"name": "protocol.duration", "values": [0.5, 1.0]}, 2),
+        ],
+    )
+    def test_sweeps_measure_each_point_once_as_a_plain_call(self, tmp_path, monkeypatch, command, sweep,
+                                                             per_point):
+        protocol = {"kind": "erf", "start": 0.1, "end": 0.6, "duration": 1.0}
+        cfg = dict(BASE, protocol=protocol, sweep=sweep)
+        seen = []
+
+        def measured(*args, **kwargs):
+            seen.append((args, kwargs))
+            return two_time_work(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "two_time_work", measured)
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) in (0, 1)
+        assert len(seen) == per_point * len(sweep["values"])
+        for args, kwargs in seen:
+            # the propagation made ahead gives the plain call's result bit for bit
+            given = two_time_work(*args, **kwargs)
+            plain = two_time_work(*args, **{k: v for k, v in kwargs.items() if k != "propagation"})
+            assert kwargs["propagation"] is not None
+            assert given.report == plain.report and given.p.tobytes() == plain.p.tobytes()
+
+
 class TestReruns:
     @pytest.mark.parametrize(
         "argv, files",

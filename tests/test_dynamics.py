@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 import warnings
 
@@ -9,7 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
@@ -1127,3 +1128,165 @@ def test_d28_propagation_does_not_allocate_per_step():
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert res.steps_used == 1024
     assert faults < 512 + 1024, f"{faults} minor page faults over 1536 steps"
+
+
+# ---------------------------------------------------------------------------
+# lanes: propagations of one model that share the doubling ladder's passes
+
+
+def _solo(model, protocol, initial, **options):
+    """propagate's result, or the exception it raises."""
+    try:
+        return propagate(model, protocol, initial=initial, **options)
+    except Exception as exc:  # noqa: BLE001 - compared with the lane's
+        return exc
+
+
+def _assert_same_outcome(got, solo):
+    """A lane's outcome is its solo propagate's bit for bit, or the same exception."""
+    if isinstance(solo, Exception):
+        assert type(got) is type(solo) and str(got) == str(solo)
+        return
+    assert not isinstance(got, Exception), got
+    for name in ("U", "g_start", "g_end", "initial"):
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(solo, name))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.checkpoints == solo.checkpoints
+    for name in ("steps_used", "step_size", "entry_change", "unitarity_gate"):
+        assert getattr(got, name) == getattr(solo, name), name
+    assert [(r.n, r.entry_change, r.worst_checkpoint) for r in got.rungs] == [
+        (r.n, r.entry_change, r.worst_checkpoint) for r in solo.rungs
+    ]
+
+
+_LANE = st.fixed_dictionaries({
+    "kind": st.sampled_from(("linear", "erf")),
+    "start": st.floats(-0.6, 0.6),
+    "end": st.floats(-0.9, 0.9),
+    "duration": st.floats(0.2, 3.0),
+    "columns": st.integers(1, 2),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def _lane_inputs(lane: dict) -> tuple:
+    kind, start, end, tau = lane["kind"], lane["start"], lane["end"], lane["duration"]
+    protocol = Protocol.linear(start, end, tau) if kind == "linear" else Protocol.erf(start, end, tau)
+    rng = np.random.default_rng(lane["seed"])
+    return protocol, rng.standard_normal((2, lane["columns"])) + 1j * rng.standard_normal((2, lane["columns"]))
+
+
+class _StaticMetricTwoLevel(TwoLevel):
+    """TwoLevel that declares its metric static, so each lane takes it at its own window start."""
+
+    metric_is_static = True
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lanes=st.lists(_LANE, min_size=1, max_size=12),
+    climber=st.integers(0, 12),
+    broken=st.integers(0, 12),
+    model=st.sampled_from((TwoLevel(), TwoLevel(coupling=1.3), _StaticMetricTwoLevel(coupling=1.3),
+                           HatanoNelson(length=2, asymmetry=0.3))),
+    steps=st.sampled_from((None, 48, 100)),
+    max_steps=st.sampled_from((dynamics.MAX_STEPS, 1024)),
+)
+@example(  # lanes of a static metric that depends on where each window starts
+    lanes=[dict(kind="linear", start=s, end=0.5, duration=1.0, columns=2, seed=1) for s in (0.0, 0.4)],
+    climber=0, broken=3, model=_StaticMetricTwoLevel(coupling=1.3), steps=None, max_steps=dynamics.MAX_STEPS,
+)
+def test_lanes_match_their_solo_propagations(lanes, climber, broken, model, steps, max_steps):
+    inputs = [_lane_inputs(lane) for lane in lanes]
+    # a lane that climbs past one batch of steps, and one past the exceptional point
+    inputs.insert(climber % (len(inputs) + 1), (Protocol.linear(0.0, 0.99, 30.0), None))
+    broken %= len(inputs) + 1
+    inputs.insert(broken, (Protocol.linear(0.0, 1.2, 1.0), np.eye(2)[:, :1]))
+    protocols, initials = zip(*inputs)
+    options = dict(steps=steps, max_steps=max_steps)
+    shared = []
+    two_level_pass = dynamics._two_level_pass
+
+    def passing(runs, *args):
+        out = two_level_pass(runs, *args)
+        shared.append({id(lane) for lane, _ in runs})
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_two_level_pass", passing)
+        got = dynamics._propagate_lanes(model, protocols, initials, **options)
+    assert len(got) == len(inputs)
+    # the first pass served, in one piece, every lane that opened among the
+    # first group: as many as fill one batch with their first two runs
+    group = inputs[: dynamics._block_steps(2) // (3 * (steps or 128))]
+    assert len(shared[0]) == len(group) - (model == TwoLevel() and broken < len(group))
+    for outcome, protocol, initial in zip(got, protocols, initials):
+        _assert_same_outcome(outcome, _solo(model, protocol, initial, **options))
+    if model == TwoLevel():
+        assert isinstance(got[broken], SingularMetricError)
+
+
+@pytest.mark.parametrize(
+    "model, options",
+    [
+        (Oscillator(omega_ref=1.0, shift=0.5, n_basis=10), dict(gauge_precondition=True)),
+        (HatanoNelson(length=4, asymmetry=0.3, potential=(0.1, -0.2, 0.3, 0.0)), {}),
+    ],
+    ids=["affine-frame", "generic"],
+)
+def test_lanes_above_two_levels_run_one_after_another_as_alone(model, options):
+    d = model.dimension
+    protocols = [Protocol.erf(1.0, 1.3, 0.4), Protocol.linear(0.9, 1.2, 0.7), Protocol.linear(1.0, 1.1, 0.5)]
+    initials = [None, np.eye(d)[:, :2], np.eye(d)[:, :1] * np.nan]
+    got = dynamics._propagate_lanes(model, protocols, initials, entry_tol=1e-9, **options)
+    for outcome, protocol, initial in zip(got, protocols, initials):
+        _assert_same_outcome(outcome, _solo(model, protocol, initial, entry_tol=1e-9, **options))
+    assert isinstance(got[2], ValueError)
+
+
+class _FussyTwoLevel(TwoLevel):
+    """TwoLevel whose family refuses drive values above 0.7 in any call."""
+
+    def hamiltonian(self, v):
+        if np.max(np.abs(v)) > 0.7:
+            raise FloatingPointError("drive above 0.7")
+        return super().hamiltonian(v)
+
+
+def test_a_lane_that_fails_a_shared_pass_fails_alone():
+    model = _FussyTwoLevel()
+    protocols = [Protocol.linear(0.0, 0.5, 1.0), Protocol.linear(0.0, 0.9, 1.0), Protocol.erf(0.1, 0.6, 0.5)]
+    initials = [None, None, np.eye(2)[:, 1:]]
+    got = dynamics._propagate_lanes(model, protocols, initials)
+    assert isinstance(got[1], FloatingPointError) and str(got[1]) == "drive above 0.7"
+    for outcome, protocol, initial in zip(got, protocols, initials):
+        _assert_same_outcome(outcome, _solo(model, protocol, initial))
+
+
+def test_lanes_at_one_rung_share_each_batch(monkeypatch):
+    calls = _recording_expm2(monkeypatch)
+    model = _CountingTwoLevel()
+    protocols = [Protocol.linear(0.0, end, 1.0) for end in (0.2, 0.4, 0.6)]
+    got = dynamics._propagate_lanes(model, protocols, [None] * 3, steps=128, **NO_ACCEPTANCE)
+    # one batch of all lanes' 128 + 256 steps, one family evaluation; the
+    # metric once per lane at the window edges and once for all checkpoints
+    assert [len(E) for E in calls] == [3 * 384]
+    assert model.calls == {"hamiltonian": 1, "metric": 4}
+    for res in got:
+        first, second = res.rungs
+        assert second.seconds == pytest.approx(2 * first.seconds)
+
+
+def test_propagate_frees_its_buffers_without_the_cycle_collector():
+    # the d > 2 exponential buffers are megabytes at d = 28; a reference
+    # cycle through the ladder's closures would keep every call's until
+    # the next collection
+    gc.collect()
+    gc.disable()
+    try:
+        propagate(Oscillator(omega_ref=1.0, shift=0.5, n_basis=10), Protocol.linear(1.0, 1.2, 0.5),
+                  gauge_precondition=True)
+        dynamics._propagate_lanes(TwoLevel(), [Protocol.linear(0.0, 0.5, 1.0)] * 2, [None] * 2)
+        assert not [o for o in gc.get_objects() if isinstance(o, (_BlockExponentials, dynamics._Lane))]
+    finally:
+        gc.enable()

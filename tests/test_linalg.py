@@ -389,6 +389,20 @@ def test_general_path_refuses_a_failed_eigenvector_equation(H):
         eigendecompose(H)
 
 
+def test_stacked_general_path_refuses_a_failed_eigenvector_equation():
+    # the Carnot legs' batched eig above two levels: eig returns unit vectors
+    # (cond(VR) = 1) that miss the eigenvector equation by 1 at every point
+    H = np.repeat(scipy.linalg.block_diag([[0, 2.8e-143j], [1j, 1j]], 5)[:, :, None], 5, axis=2)
+    values = np.linspace(0.25, 1.25, 5)
+    with pytest.raises(DefectiveMatrixError, match=r"eigenvector equation fails at control value 0\.25"):
+        linalg._eig_stack(H, values, DEFAULT)
+    # a well-scaled stack passes, and its eigen-data meet the equation
+    H = np.repeat(scipy.linalg.block_diag([[0, 0.5j], [1j, 1j]], 5)[:, :, None], 5, axis=2)
+    E, VR, VLh = linalg._eig_stack(H, values, DEFAULT)
+    A, V = np.moveaxis(H, -1, 0), np.moveaxis(VR, -1, 0)
+    assert np.abs(A @ V - V * np.moveaxis(E, -1, 0)[:, None, :]).max() <= 1e-14
+
+
 def test_exceptional_point_is_defective():
     with pytest.raises(DefectiveMatrixError):
         eigendecompose(two_level_matrix(1.0))

@@ -35,7 +35,7 @@ from pseudotherm import (
     two_time_work,
     work_distribution,
 )
-from pseudotherm import linalg, thermo
+from pseudotherm import dynamics, linalg, propagate, thermo
 from pseudotherm.thermo import _g_normalized_columns
 
 
@@ -305,6 +305,48 @@ class TestJarzynski:
         assert rep.exp_avg_work == pytest.approx(1.0)
         assert rep.exp_delta_F == pytest.approx(1.0)
         assert rep.mean_work == pytest.approx(0.0, abs=1e-12)
+
+
+class TestGivenPropagation:
+    @staticmethod
+    def _same(a, b):
+        for name in ("p", "energies_initial", "energies_final"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        assert (a.rows, a.cols, a.row_sum_defect, a.report) == (b.rows, b.cols, b.row_sum_defect, b.report)
+        assert a.work.w.tobytes() == b.work.w.tobytes()
+
+    @pytest.mark.parametrize("protocol", [Protocol.linear(0.0, 0.6, 1.0), Protocol.erf(0.1, 0.7, 0.4)])
+    def test_a_lane_of_a_shared_propagation_measures_as_the_plain_call(self, protocol):
+        model = TwoLevel()
+        plain = two_time_work(model, protocol, 1.3)
+        other = Protocol.linear(-0.2, 0.5, 2.0)
+        lanes = dynamics._propagate_lanes(model, [other, protocol], [np.eye(2), plain.propagation.initial])
+        given = two_time_work(model, protocol, 1.3, propagation=lanes[1])
+        assert given.propagation is lanes[1]
+        self._same(given, plain)
+
+    def test_refuses_a_propagation_of_another_window(self):
+        model, protocol = TwoLevel(), Protocol.linear(0.0, 0.6, 1.0)
+        initial = two_time_work(model, protocol, 1.0).propagation.initial
+        for other in (
+            propagate(model, Protocol.linear(0.0, 0.6, 1.5), initial=initial),
+            propagate(model, protocol, initial=initial, t1=protocol.t_end - 0.25),
+            propagate(model, protocol, initial=initial, t0=protocol.t_start + 0.25),
+            # as long as the protocol's window, so of the same step size
+            propagate(model, Protocol.linear(0.0, 0.6, 2.0), initial=initial, t0=0.5, t1=1.5),
+        ):
+            with pytest.raises(ValueError, match="not on the protocol window"):
+                two_time_work(model, protocol, 1.0, propagation=other)
+
+    def test_refuses_a_propagation_of_other_initial_columns(self):
+        model, protocol = TwoLevel(), Protocol.linear(0.0, 0.6, 1.0)
+        initial = two_time_work(model, protocol, 1.0).propagation.initial
+        nudged = initial.copy()
+        nudged[0, 0] *= 1.0 + 2.0**-52
+        for other in (nudged, initial[:, :1], np.eye(2)):
+            with pytest.raises(ValueError, match="other initial columns"):
+                two_time_work(model, protocol, 1.0, propagation=propagate(model, protocol, initial=other))
 
 
 class TestQuasistaticCycle:

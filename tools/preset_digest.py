@@ -4,8 +4,9 @@
 
 Runs the four figure presets (`fig1-left`, `fig1-right`, `fig2-left`,
 `fig2-right`), one two-level `carnot` config, two-level `spectrum` (in
-the broken regime) and `metric` (in the unbroken one) configs, and an
-`evolve` config on an open Hatano-Nelson chain, each with --svg, with the
+the broken regime) and `metric` (in the unbroken one) configs, an
+`evolve` config on an open Hatano-Nelson chain, and a two-level
+`jarzynski` sweep over the drive's duration, each with --svg, with the
 package of the checkout at --root (by default the one holding this
 script), and prints the sha256 of every file they write as JSON:
 {"<run>": {"exit": code, "files": {"<name>": sha256}}}.
@@ -56,6 +57,15 @@ EVOLVE = {
     },
     "protocol": {"kind": "erf", "start": 0.0, "end": 1.0, "duration": 1.0},
 }
+# A two-level Jarzynski sweep over the erf drive's duration: its points
+# differ in window, so they run as lanes of one propagation with different
+# step sizes.
+JARZYNSKI = {
+    "model": {"kind": "two_level", "coupling": 1.0},
+    "protocol": {"kind": "erf", "start": 0.1, "end": 0.8, "duration": 1.0},
+    "beta": 1.5,
+    "sweep": {"name": "protocol.duration", "values": [0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]},
+}
 RUNS = {
     "fig1-left": None,
     "fig1-right": None,
@@ -65,6 +75,7 @@ RUNS = {
     "spectrum": SPECTRUM,
     "metric": METRIC,
     "evolve": EVOLVE,
+    "jarzynski": JARZYNSKI,
 }
 
 
