@@ -31,10 +31,10 @@ import numpy as np
 from . import __version__
 from .dynamics import MAX_STEPS, Protocol, _propagate_lanes, propagate
 from .errors import ConfigError, PseudothermError
-from .linalg import build_metric, classify_spectrum, eigendecompose, save_matrix
+from .linalg import _eigensystems, build_metric, classify_spectrum, eigendecompose, save_matrix
 from .linalg import pseudo_hermiticity_residual
 from .models import HatanoNelson, Oscillator, TwoLevel, _two_by_two, relaxation_time
-from .thermo import _initial_columns, _two_time_setup, quasistatic_cycle, two_time_work
+from .thermo import _Ahead, _edge_frame, _two_time_setup, quasistatic_cycle, two_time_work
 from .tolerances import DEFAULT
 
 _FIG_PRESETS = {
@@ -230,31 +230,46 @@ def _sweep(cfg: dict, row, required=None, variants=lambda point_cfg: (point_cfg,
 
 
 def _propagate_ahead(cfgs: list) -> list:
-    """Each two-time config read ahead: (its `_two_time_args`, its propagation), or None.
+    """Each two-time config read ahead: (its `_two_time_args`, its `thermo._Ahead`), or None.
 
-    The configs are read and their initial columns measured in order, up
-    to the first that fails or has more than two levels; it and the
-    configs after it get None and are read and propagated by their own
-    measurement, so a larger model's sweep holds no model beyond its
-    point.  The two-level configs before it are grouped by model and
-    propagation options, and each group is propagated once, its configs
-    as lanes (`dynamics._propagate_lanes`); a propagation is the lane's
-    PropagationResult, or the exception the lane raised.
+    The configs are read in order, up to the first that fails or has more
+    than two levels; it and the configs after it get None and are measured
+    by their own call, so a larger model's sweep holds no model beyond its
+    point.  The window edges of the configs before it are decomposed in
+    one stacked kernel call; if that raises, every config gets None and
+    decomposes its own edges in sweep order.  Each config is then set up
+    on its edges (`thermo._two_time_setup`), again up to the first that
+    fails.  The configs set up are grouped by model and propagation
+    options, and each group is propagated once, its configs as lanes
+    (`dynamics._propagate_lanes`); a config's lane is its PropagationResult,
+    or the exception the lane raised.
     """
-    out = [None] * len(cfgs)
-    groups, memo = {}, {}
-    for i, cfg in enumerate(cfgs):
+    out, read = [None] * len(cfgs), []
+    for cfg in cfgs:
         try:
             args = model, protocol, beta, hbar, options = _two_time_args(cfg)
             if model.dimension != 2:
                 break
-            precondition, initial = _initial_columns(model, protocol, beta, DEFAULT,
-                                                     options["gauge_precondition"], memo)
+            read.append((args, _edge_frame(model, protocol, options["gauge_precondition"])[1]))
         except Exception:
             # its own measurement raises this again, in sweep order, and
             # the sweep ends there
             break
-        out[i] = args, None
+    try:
+        edges = _eigensystems(np.concatenate([H for _, H in read]), DEFAULT) if read else []
+    except Exception:
+        return out
+    groups = {}
+    for i, (args, H) in enumerate(read):
+        model, protocol, beta, hbar, options = args
+        pair = edges[2 * i], edges[2 * i + 1]
+        try:
+            precondition, *_, initial = _two_time_setup(
+                model, protocol, beta, DEFAULT, options["gauge_precondition"], (H, pair)
+            )
+        except Exception:
+            break
+        out[i] = args, H, pair
         key = (model, hbar, precondition, options["entry_tol"], options["steps"])
         groups.setdefault(key, []).append((i, protocol, initial))
     for (model, hbar, precondition, entry_tol, steps), lanes in groups.items():
@@ -262,7 +277,8 @@ def _propagate_ahead(cfgs: list) -> list:
         outcomes = _propagate_lanes(model, protocols, initials, hbar, steps, tol=DEFAULT,
                                     entry_tol=entry_tol, gauge_precondition=precondition)
         for i, outcome in zip(index, outcomes):
-            out[i] = out[i][0], outcome
+            args, H, pair = out[i]
+            out[i] = args, _Ahead(H, pair, outcome)
     return out
 
 
@@ -546,17 +562,9 @@ def _two_time_args(cfg: dict) -> tuple:
 
 
 def _two_time(cfg: dict, ahead=None):
-    """two_time_work of a config, given what `_propagate_ahead` made of it, if anything.
-
-    A propagation that raised in its lane raises here, after the checks
-    that the measurement makes before it propagates.
-    """
-    (model, protocol, beta, hbar, options), propagation = ahead or (_two_time_args(cfg), None)
-    if isinstance(propagation, Exception):
-        # what the measurement checks before it propagates fails first, as in a serial sweep
-        _two_time_setup(model, protocol, beta, DEFAULT, options["gauge_precondition"])
-        raise propagation
-    return two_time_work(model, protocol, beta, hbar=hbar, propagation=propagation, **options)
+    """two_time_work of a config, given what `_propagate_ahead` made of it, if anything."""
+    (model, protocol, beta, hbar, options), handed = ahead or (_two_time_args(cfg), None)
+    return two_time_work(model, protocol, beta, hbar=hbar, propagation=handed, **options)
 
 
 def cmd_work(cfg: dict) -> _Report:

@@ -177,14 +177,15 @@ class Protocol:
     def _check_range(self, t) -> np.ndarray:
         """t as a float array; times within 1e-9 of the window width outside it are clipped in.
 
-        Times whose min and max lie in the window come back as they are.
+        Times whose min and max lie in the window come back as they are.  A
+        non-finite time is outside the window.
         """
         lo, hi = self.t_start, self.t_end
         t = np.asarray(t, dtype=float)
         if t.size and lo <= t.min() and t.max() <= hi:
             return t
         slack = 1e-9 * (hi - lo)
-        outside = (t < lo - slack) | (t > hi + slack)
+        outside = ~((t >= lo - slack) & (t <= hi + slack))
         if np.any(outside):
             raise ProtocolRangeError(
                 f"t = {t[outside][0]:.6g} outside protocol window [{lo:.6g}, {hi:.6g}]"

@@ -4,18 +4,17 @@ Provides biorthogonal eigendecomposition with left/right pairing, spectrum
 classification (all-real, conjugate-paired, generic), metric construction,
 and metric-weighted inner products and traces.  Everything works on plain
 numpy complex matrices; no sparsity, dimensions are expected to stay small
-(tens, at most ~100).  Left eigenvectors are the rows of the inverse
-right-eigenvector matrix; the spread of their norms gates defectiveness,
-and so does a coalescing-pair check on every decomposition.  Two levels
-take a closed form, one matrix at a time in Python complex arithmetic and
-stacks of them (the Carnot legs' grids) as numpy arrays; larger matrices
-take np.linalg.eig.
+(tens, at most ~100).  Every eigensystem comes from one kernel,
+`_eig_stack`, over a stack of matrices: two levels in closed form as numpy
+arrays, larger matrices through one batched np.linalg.eig and inv.  Left
+eigenvectors are the rows of the inverse right-eigenvector matrix, and
+every matrix passes one set of defectiveness gates (cond_F of the
+right-vector matrix, coalescing pairs, biorthonormality residuals and the
+eigenvector equation); `eigendecompose` is the one-matrix view.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -43,9 +42,10 @@ __all__ = [
 ]
 
 
-# eigendecompose refuses two neighbouring eigenvalues
+# the eigen-kernel refuses two neighbouring eigenvalues
 _COALESCE_GAP = 1e-6  # closer than this times (1 + |E|)
 _COALESCE_PARALLEL = 1e-6  # whose unit right vectors overlap by more than 1 - this
+_TIE = 1.0 - 1e-15  # about 4.5 ulp: moduli closer than this tie in the two-level phase rule
 
 
 def _as_square_matrix(H) -> np.ndarray:
@@ -117,187 +117,31 @@ class MetricOperator:
 def eigendecompose(H, tol: Tolerances | None = None) -> BiorthogonalEigensystem:
     """Full biorthogonal eigendecomposition of a dense complex matrix.
 
-    Two levels take the closed form in Python complex arithmetic (see the
-    vector rule below) with left vectors from the closed-form inverse;
-    larger matrices take np.linalg.eig, with left vectors the conjugated
-    rows of inv(right).  With kappa_i the norm of left vector i, the overlap
-    of unit left and right vectors is diag(1/kappa) for distinct
-    eigenvalues, so its condition number is max kappa / min kappa.  Raises
-    DefectiveMatrixError, the numerical signature of an exceptional point,
-    when that exceeds `defective_cond`, when two neighbouring eigenvalues
-    coalesce with nearly parallel right vectors, or when either residual of
-    left† right = I exceeds `defective_residual`; every call checks all
-    three.  The eig path also raises when max|H V - V diag(E)| exceeds
-    `defective_residual` times max|H|, a vector that eig paired with the
-    wrong eigenvalue.
+    The k = 1 view of the eigen-kernel `_eig_stack`: eigenvalues sorted by
+    (Re, Im), unit right vectors with their largest-modulus entry
+    real-positive, and left vectors the conjugated rows of inv(right).
+    Raises DefectiveMatrixError, the numerical signature of an exceptional
+    point, when the matrix fails any of the kernel's gates.
     """
-    tol = tol or DEFAULT
-    A = _as_square_matrix(H)
-    if A.shape[0] == 2:
-        return _eigendecompose_two(A, tol)
-    return _eigendecompose_general(A, tol)
+    (es,) = _eigensystems(_as_square_matrix(H)[None], tol or DEFAULT)
+    return es
 
 
-def _check_overlap_cond(cond: float, tol: Tolerances) -> None:
-    if not cond <= tol.defective_cond:
-        raise DefectiveMatrixError(
-            f"left/right overlap condition number {cond:.3e} exceeds "
-            f"{tol.defective_cond:.1e}; matrix is defective within tolerance"
+def _eigensystems(H: np.ndarray, tol: Tolerances) -> list:
+    """The eigensystems of a (k, d, d) stack, from one `_eig_stack` call."""
+    if not np.isfinite(H).all():
+        raise ValueError("matrix contains non-finite entries")
+    E, VR, VLh, biortho, completeness = _eig_stack(H.transpose(1, 2, 0), None, tol)
+    return [
+        BiorthogonalEigensystem(
+            eigenvalues=E[:, i].copy(),
+            right=VR[..., i].copy(),
+            left=VLh[..., i].T.conj(),
+            biortho_residual=float(biortho[i]),
+            completeness_residual=float(completeness[i]),
         )
-
-
-def _check_pair(E0: complex, E1: complex, overlap: float) -> None:
-    """Refuse neighbours E0, E1 whose unit right vectors overlap by `overlap`.
-
-    A clean condition number can still hide a coalescing pair: two nearly
-    equal eigenvalues whose right eigenvectors are nearly parallel.
-    """
-    if abs(E1 - E0) < _COALESCE_GAP * (1.0 + abs(E0)) and overlap > 1.0 - _COALESCE_PARALLEL:
-        raise DefectiveMatrixError(
-            f"eigenvalues {E0:.6g} and {E1:.6g} coalesce with "
-            f"parallel eigenvectors (overlap {overlap:.12f})"
-        )
-
-
-def _check_residuals(biortho: float, completeness: float, tol: Tolerances) -> None:
-    if biortho > tol.defective_residual or completeness > tol.defective_residual:
-        raise DefectiveMatrixError(
-            f"biorthonormalization failed (residuals {biortho:.3e}, "
-            f"{completeness:.3e}); matrix is defective within tolerance"
-        )
-
-
-def _eigendecompose_general(A: np.ndarray, tol: Tolerances) -> BiorthogonalEigensystem:
-    """eigendecompose of a checked square matrix through np.linalg.eig and inv."""
-    n = A.shape[0]
-    # real matrices (the chains, the oscillators) take the faster real solver
-    real = not A.imag.any()
-    w, vr = np.linalg.eig(A.real if real else A)
-    vr = vr.astype(complex, copy=False)
-    order = np.lexsort((w.imag, w.real))
-    w, vr = w[order], vr[:, order]
-
-    try:
-        left = np.linalg.inv(vr).conj().T
-    except np.linalg.LinAlgError:
-        raise DefectiveMatrixError("right eigenvectors are linearly dependent") from None
-    with np.errstate(over="ignore"):  # an overflowing row is an infinite kappa
-        kappa = np.linalg.norm(left, axis=0)
-    _check_overlap_cond(kappa.max() / kappa.min() if np.isfinite(kappa).all() else np.inf, tol)
-
-    gaps = np.abs(np.diff(w))
-    for i in np.nonzero(gaps < _COALESCE_GAP * (1.0 + np.abs(w[:-1])))[0]:
-        _check_pair(w[i], w[i + 1], abs(np.vdot(vr[:, i], vr[:, i + 1])))
-
-    # phase convention: largest-modulus component of each right vector made
-    # real-positive; the same rotation on the left column preserves pairing
-    peak = vr[np.argmax(np.abs(vr), axis=0), np.arange(n)]
-    ph = peak / np.abs(peak)
-    vr = vr / ph
-    left = left / ph
-
-    biortho = float(np.max(np.abs(left.conj().T @ vr - np.eye(n))))
-    completeness = float(np.linalg.norm(vr @ left.conj().T - np.eye(n)))
-    _check_residuals(biortho, completeness, tol)
-    # eig can return a wrong vector when the entries span far-apart scales;
-    # a right one leaves a residual at rounding level
-    eigen, scale = float(np.max(np.abs(A @ vr - vr * w))), float(np.max(np.abs(A)))
-    if not eigen <= tol.defective_residual * scale:
-        raise DefectiveMatrixError(
-            f"eigenvector equation fails: max|H V - V diag(E)| = {eigen:.3e} "
-            f"against max|H| = {scale:.3e}"
-        )
-    return BiorthogonalEigensystem(
-        eigenvalues=w,
-        right=vr,
-        left=left,
-        biortho_residual=biortho,
-        completeness_residual=completeness,
-    )
-
-
-# Two levels in closed form.  With m = (H00 + H11)/2, a = (H00 - H11)/2,
-# b = H01, c = H10 and s = sqrt(a^2 + bc), the eigenvalues are m + r for
-# r = -/+s.  The right vector of m + r is [b, r - a], or equally [a + r, c];
-# the longer of the two is normalised, which avoids the cancellation in
-# r - a for a nearly diagonal H.  Both vanish only for a scalar H, which
-# keeps the unit vectors.  The single-matrix branch of eigendecompose and
-# the stacked kernel of the Carnot legs (_eig2) both follow this rule.
-
-# the single-matrix branch runs while max(|a|, |b|, |c|) lies in this range,
-# so that a^2, bc and the squared vector norms stay normal floats; a scalar
-# matrix and the far ranges take the general path
-_CLOSED_FORM_SCALE = (1e-140, 1e140)
-_TIE = 1.0 - 1e-15  # about 4.5 ulp: moduli closer than this tie
-
-
-def _unit_right_vector(a: complex, b: complex, c: complex, r: complex) -> tuple:
-    """The rule's unit right vector of m + r, phased to the convention.
-
-    The peak entry is set to its modulus, exactly real-positive.  Moduli
-    within a relative 1e-15 of each other count as tied, so a pair that is
-    equal in exact arithmetic (the unbroken PT qubit's) puts the peak on
-    the first entry whichever way it rounds.
-    """
-    x0, x1, y0, y1 = b, r - a, a + r, c
-    nx = x0.real * x0.real + x0.imag * x0.imag + x1.real * x1.real + x1.imag * x1.imag
-    ny = y0.real * y0.real + y0.imag * y0.imag + y1.real * y1.real + y1.imag * y1.imag
-    if nx < ny:
-        x0, x1, nx = y0, y1, ny
-    norm = math.sqrt(nx)
-    x0, x1 = x0 / norm, x1 / norm
-    m0, m1 = abs(x0), abs(x1)
-    if m0 >= m1 * _TIE:
-        return m0, x1 / (x0 / m0)
-    return x0 / (x1 / m1), m1
-
-
-def _eigendecompose_two(A: np.ndarray, tol: Tolerances) -> BiorthogonalEigensystem:
-    """eigendecompose of a checked 2 x 2 matrix in closed form."""
-    (h00, b), (c, h11) = A.tolist()
-    a = 0.5 * (h00 - h11)
-    lo, hi = _CLOSED_FORM_SCALE
-    if not lo <= max(abs(a), abs(b), abs(c)) <= hi:
-        return _eigendecompose_general(A, tol)
-    m = 0.5 * h00 + 0.5 * h11
-    s = cmath.sqrt(a * a + b * c)
-    E0, E1 = m - s, m + s
-    (p, u), (q, v) = _unit_right_vector(a, b, c, -s), _unit_right_vector(a, b, c, s)
-    if (E1.real, E1.imag) < (E0.real, E0.imag):  # the (Re, Im) sort
-        E0, E1, p, u, q, v = E1, E0, q, v, p, u
-
-    # inv(right) = [[v, -q], [-u, p]] / det; the left vectors are its
-    # conjugated rows, so left† right = inv(right) right
-    det = p * v - q * u
-    cond = math.inf
-    if det != 0:
-        i00, i01, i10, i11 = v / det, -q / det, -u / det, p / det
-        k0, k1 = math.hypot(abs(i00), abs(i01)), math.hypot(abs(i10), abs(i11))
-        if math.isfinite(k0) and math.isfinite(k1):
-            cond = max(k0, k1) / min(k0, k1)
-    _check_overlap_cond(cond, tol)  # raises on parallel right vectors, det = 0
-    _check_pair(E0, E1, abs(p.conjugate() * q + u.conjugate() * v))
-
-    biortho = max(
-        abs(i00 * p + i01 * u - 1.0),
-        abs(i00 * q + i01 * v),
-        abs(i10 * p + i11 * u),
-        abs(i10 * q + i11 * v - 1.0),
-    )
-    completeness = math.hypot(
-        abs(p * i00 + q * i10 - 1.0),
-        abs(p * i01 + q * i11),
-        abs(u * i00 + v * i10),
-        abs(u * i01 + v * i11 - 1.0),
-    )
-    _check_residuals(biortho, completeness, tol)
-    return BiorthogonalEigensystem(
-        eigenvalues=np.array([E0, E1]),
-        right=np.array([[p, q], [u, v]]),
-        left=np.array([[i00, i10], [i01, i11]]).conj(),
-        biortho_residual=biortho,
-        completeness_residual=completeness,
-    )
+        for i in range(H.shape[0])
+    ]
 
 
 def _grid_last(A: np.ndarray) -> np.ndarray:
@@ -305,86 +149,194 @@ def _grid_last(A: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(A, 0, -1))
 
 
-def _require_diagonalizable(cond: np.ndarray, values: np.ndarray, tol: Tolerances):
-    """Refuse a stack whose eigenvector matrix is singular within tolerance.
+def _eig_stack(H: np.ndarray, values, tol: Tolerances):
+    """The eigen-kernel: biorthogonal eigen-data of a (d, d, k) stack, grid index last.
 
-    cond is the 2-norm condition number of the unit-column eigenvector
-    matrix at each control value; it diverges where eigenvectors coalesce,
-    at an exceptional point.  NaN fails the gate too.
+    Returns E (d, k), each column sorted by (Re, Im); VR (d, d, k), unit
+    right vectors in its columns, each rotated so that its largest-modulus
+    entry is real-positive; VLh = inv(VR) (d, d, k), whose rows are the
+    conjugated left vectors; and the residuals max|VLh VR - I| and
+    ||VR VLh - I||_F (k,).  Two levels take the closed form
+    (`_closed_form`), larger matrices one batched np.linalg.eig and inv
+    (`_eig_batched`).  Every matrix must pass four gates, or
+    DefectiveMatrixError names the first control value of `values` (k,)
+    that fails one:
+
+    - cond_F(VR) = sqrt(d sum_i kappa_i^2) <= `defective_cond`, kappa_i the
+      norm of left vector i.  It bounds the 2-norm condition number, and
+      that bounds max kappa / min kappa; at two levels it is 2/|det VR|.
+    - no two neighbouring eigenvalues closer than 1e-6 (1 + |E|) with unit
+      right vectors that overlap by more than 1 - 1e-6: a coalescing pair,
+      which a clean condition number can still hide.
+    - both residuals at most `defective_residual`.
+    - max|H V - V diag(E)| <= `defective_residual` max|H|: eig can return
+      a wrong vector when the entries span far-apart scales.
     """
-    worst = int(np.argmax(cond))
-    if not cond[worst] <= tol.defective_cond:
+    H = np.asarray(H, dtype=complex)
+    E, VR, VLh, cond, biortho, completeness, eigen = (_closed_form if H.shape[0] == 2 else _eig_batched)(H)
+    scale = np.abs(H).max(axis=(0, 1))
+    close = np.abs(E[1:] - E[:-1]) < _COALESCE_GAP * (1.0 + np.abs(E[:-1]))
+    overlap = np.zeros(close.shape)
+    if close.any():  # the overlaps of neighbouring right vectors matter only there
+        overlap = np.abs((VR[:, :-1].conj() * VR[:, 1:]).sum(axis=0))
+    coalesce = close & (overlap > 1.0 - _COALESCE_PARALLEL)
+    r = tol.defective_residual
+    gates = (
+        ~(cond <= tol.defective_cond),
+        coalesce.any(axis=0),
+        ~((biortho <= r) & (completeness <= r)),
+        ~(eigen <= r * scale),
+    )
+    failed = gates[0] | gates[1] | gates[2] | gates[3]
+    if not failed.any():
+        return E, VR, VLh, biortho, completeness
+    i = int(np.argmax(failed))
+    where = "" if values is None else f" at control value {values[i]:.17g}"
+    if gates[0][i]:
         raise DefectiveMatrixError(
-            f"eigenvector matrix condition number {cond[worst]:.3e} at control value "
-            f"{values[worst]:.6g} exceeds {tol.defective_cond:.1e}; the leg reaches "
-            "an exceptional point"
+            f"eigenvector condition number {cond[i]:.3e}{where} exceeds "
+            f"{tol.defective_cond:.1e}; the matrix is defective within tolerance, "
+            "at or near an exceptional point"
         )
+    if gates[1][i]:
+        j = int(np.argmax(coalesce[:, i]))
+        raise DefectiveMatrixError(
+            f"eigenvalues {E[j, i]:.6g} and {E[j + 1, i]:.6g}{where} coalesce with "
+            f"parallel eigenvectors (overlap {overlap[j, i]:.12f}): an exceptional point"
+        )
+    if gates[2][i]:
+        raise DefectiveMatrixError(
+            f"biorthonormalization failed{where} (residuals {biortho[i]:.3e}, "
+            f"{completeness[i]:.3e}); the matrix is defective within tolerance"
+        )
+    raise DefectiveMatrixError(
+        f"eigenvector equation fails{where}: max|H V - V diag(E)| = {eigen[i]:.3e} "
+        f"against max|H| = {scale[i]:.3e}"
+    )
 
 
-def _eig2(H: np.ndarray, values: np.ndarray, tol: Tolerances):
-    """The two-level rule over a (2, 2, k) stack: E (2, k), VR and VLh (2, 2, k).
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 in real arithmetic, for z whose last axis is contiguous."""
+    F = z.view(float)
+    F = F * F
+    return F[..., 0::2] + F[..., 1::2]
 
-    E is unsorted (m - s, m + s) and the columns of VR are not phased.  VLh
-    is the closed-form inverse of VR.
+
+def _closed_form(H: np.ndarray):
+    """`_eig_stack`'s two-level branch over a (2, 2, k) stack: its eigen-data and gate quantities.
+
+    With m = (H00 + H11)/2, a = (H00 - H11)/2, b = H01, c = H10 and
+    s = sqrt(a^2 + bc), the eigenvalues are m + r for r = -/+s.  a, b and c
+    are first scaled by 2^-e, with e the exponent of the largest of their
+    moduli (clipped so that 2^e and 2^-e stay normal floats): the scaling
+    is exact, and a^2, bc and the squared norms of the right vectors
+    (`_right_vectors`) stay normal floats at every finite scale.  VLh is
+    the adjugate of VR over det VR, so cond_F(VR) = 2/|det VR|, and the
+    residuals are taken entry by entry.
     """
-    a = 0.5 * (H[0, 0] - H[1, 1])
-    b, c = H[0, 1], H[1, 0]
-    r = np.array([[-1.0], [1.0]]) * np.sqrt(a * a + b * c)
-    E = 0.5 * (H[0, 0] + H[1, 1]) + r
-    x0, x1 = np.broadcast_to(b, r.shape), r - a
-    y0, y1 = a + r, np.broadcast_to(c, r.shape)
-    nx = x0.real**2 + x0.imag**2 + x1.real**2 + x1.imag**2
-    ny = y0.real**2 + y0.imag**2 + y1.real**2 + y1.imag**2
+    (h00, h01), (h10, h11) = H
+    abc = np.stack((0.5 * h00 - 0.5 * h11, h01, h10))
+    _, e = np.frexp(np.abs(abc).max(axis=0))
+    e = np.minimum(np.maximum(e, -1021), 1021)
+    a, b, c = abc * np.ldexp(1.0, -e)
+    s = np.sqrt(a * a + b * c)
+    S = s * np.ldexp(1.0, e)
+    m = 0.5 * h00 + 0.5 * h11
+    E = np.array([m - S, m + S])
+    VR = _right_vectors(a, b, c, s)
+    # the (Re, Im) sort: Re s >= 0, so only equal real parts can swap
+    swap = (E[1].real == E[0].real) & (E[1].imag < E[0].imag)
+    if swap.any():
+        E, VR = np.where(swap, E[::-1], E), np.where(swap, VR[:, ::-1], VR)
+
+    (p0, q0), (p1, q1) = VR
+    det = p0 * q1 - q0 * p1
+    with np.errstate(all="ignore"):  # det = 0: parallel vectors, an infinite condition number
+        f = 1.0 / det
+        VLh = np.array([[q1 * f, -q0 * f], [-p1 * f, p0 * f]])
+        cond = 2.0 / np.abs(det)
+        # the rows of VLh VR - I and of VR VLh - I
+        B = [VLh[i, 0] * VR[0] + VLh[i, 1] * VR[1] for i in (0, 1)]
+        C = [VR[i, 0] * VLh[0] + VR[i, 1] * VLh[1] for i in (0, 1)]
+        for i in (0, 1):
+            B[i][i] -= 1.0
+            C[i][i] -= 1.0
+        biortho = np.maximum(np.abs(B[0]), np.abs(B[1])).max(axis=0)
+        completeness = np.sqrt((_abs2(C[0]) + _abs2(C[1])).sum(axis=0))
+    # the rows of H VR - VR diag(E)
+    eigen = np.maximum(np.abs((h00 - E) * VR[0] + h01 * VR[1]), np.abs(h10 * VR[0] + (h11 - E) * VR[1]))
+    return E, VR, VLh, cond, biortho, completeness, eigen.max(axis=0)
+
+
+def _right_vectors(a, b, c, s) -> np.ndarray:
+    """The (2, 2, k) unit right vectors of the eigenvalues m -/+ s of `_closed_form`.
+
+    The right vector of m + r is [b, r - a], or equally [a + r, c]; the
+    longer of the two is normalised, which avoids the cancellation in
+    r - a for a nearly diagonal H.  Both vanish only for a scalar H, which
+    keeps the unit vectors.  Each vector is rotated to make its peak entry
+    real-positive, and the peak is set to its modulus; moduli within a
+    relative 1e-15 of each other count as tied, so a pair that is equal in
+    exact arithmetic (the unbroken PT qubit's) puts the peak on the first
+    entry whichever way it rounds.
+    """
+    plus, minus = a + s, a - s
+    # r - a and a + r for r = -s and r = +s
+    d, p = np.array([-plus, -minus]), np.array([minus, plus])
+    u, v = _abs2(plus), _abs2(minus)
+    nx, ny = _abs2(b) + np.array([u, v]), np.array([v, u]) + _abs2(c)
     longer = nx >= ny
-    norm = np.sqrt(np.where(longer, nx, ny))
-    scalar = norm == 0
-    norm[scalar] = 1.0
-    VR = np.empty_like(H)
-    VR[0] = np.where(scalar, [[1.0], [0.0]], np.where(longer, x0, y0)) / norm
-    VR[1] = np.where(scalar, [[0.0], [1.0]], np.where(longer, x1, y1)) / norm
-    det = VR[0, 0] * VR[1, 1] - VR[0, 1] * VR[1, 0]
-    # unit columns: sigma_max sigma_min = |det| and sigma_max^2 + sigma_min^2 = 2
-    D = np.abs(det)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _require_diagonalizable((1.0 + np.sqrt(np.maximum(1.0 - D * D, 0.0))) / D, values, tol)
-    VLh = np.array([[VR[1, 1], -VR[0, 1]], [-VR[1, 0], VR[0, 0]]]) / det
-    return E, VR, VLh
+    w0, w1 = np.where(longer, b, p), np.where(longer, d, c)
+    n = np.sqrt(np.where(longer, nx, ny))
+    scalar = n == 0
+    if scalar.any():
+        n[scalar] = 1.0
+        w0[scalar], w1[scalar] = np.broadcast_to([[1.0], [0.0]], n.shape)[scalar], np.broadcast_to([[0.0], [1.0]], n.shape)[scalar]
+    m0, m1 = np.abs(w0), np.abs(w1)
+    first = m0 >= m1 * _TIE
+    peak = np.where(first, m0, m1)
+    on = peak / n
+    off = np.where(first, w1, w0) * (np.where(first, w0, w1).conj() * (1.0 / (peak * n)))
+    return np.array([np.where(first, on, off), np.where(first, off, on)])
 
 
-def _eig_general(H: np.ndarray, values: np.ndarray, tol: Tolerances):
-    """Batched np.linalg.eig and inv of a (d, d, k) stack: E (d, k), VR and VLh (d, d, k).
+def _eig_batched(H: np.ndarray):
+    """`_eig_stack`'s branch above two levels: one batched np.linalg.eig and inv of a (d, d, k) stack.
 
-    As in `eigendecompose`, each matrix must also meet its eigenvector
-    equation, max|H V - V diag(E)| <= `defective_residual` max|H|: eig can
-    return a wrong vector when the entries span far-apart scales.
+    A stack with no imaginary part takes the faster real solver.  Each
+    right vector and its left partner are divided by the unit phase of
+    the vector's largest-modulus entry.
     """
-    A = np.moveaxis(H, -1, 0)
-    E, VR = np.linalg.eig(A)
-    _require_diagonalizable(np.linalg.cond(VR), values, tol)
-    eigen = np.abs(A @ VR - VR * E[:, None, :]).max(axis=(1, 2))
-    scale = np.abs(A).max(axis=(1, 2))
-    bad = np.flatnonzero(~(eigen <= tol.defective_residual * scale))
-    if bad.size:
-        i = bad[0]
-        raise DefectiveMatrixError(
-            f"eigenvector equation fails at control value {values[i]:.6g}: "
-            f"max|H V - V diag(E)| = {eigen[i]:.3e} against max|H| = {scale[i]:.3e}"
-        )
-    return _grid_last(E), _grid_last(VR), _grid_last(np.linalg.inv(VR))
+    A = H.transpose(2, 0, 1)
+    k, d, _ = A.shape
+    w, V = np.linalg.eig(A if A.imag.any() else A.real)
+    grid, levels = np.arange(k)[:, None], np.arange(d)
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    w = w[grid, order].astype(complex, copy=False)
+    V = V[grid[:, :, None], levels[:, None], order[:, None, :]].astype(complex, copy=False)
+    try:
+        inv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:  # an exactly singular V: an infinite condition number
+        inv = np.stack([_inverse_or_inf(M) for M in V])
+    peak = V[grid, np.abs(V).argmax(axis=1), levels]
+    phase = (peak / np.abs(peak))[:, None, :]
+    V = V / phase
+    VLh = (inv.conj() / phase.transpose(0, 2, 1)).conj()  # the left vectors, rotated alike
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row is an infinite kappa
+        cond = np.sqrt(d * _abs2(VLh).sum(axis=(1, 2)))
+    B, C = VLh @ V, V @ VLh
+    for D in (B, C):
+        D.reshape(k, d * d)[:, :: d + 1] -= 1.0  # minus the identity
+    eigen = np.abs(A @ V - V * w[:, None, :]).max(axis=(1, 2))
+    biortho, completeness = np.abs(B).max(axis=(1, 2)), np.sqrt(_abs2(C).sum(axis=(1, 2)))
+    return w.T, V.transpose(1, 2, 0), VLh.transpose(1, 2, 0), cond, biortho, completeness, eigen
 
 
-def _eig_stack(H: np.ndarray, values: np.ndarray, tol: Tolerances):
-    """Eigen-data of a (d, d, k) stack taken at the k control values `values`.
-
-    Returns E (d, k) and VR, VLh = inv(VR) (d, d, k), the grid index last,
-    without eigendecompose's sort or phase convention.  Two levels take the
-    closed form, larger dimensions one batched np.linalg.eig and inv.
-    Either way DefectiveMatrixError names the control value where the
-    2-norm condition number of the unit-column VR exceeds `defective_cond`:
-    the stack reaches an exceptional point there.  The batched eig also
-    gates each matrix's eigenvector equation (`_eig_general`).
-    """
-    return (_eig2 if H.shape[0] == 2 else _eig_general)(H, values, tol)
+def _inverse_or_inf(M: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return np.full_like(M, np.inf)
 
 
 def conjugate_pairing(eigs: Sequence[complex], tol: float) -> np.ndarray | None:

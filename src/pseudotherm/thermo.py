@@ -15,11 +15,12 @@ sum_n p_n E_n against tr(rho H), rho = V diag(p) V^-1.
 
 Each cycle leg is a handful of array operations over its whole grid, with
 the grid index last so that sums over levels run along contiguous rows.
-The leg's eigensystems come from the stacked kernel in `linalg`: closed
-form for two levels, a batched np.linalg.eig and inv otherwise.  Either
-way a leg whose eigenvector matrix has a condition number above
-`Tolerances.defective_cond` raises DefectiveMatrixError: it reaches an
-exceptional point.
+The leg's eigensystems come from linalg's eigen-kernel, the one
+`eigendecompose` views, so every grid point passes the gates a single
+decomposition passes, and a leg that reaches or nears an exceptional point
+raises DefectiveMatrixError naming the control value.  A two-time
+measurement decomposes both window edges in one kernel call, and a sweep
+decomposes the edges of all its two-level points in one.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,10 +45,10 @@ from .errors import (
 from .linalg import (
     BiorthogonalEigensystem,
     _eig_stack,
+    _eigensystems,
     _grid_last,
     _metric_matrix,
     classify_spectrum,
-    eigendecompose,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -77,8 +79,8 @@ def _eigenvalues_of(eigs) -> np.ndarray:
 
 def _check_beta(beta: float) -> float:
     beta = float(beta)
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be finite and positive, got {beta!r}")
     return beta
 
 
@@ -436,35 +438,39 @@ def _initial_state(model, eig0: BiorthogonalEigensystem, G0: np.ndarray, beta: f
 
 
 def _two_time_setup(model, protocol: Protocol, beta: float, tol: Tolerances,
-                    gauge_precondition: bool | None) -> tuple:
+                    gauge_precondition: bool | None, handed: tuple | None = None) -> tuple:
     """Everything `two_time_work` checks and measures before it propagates.
 
     Returns (precondition, eig0, eigT, populations, row levels, column
-    levels, initial columns).
+    levels, initial columns).  Both window edges are decomposed in one
+    kernel call, unless handed = (edge matrices, (eig0, eigT)) hands over
+    their eigensystems: the edge matrices must be byte-equal to this
+    measurement's, or ValueError is raised.
     """
     precondition, H, G0 = _edge_frame(model, protocol, gauge_precondition)
-    eig0, eigT = (eigendecompose(h, tol) for h in H)
+    if handed is None:
+        eig0, eigT = _eigensystems(H, tol)
+    else:
+        edges, (eig0, eigT) = handed
+        if edges.dtype != H.dtype or edges.shape != H.shape or edges.tobytes() != H.tobytes():
+            raise ValueError("the handed eigensystems decompose other window edges than this measurement's")
     _require_all_real("initial", eig0, tol)
     _require_all_real("final", eigT, tol)
     return precondition, eig0, eigT, *_initial_state(model, eig0, G0, beta, tol)
 
 
-def _initial_columns(model, protocol: Protocol, beta: float, tol: Tolerances,
-                     gauge_precondition: bool | None, memo: dict) -> tuple:
-    """(precondition, initial columns) that `two_time_work` propagates, bit for bit.
+class _Ahead(NamedTuple):
+    """What a sweep measured and propagated ahead of one point, handed to its
+    `two_time_work` call as `propagation`.
 
-    Only the start of the window is measured, and memo keeps the columns
-    of each start value, so a sweep that keeps the start decomposes it
-    once.  Raises what the initial measurement raises.
+    edges = (eig0, eigT) are the eigensystems of the (2, d, d) window-edge
+    matrices H, from the sweep's one stacked kernel call; propagation is
+    the point's lane, a PropagationResult or the exception the lane raised.
     """
-    start = float(protocol.value(np.array([protocol.t_start, protocol.t_end]))[0])
-    key = (model, gauge_precondition, start.hex(), beta, tol)  # hex keeps the sign of a zero
-    if key not in memo:
-        precondition, H, G0 = _edge_frame(model, protocol, gauge_precondition)
-        eig0 = eigendecompose(H[0], tol)
-        _require_all_real("initial", eig0, tol)
-        memo[key] = precondition, _initial_state(model, eig0, G0, beta, tol)[-1]
-    return memo[key]
+
+    H: np.ndarray
+    edges: tuple
+    propagation: PropagationResult | Exception
 
 
 def two_time_work(
@@ -478,7 +484,7 @@ def two_time_work(
     entry_tol: float | None = None,
     gauge_precondition: bool | None = None,
     unitarity_gate: float | None = None,
-    propagation: PropagationResult | None = None,
+    propagation: PropagationResult | _Ahead | None = None,
 ) -> TwoTimeResult:
     """Measure, propagate, measure: the two-time work pipeline.
 
@@ -496,12 +502,21 @@ def two_time_work(
     bit-equal to this measurement's, or ValueError is raised.  It should
     come from the same model and propagation options, which it does not
     record; the result is then that of the call without it, bit for bit.
+    A sweep hands over its look-ahead (`_Ahead`) in its place: the window
+    edges' eigensystems, checked as `_two_time_setup` checks them, and the
+    lane, whose exception is raised after the checks made before
+    propagating.
     """
     tol = tol or DEFAULT
     beta = _check_beta(beta)
+    ahead = propagation if isinstance(propagation, _Ahead) else None
     precondition, eig0, eigT, pops, rows, cols, psi0 = _two_time_setup(
-        model, protocol, beta, tol, gauge_precondition
+        model, protocol, beta, tol, gauge_precondition, ahead and ahead[:2]
     )
+    if ahead is not None:
+        propagation = ahead.propagation
+        if isinstance(propagation, Exception):
+            raise propagation
     if propagation is None:
         propagation = propagate(
             model,
@@ -561,10 +576,11 @@ class CycleReport:
     entropy_trace holds one (leg, control values, S) entry per leg, the
     values and entropies as arrays over the leg's grid points;
     g_trace_crosscheck is the worst |tr(rho H) - sum_n p_n E_n| over every
-    grid point of every leg.  Every leg's eigenvector matrices passed the
-    defectiveness gate (2-norm condition number at most `defective_cond`),
-    whether they came from the two-level closed form or from the general
-    eigensolver.  isentrope_evaluations and entropy_mismatch map each
+    grid point of every leg.  Every leg's eigensystems passed linalg's
+    defectiveness gates: cond_F of the eigenvector matrix at most
+    `defective_cond`, no coalescing pair, both biorthonormality residuals
+    and the eigenvector equation within `defective_residual`.
+    isentrope_evaluations and entropy_mismatch map each
     isentrope ("cool", "heat") to its solver's number of entropy-kernel
     evaluations and its worst |S - target|, at most `entropy_match`.
     """
@@ -589,11 +605,12 @@ def _leg_spectra(h_of, values: np.ndarray, tol: Tolerances):
     h_of maps the array of control values to the (k, d, d) stack.  The grid
     index runs last in what is returned, H, VR and VLh being (d, d, k) and
     E (d, k), so sums over levels and products of matrices run along
-    contiguous rows.  The eigen-data come from linalg's stacked kernel,
-    which raises DefectiveMatrixError at an exceptional point.
+    contiguous rows.  The eigen-data come from linalg's eigen-kernel,
+    which raises DefectiveMatrixError naming the first control value that
+    fails a gate.
     """
     H = _grid_last(np.asarray(h_of(values), dtype=complex))
-    return (H, *_eig_stack(H, values, tol))
+    return (H, *_eig_stack(H, values, tol)[:3])
 
 
 def _entropy_curve(E: np.ndarray, beta, *, slope: bool = False, weights=None):

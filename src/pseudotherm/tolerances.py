@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    # overlap-matrix condition number above this means defective
+    # cond_F of the unit right-eigenvector matrix, sqrt(d sum kappa_i^2) with
+    # kappa_i the left-vector norms, above this means defective
     defective_cond: float = 1e8
     # biorthonormalization residual above this also means defective
     defective_residual: float = 1e-6

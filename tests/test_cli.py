@@ -28,6 +28,7 @@ from pseudotherm import (
     two_time_work,
     unitarity_residual,
 )
+from pseudotherm import thermo
 from pseudotherm.cli import _CouplingFamily, main, random_metric_norms, read_csv, write_csv
 
 BASE = {
@@ -602,27 +603,63 @@ class TestSweeps:
         [
             ("jarzynski", {"name": "protocol.duration", "values": [2.0, 0.5, 1.0]}, 1),
             ("fig1-right", {"name": "protocol.duration", "values": [0.5, 1.0]}, 2),
+            ("fig2-left", {"name": "protocol.end", "values": [0.6, 0.3, 0.45]}, 1),
         ],
     )
     def test_sweeps_measure_each_point_once_as_a_plain_call(self, tmp_path, monkeypatch, command, sweep,
                                                              per_point):
         protocol = {"kind": "erf", "start": 0.1, "end": 0.6, "duration": 1.0}
         cfg = dict(BASE, protocol=protocol, sweep=sweep)
-        seen = []
+        seen, stacks = [], []
 
         def measured(*args, **kwargs):
             seen.append((args, kwargs))
             return two_time_work(*args, **kwargs)
 
+        def stacked(H, tol):
+            stacks.append(len(H))
+            return eigensystems(H, tol)
+
+        eigensystems = cli._eigensystems
         monkeypatch.setattr(cli, "two_time_work", measured)
+        monkeypatch.setattr(cli, "_eigensystems", stacked)
+        monkeypatch.setattr(thermo, "_eigensystems", stacked)
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) in (0, 1)
         assert len(seen) == per_point * len(sweep["values"])
+        # every window edge of the sweep in one stacked kernel call, none in the points' own
+        assert stacks == [2 * len(seen)]
+        monkeypatch.undo()
         for args, kwargs in seen:
-            # the propagation made ahead gives the plain call's result bit for bit
+            # the edges and the propagation made ahead give the plain call's result bit for bit
+            assert isinstance(kwargs["propagation"], thermo._Ahead)
             given = two_time_work(*args, **kwargs)
             plain = two_time_work(*args, **{k: v for k, v in kwargs.items() if k != "propagation"})
-            assert kwargs["propagation"] is not None
-            assert given.report == plain.report and given.p.tobytes() == plain.p.tobytes()
+            for name in ("p", "energies_initial", "energies_final"):
+                assert getattr(given, name).tobytes() == getattr(plain, name).tobytes(), name
+            assert (given.rows, given.cols, given.row_sum_defect, given.report) == (
+                plain.rows, plain.cols, plain.row_sum_defect, plain.report)
+            assert given.work.w.tobytes() == plain.work.w.tobytes()
+            assert given.propagation.U.tobytes() == plain.propagation.U.tobytes()
+        # a point's hand-off refuses a window of other edges
+        (model, _, beta), kwargs = seen[0]
+        with pytest.raises(ValueError, match="other window edges"):
+            two_time_work(model, Protocol.linear(0.1, 0.35, 1.0), beta, **kwargs)
+
+    def test_a_defective_edge_hands_nothing_over(self, tmp_path, monkeypatch, capsys):
+        # the stacked call over every edge raises at 1, the exceptional
+        # point; each point then decomposes its own edges in sweep order,
+        # so 0.3 is measured before 1 fails and 1.2 is never reached
+        cfg = dict(BASE, sweep={"name": "protocol.end", "values": [1.2, 1.0, 0.3]})
+        handed = []
+
+        def measured(*args, **kwargs):
+            handed.append(kwargs["propagation"])
+            return two_time_work(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "two_time_work", measured)
+        assert main(["jarzynski", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 3
+        assert handed == [None, None]
+        assert capsys.readouterr().err.startswith("DefectiveMatrixError: at protocol.end = 1: eigenvector condition")
 
 
 class TestReruns:

@@ -92,14 +92,18 @@ class TestProtocol:
         with pytest.raises(ProtocolRangeError, match=r"^t = 2\.1 outside protocol window \[0, 2\]$"):
             p._check_range([1.0, 2.1, -3.0])
         with pytest.raises(ProtocolRangeError, match=r"^t = -3 outside"):
+            p._check_range([0.5, -3.0, 2.1])
+        with pytest.raises(ProtocolRangeError, match=r"^t = nan outside"):
             p._check_range([np.nan, -3.0, 2.1])
 
-    def test_range_check_passes_nan_through(self):
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, [0.5, np.nan]], ids=["nan", "inf", "-inf", "array"])
+    def test_non_finite_times_raise(self, t):
+        # for NaN both the in-window and the outside test are false, and
+        # np.clip used to let it through: value NaN, rate 0.5, a NaN matrix
         p = Protocol.linear(0.0, 0.5, 2.0)
-        out = p._check_range([0.5, np.nan])
-        assert out[0] == 0.5 and np.isnan(out[1])
-        assert np.isnan(p.value(np.nan))
-        assert np.isnan(p._check_range(np.nan))
+        for call in (p._check_range, p.value, p.rate, lambda t: hamiltonian_at(TwoLevel(), p, t)):
+            with pytest.raises(ProtocolRangeError, match="outside protocol window"):
+                call(t)
 
     def test_tabulated_interpolation(self):
         p = Protocol.tabulated([(0.0, 0.0), (1.0, 2.0), (3.0, 2.0)])

@@ -76,7 +76,9 @@ def test_phase_convention_matches_per_column_loop(H):
 
 
 def _general(H, tol=DEFAULT):
-    return linalg._eigendecompose_general(np.asarray(H, dtype=complex), tol)
+    """eigendecompose through the eigen-kernel's np.linalg.eig branch, at two levels too."""
+    with mock.patch.object(linalg, "_closed_form", linalg._eig_batched):
+        return eigendecompose(H, tol)
 
 
 @pytest.mark.parametrize(
@@ -283,15 +285,21 @@ def test_two_level_gates_raise():
         2.5 * np.eye(2),
         np.array([[1.0, 1e-200], [2e-200, 1.0]]),
         np.array([[1e200, 3e199], [-2e199j, -1e200]]),
+        np.array([[1e-300, 3e-301], [-2e-301j, -1e-300]]),
     ],
-    ids=["scalar", "tiny_traceless_part", "huge"],
+    ids=["scalar", "tiny_traceless_part", "huge", "tiny"],
 )
-def test_two_level_far_scales_take_the_general_path(H):
+def test_two_level_far_scales_take_the_closed_form(H):
     # a scalar matrix, and traceless parts whose squares would leave the
-    # normal floats, are decomposed by np.linalg.eig
+    # normal floats: the closed form scales the traceless part by a power
+    # of two, meets its equations to rounding and has the eig branch's
+    # eigenvalues (the eig branch's vectors for the two eigenvalues of
+    # tiny_traceless_part, equal in floats, are another valid basis)
     es, general = eigendecompose(H), _general(H)
-    npt.assert_array_equal(es.eigenvalues, general.eigenvalues)
-    npt.assert_array_equal(es.right, general.right)
+    npt.assert_allclose(es.eigenvalues, general.eigenvalues, rtol=1e-15, atol=0)
+    residual = np.abs(H @ es.right - es.right * es.eigenvalues).max()
+    assert residual <= 1e-15 * np.abs(H).max()
+    assert es.biortho_residual <= 1e-15 and es.completeness_residual <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -384,8 +392,11 @@ _FAR_SCALE_PAIR = np.array([[0.0, 2.8e-143j], [1j, 1e-15j]])
 def test_general_path_refuses_a_failed_eigenvector_equation(H):
     # np.linalg.eig pairs E = 0 with the vector [1, 0] of the 2 x 2 block, so
     # max|H V - V diag(E)| is 1 for the 3 x 3 matrix and the scale for the
-    # scaled ones, whose entries put them outside the closed form's range
+    # scaled ones, which the eig branch takes only when made to; the closed
+    # form refuses those too, their right vectors being nearly parallel
     with pytest.raises(DefectiveMatrixError, match="eigenvector equation"):
+        _general(H)
+    with pytest.raises(DefectiveMatrixError):
         eigendecompose(H)
 
 
@@ -398,7 +409,7 @@ def test_stacked_general_path_refuses_a_failed_eigenvector_equation():
         linalg._eig_stack(H, values, DEFAULT)
     # a well-scaled stack passes, and its eigen-data meet the equation
     H = np.repeat(scipy.linalg.block_diag([[0, 0.5j], [1j, 1j]], 5)[:, :, None], 5, axis=2)
-    E, VR, VLh = linalg._eig_stack(H, values, DEFAULT)
+    E, VR, VLh, _, _ = linalg._eig_stack(H, values, DEFAULT)
     A, V = np.moveaxis(H, -1, 0), np.moveaxis(VR, -1, 0)
     assert np.abs(A @ V - V * np.moveaxis(E, -1, 0)[:, None, :]).max() <= 1e-14
 

@@ -68,6 +68,23 @@ class TestPartitionFunction:
             partition_function([1.0], -1.0)
 
 
+@pytest.mark.parametrize("beta", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda beta: partition_function([0.0, 1.0], beta),
+        lambda beta: thermal_state([0.0, 1.0], beta),
+        lambda beta: work_distribution(np.eye(2), [0.0, 1.0], [0.0, 1.0], beta),
+        lambda beta: two_time_work(TwoLevel(), Protocol.linear(0.0, 0.5, 1.0), beta),
+    ],
+    ids=["partition_function", "thermal_state", "work_distribution", "two_time_work"],
+)
+def test_non_finite_beta_raises(call, beta):
+    # beta = inf used to give NaN populations, Z and F, and a NaN residual
+    with pytest.raises(ValueError, match="beta must be finite and positive"):
+        call(beta)
+
+
 class TestThermalState:
     def test_populations_normalized(self):
         st = thermal_state([-1.0, 0.5, 2.0], 1.3)
@@ -349,6 +366,20 @@ class TestGivenPropagation:
                 two_time_work(model, protocol, 1.0, propagation=propagate(model, protocol, initial=other))
 
 
+    def test_refuses_eigensystems_of_other_window_edges(self):
+        model, protocol = TwoLevel(), Protocol.linear(0.0, 0.6, 1.0)
+        plain = two_time_work(model, protocol, 1.0)
+        H = thermo._edge_frame(model, protocol, None)[1]
+        ahead = thermo._Ahead(H, tuple(linalg._eigensystems(H, DEFAULT)), plain.propagation)
+        TestGivenPropagation._same(two_time_work(model, protocol, 1.0, propagation=ahead), plain)
+        nudged = H.copy()
+        nudged[1, 0, 1] *= 1.0 + 2.0**-52
+        other = thermo._edge_frame(model, Protocol.linear(0.0, 0.5, 1.0), None)[1]
+        for edges in (nudged, other, H[:, :1, :1], H.real):
+            with pytest.raises(ValueError, match="other window edges"):
+                two_time_work(model, protocol, 1.0, propagation=ahead._replace(H=edges))
+
+
 class TestQuasistaticCycle:
     def test_hermitian_engine_hits_carnot(self):
         # coupling sweep with the control frozen: E = +/- gamma, so the
@@ -413,16 +444,16 @@ class TestQuasistaticCycle:
         # a leg spectrum off by 1e-6 from the H it claims to diagonalize
         # must show in the crosscheck; a uniform shift leaves the entropies
         # and the accounting untouched
-        eig2 = linalg._eig2
+        eig_stack = thermo._eig_stack
 
         def shifted(H, values, tol):
-            E, VR, VLh = eig2(H, values, tol)
-            return E + 1e-6, VR, VLh
+            E, *rest = eig_stack(H, values, tol)
+            return E + 1e-6, *rest
 
         g = 0.85
         legs = (0.0, 0.4, np.sqrt(g * g - 0.375**2), np.sqrt(g * g - 0.425**2))
         assert quasistatic_cycle(TwoLevel(g), 2.0, 1.0, legs, 4000).g_trace_crosscheck < 1e-10
-        monkeypatch.setattr(linalg, "_eig2", shifted)
+        monkeypatch.setattr(thermo, "_eig_stack", shifted)
         assert quasistatic_cycle(TwoLevel(g), 2.0, 1.0, legs, 4000).g_trace_crosscheck >= 1e-8
 
     def test_exceptional_point_leg_raises_without_crosscheck(self):
@@ -430,6 +461,18 @@ class TestQuasistaticCycle:
         # the leg's own gate names it, not the energy crosscheck
         with pytest.raises(DefectiveMatrixError, match="control value 1 "):
             quasistatic_cycle(TwoLevel(1.0), 2.0, 1.0, (0.6, 1.0, 0.2, 0.1), 4000)
+
+    @pytest.mark.parametrize("offset", [1e-13, 1e-14, 1e-15])
+    def test_leg_through_a_coalescing_pair_names_its_control_value(self, offset):
+        # the hot leg ends 1 - offset short of the exceptional point: the
+        # eigenvector matrix's condition number stays below 1e8 there, but
+        # the pair coalesces with parallel vectors.  The stacked kernel used
+        # to pass it, and the cycle failed late in an isentrope
+        end = 1.0 - offset
+        with pytest.raises(DefectiveMatrixError, match=f"at control value {end:.17g} coalesce"):
+            quasistatic_cycle(TwoLevel(1.0), 2.0, 1.0, (0.6, end, 0.2, 0.1), 4000)
+        with pytest.raises(DefectiveMatrixError, match="coalesce"):
+            eigendecompose(TwoLevel(1.0).hamiltonian(end))
 
     def test_exceptional_point_leg_raises_on_the_general_path(self):
         # the same leg embedded in three levels goes through np.linalg.eig
@@ -454,7 +497,7 @@ class TestQuasistaticCycle:
             legs = (0.0, 0.4, float(np.sqrt(g * g - 0.375**2)), float(np.sqrt(g * g - 0.425**2)))
             args = (TwoLevel(g), 2.0, 1.0, legs)
         closed = quasistatic_cycle(*args, steps=10000)
-        monkeypatch.setattr(linalg, "_eig2", linalg._eig_general)
+        monkeypatch.setattr(linalg, "_closed_form", linalg._eig_batched)
         general = quasistatic_cycle(*args, steps=10000)
         for name in ("efficiency", "Q_hot", "W_net"):
             assert getattr(closed, name) == pytest.approx(getattr(general, name), rel=1e-12, abs=0)
@@ -570,7 +613,7 @@ def test_isentrope_solve_matches_bisection_on_random_real_legs(leg, log_start):
 def _check_leg_eigensystem(H: np.ndarray):
     """The closed-form leg eigensystem of a (k, 2, 2) stack against its definition."""
     values = np.arange(H.shape[0], dtype=float)
-    E, VR, VLh = linalg._eig2(np.moveaxis(H, 0, -1), values, DEFAULT)
+    E, VR, VLh, _, _ = linalg._eig_stack(np.moveaxis(H, 0, -1), values, DEFAULT)
     E, VR, VLh = E.T, np.moveaxis(VR, -1, 0), np.moveaxis(VLh, -1, 0)
     scale = np.maximum(1.0, np.linalg.norm(H, axis=(1, 2)))
     residual = np.linalg.norm(H @ VR - VR * E[:, None, :], axis=(1, 2))
@@ -696,3 +739,30 @@ def test_closed_form_leg_eigensystem_on_diagonal_and_scalar_matrices():
         dtype=complex,
     )
     _check_leg_eigensystem(H)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_coupling=st.floats(np.log(0.5), np.log(2.0)),
+    ends=st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)),
+    shape=st.sampled_from(["linear", "erf"]),
+    log_tau=st.floats(np.log(0.1), np.log(5.0)),
+    log_beta=st.floats(np.log(1e-2), np.log(1e3)),
+)
+def test_two_level_drives_meet_the_identities(log_coupling, ends, shape, log_tau, log_beta):
+    # the paper's identities on generated TwoLevel drives, at default
+    # settings: the Jarzynski equality, metric unitarity in the row sums,
+    # a total weight of 1, W_irr >= 0 and real Z, E and S at both edges
+    coupling, beta = np.exp(log_coupling), np.exp(log_beta)
+    start, end = (coupling * v for v in ends)
+    protocol = getattr(Protocol, shape)(start, end, np.exp(log_tau))
+    res = two_time_work(TwoLevel(coupling), protocol, beta)
+    rep = res.report
+    assert rep.relative_residual <= 1e-5
+    assert res.row_sum_defect <= 1e-8
+    assert abs(rep.total_weight - 1.0) <= 1e-8
+    assert rep.irreversible_work >= -1e-8
+    for energies in (res.energies_initial, res.energies_final):
+        state = thermal_state(energies, beta)
+        assert state.Z.imag == 0.0 and state.log_Z.imag == 0.0
+        assert np.isfinite(internal_energy(state)) and np.isfinite(entropy(state))
