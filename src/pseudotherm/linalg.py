@@ -252,8 +252,7 @@ def _closed_form(H: np.ndarray):
     (p0, q0), (p1, q1) = VR
     det = p0 * q1 - q0 * p1
     with np.errstate(all="ignore"):  # det = 0: parallel vectors, an infinite condition number
-        f = 1.0 / det
-        VLh = np.array([[q1 * f, -q0 * f], [-p1 * f, p0 * f]])
+        VLh = np.array([[q1, -q0], [-p1, p0]]) * (1.0 / det)
         cond = 2.0 / np.abs(det)
         # the rows of VLh VR - I and of VR VLh - I
         B = [VLh[i, 0] * VR[0] + VLh[i, 1] * VR[1] for i in (0, 1)]
@@ -316,19 +315,19 @@ def _eig_batched(H: np.ndarray):
     V = V[grid[:, :, None], levels[:, None], order[:, None, :]].astype(complex, copy=False)
     try:
         inv = np.linalg.inv(V)
-    except np.linalg.LinAlgError:  # an exactly singular V: an infinite condition number
+    except np.linalg.LinAlgError:  # an exactly singular V (a Jordan block): an infinite condition number
         inv = np.stack([_inverse_or_inf(M) for M in V])
     peak = V[grid, np.abs(V).argmax(axis=1), levels]
     phase = (peak / np.abs(peak))[:, None, :]
     V = V / phase
-    VLh = (inv.conj() / phase.transpose(0, 2, 1)).conj()  # the left vectors, rotated alike
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row is an infinite kappa
-        cond = np.sqrt(d * _abs2(VLh).sum(axis=(1, 2)))
-    B, C = VLh @ V, V @ VLh
-    for D in (B, C):
-        D.reshape(k, d * d)[:, :: d + 1] -= 1.0  # minus the identity
+    with np.errstate(all="ignore"):  # an overflowing or infinite row of inv is an infinite kappa
+        cond = np.sqrt(d * _abs2(inv).sum(axis=(1, 2)))
+        VLh = (inv.conj() / phase.transpose(0, 2, 1)).conj()  # the left vectors, rotated alike
+        B, C = VLh @ V, V @ VLh
+        for D in (B, C):
+            D.reshape(k, d * d)[:, :: d + 1] -= 1.0  # minus the identity
+        biortho, completeness = np.abs(B).max(axis=(1, 2)), np.sqrt(_abs2(C).sum(axis=(1, 2)))
     eigen = np.abs(A @ V - V * w[:, None, :]).max(axis=(1, 2))
-    biortho, completeness = np.abs(B).max(axis=(1, 2)), np.sqrt(_abs2(C).sum(axis=(1, 2)))
     return w.T, V.transpose(1, 2, 0), VLh.transpose(1, 2, 0), cond, biortho, completeness, eigen
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -412,6 +413,15 @@ def test_stacked_general_path_refuses_a_failed_eigenvector_equation():
     E, VR, VLh, _, _ = linalg._eig_stack(H, values, DEFAULT)
     A, V = np.moveaxis(H, -1, 0), np.moveaxis(VR, -1, 0)
     assert np.abs(A @ V - V * np.moveaxis(E, -1, 0)[:, None, :]).max() <= 1e-14
+
+
+def test_three_level_jordan_block_is_refused():
+    # np.linalg.eig returns exactly parallel right vectors for the 3 x 3
+    # nilpotent Jordan block, so inv(V) fails: an infinite condition number
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DefectiveMatrixError, match="condition number inf"):
+            eigendecompose(np.diag([1.0, 1.0], 1))
 
 
 def test_exceptional_point_is_defective():
