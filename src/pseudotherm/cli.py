@@ -34,7 +34,7 @@ from .errors import ConfigError, PseudothermError
 from .linalg import _eigensystems, build_metric, classify_spectrum, eigendecompose, save_matrix
 from .linalg import pseudo_hermiticity_residual
 from .models import HatanoNelson, Oscillator, TwoLevel, _two_by_two, relaxation_time
-from .thermo import _Ahead, _edge_frame, _two_time_setup, quasistatic_cycle, two_time_work
+from .thermo import _Ahead, _edge_frame, _initial_state, quasistatic_cycle, two_time_work
 from .tolerances import DEFAULT
 
 _FIG_PRESETS = {
@@ -237,10 +237,10 @@ def _propagate_ahead(cfgs: list) -> list:
     by their own call, so a larger model's sweep holds no model beyond its
     point.  The window edges of the configs before it are decomposed in
     one stacked kernel call; if that raises, every config gets None and
-    decomposes its own edges in sweep order.  Each config is then set up
-    on its edges (`thermo._two_time_setup`), again up to the first that
-    fails.  The configs set up are grouped by model and propagation
-    options, and each group is propagated once, its configs as lanes
+    decomposes its own edges in sweep order.  Then the initial columns of
+    each config are measured, again up to the first that fails.  The
+    configs measured are grouped by model and propagation options, and
+    each group is propagated once, its configs as lanes
     (`dynamics._propagate_lanes`); a config's lane is its PropagationResult,
     or the exception the lane raised.
     """
@@ -250,23 +250,21 @@ def _propagate_ahead(cfgs: list) -> list:
             args = model, protocol, beta, hbar, options = _two_time_args(cfg)
             if model.dimension != 2:
                 break
-            read.append((args, _edge_frame(model, protocol, options["gauge_precondition"])[1]))
+            read.append((args, _edge_frame(model, protocol, options["gauge_precondition"])))
         except Exception:
             # its own measurement raises this again, in sweep order, and
             # the sweep ends there
             break
     try:
-        edges = _eigensystems(np.concatenate([H for _, H in read]), DEFAULT) if read else []
+        edges = _eigensystems(np.concatenate([H for _, (_, H, _) in read]), DEFAULT) if read else []
     except Exception:
         return out
     groups = {}
-    for i, (args, H) in enumerate(read):
+    for i, (args, (precondition, H, G0)) in enumerate(read):
         model, protocol, beta, hbar, options = args
         pair = edges[2 * i], edges[2 * i + 1]
         try:
-            precondition, *_, initial = _two_time_setup(
-                model, protocol, beta, DEFAULT, options["gauge_precondition"], (H, pair)
-            )
+            initial = _initial_state(model, pair[0], G0, beta, DEFAULT)[-1]
         except Exception:
             break
         out[i] = args, H, pair

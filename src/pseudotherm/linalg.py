@@ -132,15 +132,10 @@ def _eigensystems(H: np.ndarray, tol: Tolerances) -> list:
     if not np.isfinite(H).all():
         raise ValueError("matrix contains non-finite entries")
     E, VR, VLh, biortho, completeness = _eig_stack(H.transpose(1, 2, 0), None, tol)
+    E, VR = E.T.copy(), VR.transpose(2, 0, 1).copy()
     return [
-        BiorthogonalEigensystem(
-            eigenvalues=E[:, i].copy(),
-            right=VR[..., i].copy(),
-            left=VLh[..., i].T.conj(),
-            biortho_residual=float(biortho[i]),
-            completeness_residual=float(completeness[i]),
-        )
-        for i in range(H.shape[0])
+        BiorthogonalEigensystem(E[i], VR[i], VLh[..., i].T.conj(), b, c)
+        for i, (b, c) in enumerate(zip(biortho.tolist(), completeness.tolist()))
     ]
 
 

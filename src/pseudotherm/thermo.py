@@ -416,7 +416,8 @@ def _initial_state(model, eig0: BiorthogonalEigensystem, G0: np.ndarray, beta: f
     The initial columns are the row levels' right eigenvectors, normalised
     in the metric G0: the columns a two-time measurement propagates.
     """
-    pops = thermal_state(eig0.eigenvalues, beta).eigen_populations
+    _, q, total = _shifted_weights(eig0.eigenvalues, beta)
+    pops = (q / total).real  # thermal_state's populations, without its Z and F
     dim = model.dimension
     keep = dim - dim // 8 if getattr(model, "is_truncated", False) else dim
 

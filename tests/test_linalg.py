@@ -359,6 +359,10 @@ def test_eigenvalues_sorted_by_real_then_imag():
     H = np.diag([3.0, -1.0, 2.0]).astype(complex)
     es = eigendecompose(H)
     npt.assert_allclose(es.eigenvalues.real, [-1.0, 2.0, 3.0], atol=0)
+    # the closed form's m -/+ s, with s = 5e-11 - 1j, rounds to equal real
+    # parts, so the imaginary parts order the pair
+    H = np.array([[1e6, -1 - 1e-10j], [1, 1e6]])
+    assert eigendecompose(H).eigenvalues.tolist() == [1e6 - 1j, 1e6 + 1j]
 
 
 def test_biorthonormality_and_completeness():
