@@ -238,7 +238,8 @@ def _propagate_ahead(cfgs: list) -> list:
     point.  The window edges of the configs before it are decomposed in
     one stacked kernel call; if that raises, every config gets None and
     decomposes its own edges in sweep order.  Then the initial columns of
-    each config are measured, again up to the first that fails.  The
+    each config are measured, once for a run of configs that keep the
+    start, again up to the first that fails.  The
     configs measured are grouped by model and propagation options, and
     each group is propagated once, its configs as lanes
     (`dynamics._propagate_lanes`); a config's lane is its PropagationResult,
@@ -259,14 +260,18 @@ def _propagate_ahead(cfgs: list) -> list:
         edges = _eigensystems(np.concatenate([H for _, (_, H, _) in read]), DEFAULT) if read else []
     except Exception:
         return out
-    groups = {}
+    groups, measured = {}, None
     for i, (args, (precondition, H, G0)) in enumerate(read):
         model, protocol, beta, hbar, options = args
         pair = edges[2 * i], edges[2 * i + 1]
-        try:
-            initial = _initial_state(model, pair[0], G0, beta, DEFAULT)[-1]
-        except Exception:
-            break
+        # a config with the previous one's model, start, metric and beta has its columns
+        start = model, H[0].tobytes(), G0.tobytes(), beta
+        if start != measured:
+            try:
+                initial = _initial_state(model, pair[0], G0, beta, DEFAULT)[-1]
+            except Exception:
+                break
+            measured = start
         out[i] = args, H, pair
         key = (model, hbar, precondition, options["entry_tol"], options["steps"])
         groups.setdefault(key, []).append((i, protocol, initial))
