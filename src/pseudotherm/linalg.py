@@ -128,11 +128,9 @@ def eigendecompose(H, tol: Tolerances | None = None) -> BiorthogonalEigensystem:
 
 
 def _eigensystems(H: np.ndarray, tol: Tolerances) -> list:
-    """The eigensystems of a (k, d, d) stack, from one `_eig_stack` call."""
-    if not np.isfinite(H).all():
-        raise ValueError("matrix contains non-finite entries")
+    """The eigensystems of a finite (k, d, d) stack, from one `_eig_stack` call."""
     E, VR, VLh, biortho, completeness = _eig_stack(H.transpose(1, 2, 0), None, tol)
-    E, VR = E.T.copy(), VR.transpose(2, 0, 1).copy()
+    E, VR = np.ascontiguousarray(E.T), np.ascontiguousarray(VR.transpose(2, 0, 1))
     return [
         BiorthogonalEigensystem(E[i], VR[i], VLh[..., i].T.conj(), b, c)
         for i, (b, c) in enumerate(zip(biortho.tolist(), completeness.tolist()))
@@ -169,37 +167,29 @@ def _eig_stack(H: np.ndarray, values, tol: Tolerances):
     """
     H = np.asarray(H, dtype=complex)
     E, VR, VLh, cond, biortho, completeness, eigen = (_closed_form if H.shape[0] == 2 else _eig_batched)(H)
-    scale = np.abs(H).max(axis=(0, 1))
+    r, scale = tol.defective_residual, np.abs(H).max(axis=(0, 1))
     close = np.abs(E[1:] - E[:-1]) < _COALESCE_GAP * (1.0 + np.abs(E[:-1]))
-    overlap = np.zeros(close.shape)
     if close.any():  # the overlaps of neighbouring right vectors matter only there
-        overlap = np.abs((VR[:, :-1].conj() * VR[:, 1:]).sum(axis=0))
-    coalesce = close & (overlap > 1.0 - _COALESCE_PARALLEL)
-    r = tol.defective_residual
-    gates = (
-        ~(cond <= tol.defective_cond),
-        coalesce.any(axis=0),
-        ~((biortho <= r) & (completeness <= r)),
-        ~(eigen <= r * scale),
-    )
-    failed = gates[0] | gates[1] | gates[2] | gates[3]
+        close &= np.abs((VR[:, :-1].conj() * VR[:, 1:]).sum(axis=0)) > 1.0 - _COALESCE_PARALLEL
+    passed = (cond <= tol.defective_cond) & (biortho <= r) & (completeness <= r) & (eigen <= r * scale)
+    failed = ~passed | close.any(axis=0)
     if not failed.any():
         return E, VR, VLh, biortho, completeness
     i = int(np.argmax(failed))
     where = "" if values is None else f" at control value {values[i]:.17g}"
-    if gates[0][i]:
+    if not cond[i] <= tol.defective_cond:
         raise DefectiveMatrixError(
             f"eigenvector condition number {cond[i]:.3e}{where} exceeds "
             f"{tol.defective_cond:.1e}; the matrix is defective within tolerance, "
             "at or near an exceptional point"
         )
-    if gates[1][i]:
-        j = int(np.argmax(coalesce[:, i]))
+    if close[:, i].any():
+        j = int(np.argmax(close[:, i]))
         raise DefectiveMatrixError(
-            f"eigenvalues {E[j, i]:.6g} and {E[j + 1, i]:.6g}{where} coalesce with "
-            f"parallel eigenvectors (overlap {overlap[j, i]:.12f}): an exceptional point"
+            f"eigenvalues {E[j, i]:.6g} and {E[j + 1, i]:.6g}{where} coalesce with parallel "
+            f"eigenvectors (overlap {abs(np.vdot(VR[:, j, i], VR[:, j + 1, i])):.12f}): an exceptional point"
         )
-    if gates[2][i]:
+    if not (biortho[i] <= r and completeness[i] <= r):
         raise DefectiveMatrixError(
             f"biorthonormalization failed{where} (residuals {biortho[i]:.3e}, "
             f"{completeness[i]:.3e}); the matrix is defective within tolerance"

@@ -450,6 +450,8 @@ def _two_time_setup(model, protocol: Protocol, beta: float, tol: Tolerances,
     """
     precondition, H, G0 = _edge_frame(model, protocol, gauge_precondition)
     if handed is None:
+        if not np.isfinite(H).all():
+            raise ValueError("window-edge matrix contains non-finite entries")
         eig0, eigT = _eigensystems(H, tol)
     else:
         edges, (eig0, eigT) = handed
