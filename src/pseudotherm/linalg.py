@@ -168,11 +168,11 @@ def _eig_stack(H: np.ndarray, values, tol: Tolerances):
     H = np.asarray(H, dtype=complex)
     E, VR, VLh, cond, biortho, completeness, eigen = (_closed_form if H.shape[0] == 2 else _eig_batched)(H)
     r, scale = tol.defective_residual, np.abs(H).max(axis=(0, 1))
+    failed = ~((cond <= tol.defective_cond) & (biortho <= r) & (completeness <= r) & (eigen <= r * scale))
     close = np.abs(E[1:] - E[:-1]) < _COALESCE_GAP * (1.0 + np.abs(E[:-1]))
     if close.any():  # the overlaps of neighbouring right vectors matter only there
         close &= np.abs((VR[:, :-1].conj() * VR[:, 1:]).sum(axis=0)) > 1.0 - _COALESCE_PARALLEL
-    passed = (cond <= tol.defective_cond) & (biortho <= r) & (completeness <= r) & (eigen <= r * scale)
-    failed = ~passed | close.any(axis=0)
+        failed |= close.any(axis=0)
     if not failed.any():
         return E, VR, VLh, biortho, completeness
     i = int(np.argmax(failed))
