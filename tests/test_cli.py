@@ -604,6 +604,7 @@ class TestSweeps:
             ("jarzynski", {"name": "protocol.duration", "values": [2.0, 0.5, 1.0]}, 1),
             ("fig1-right", {"name": "protocol.duration", "values": [0.5, 1.0]}, 2),
             ("fig2-left", {"name": "protocol.end", "values": [0.6, 0.3, 0.45]}, 1),
+            ("jarzynski", {"name": "protocol.start", "values": [0.1, 0.3, 0.2]}, 1),
         ],
     )
     def test_sweeps_measure_each_point_once_as_a_plain_call(self, tmp_path, monkeypatch, command, sweep,
