@@ -239,11 +239,11 @@ def _propagate_ahead(cfgs: list) -> list:
     one stacked kernel call; if that raises, every config gets None and
     decomposes its own edges in sweep order.  Then the initial columns of
     each config are measured, once for a run of configs that keep the
-    start, again up to the first that fails.  The
-    configs measured are grouped by model and propagation options, and
-    each group is propagated once, its configs as lanes
-    (`dynamics._propagate_lanes`); a config's lane is its PropagationResult,
-    or the exception the lane raised.
+    start, again up to the first that fails.  The configs measured are
+    grouped by model and propagation options, and each group is
+    propagated once, its configs as lanes (`dynamics._propagate_lanes`); a
+    config's lane is its PropagationResult, or the exception the lane
+    raised.
     """
     out, read = [None] * len(cfgs), []
     for cfg in cfgs:
@@ -259,6 +259,7 @@ def _propagate_ahead(cfgs: list) -> list:
     try:
         edges = _eigensystems(np.concatenate([H for _, (_, H, _) in read]), DEFAULT) if read else []
     except Exception:
+        # each point decomposes its own edges, and the first that fails raises in sweep order
         return out
     groups, measured = {}, None
     for i, (args, (precondition, H, G0)) in enumerate(read):
