@@ -235,11 +235,12 @@ def _propagate_ahead(cfgs: list) -> list:
     The configs are read in order, up to the first that fails or has more
     than two levels; it and the configs after it get None and are measured
     by their own call, so a larger model's sweep holds no model beyond its
-    point.  The window edges of the configs before it are decomposed in
-    one stacked kernel call; if that raises, every config gets None and
-    decomposes its own edges in sweep order.  Then the initial columns of
-    each config are measured, once for a run of configs that keep the
-    start, again up to the first that fails.  The configs measured are
+    point.  The window-edge matrices of the configs before it
+    (`thermo._edge_frame`) are decomposed in one stacked kernel call; if
+    that raises, every config gets None and decomposes its own edges in
+    sweep order.  Then the initial columns of each config are measured,
+    once for a run of configs that keep the start, again up to the first
+    that fails or has no frame at an edge.  The configs measured are
     grouped by model and propagation options, and each group is
     propagated once, its configs as lanes (`dynamics._propagate_lanes`); a
     config's lane is its PropagationResult, or the exception the lane
@@ -257,23 +258,25 @@ def _propagate_ahead(cfgs: list) -> list:
             # the sweep ends there
             break
     try:
-        edges = _eigensystems(np.concatenate([H for _, (_, H, _) in read]), DEFAULT) if read else []
+        eigs = _eigensystems(np.concatenate([H for _, (_, H, _, _) in read]), DEFAULT) if read else []
     except Exception:
         # each point decomposes its own edges, and the first that fails raises in sweep order
         return out
-    groups, measured = {}, None
-    for i, (args, (precondition, H, G0)) in enumerate(read):
+    groups, measured, at = {}, None, 0
+    for i, (args, (precondition, H, G0, frame_error)) in enumerate(read):
         model, protocol, beta, hbar, options = args
-        pair = edges[2 * i], edges[2 * i + 1]
+        edges, at = tuple(eigs[at : at + len(H)]), at + len(H)
+        if frame_error is not None:
+            break
         # a config with the previous one's model, start, metric and beta has its columns
-        start = model, H[0].tobytes(), G0.tobytes(), beta
+        start = model, H[-2].tobytes(), G0.tobytes(), beta
         if start != measured:
             try:
-                initial = _initial_state(model, pair[0], G0, beta, DEFAULT)[-1]
+                initial = _initial_state(model, edges[-2], G0, beta, DEFAULT)[-1]
             except Exception:
                 break
             measured = start
-        out[i] = args, H, pair
+        out[i] = args, H, edges
         key = (model, hbar, precondition, options["entry_tol"], options["steps"])
         groups.setdefault(key, []).append((i, protocol, initial))
     for (model, hbar, precondition, entry_tol, steps), lanes in groups.items():
@@ -281,8 +284,8 @@ def _propagate_ahead(cfgs: list) -> list:
         outcomes = _propagate_lanes(model, protocols, initials, hbar, steps, tol=DEFAULT,
                                     entry_tol=entry_tol, gauge_precondition=precondition)
         for i, outcome in zip(index, outcomes):
-            args, H, pair = out[i]
-            out[i] = args, _Ahead(H, pair, outcome)
+            args, H, edges = out[i]
+            out[i] = args, _Ahead(H, edges, outcome)
     return out
 
 

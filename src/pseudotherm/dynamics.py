@@ -597,18 +597,19 @@ class _MetricFamily:
 
     Three cases: the identity (hermitian frame), a static metric, and a
     metric that moves with the drive, the only one with a gauge term.
+    `moving` says whether the model's own metric moves: its frame exists
+    only where it is positive definite, so it is scanned in the frame too.
     """
 
     def __init__(self, model, protocol: Protocol, identity: bool):
         self.identity = identity
         self._model = model
         self._protocol = protocol
+        self.moving = not getattr(model, "metric_is_static", False)
+        self.static = identity or not self.moving
         if identity:
-            self.static = True
             self._g0 = np.eye(model.dimension, dtype=complex)
-            return
-        self.static = bool(getattr(model, "metric_is_static", False))
-        if self.static:
+        elif self.static:
             self._g0 = model.metric(protocol.value(protocol.t_start))
 
     def g(self, t) -> np.ndarray:
@@ -633,10 +634,14 @@ class _MetricFamily:
 
 
 def _scan_positive_definite(family: _MetricFamily, t0: float, t1: float, tol: Tolerances):
-    """Refuse to integrate into a region where the metric degenerates."""
-    if family.identity:
+    """Refuse to integrate into a region where the model's metric degenerates.
+
+    A moving metric is scanned in its hermitian frame as well, where the
+    frame would otherwise be evaluated outside its domain.
+    """
+    if family.identity and not family.moving:
         return
-    if family.static:
+    if not family.moving:
         m = float(_min_eigenvalue(family.g(t0)))
         if m <= tol.metric_min_eig:
             raise SingularMetricError(
@@ -800,6 +805,12 @@ def _two_level_pass(runs: list, h_of: Callable, model, hbar: float, moving: bool
         spans = [(runs[r][0], ts[a:b]) for (r, _, _), a, b in zip(batch, edges, edges[1:])]
         v = _by_lane(spans, lambda lane, t: lane.protocol.value(t)).ravel()
         A = h_of(v)
+        if not (moving or np.isfinite(A).all()):  # between the scan's points, a frame may not exist
+            bad = v[~np.isfinite(A).all(axis=(1, 2))][0]
+            raise SingularMetricError(
+                f"the integrated family is not finite at control value {bad:.6g}; "
+                "a hermitian frame exists only where the metric is positive definite"
+            )
         if moving:
             A = A + _moving_gauge(model, v, _by_lane(spans, lambda lane, t: lane.protocol.rate(t)).ravel(), hbar)
         A = (-1j / hbar) * A
@@ -1077,7 +1088,9 @@ def propagate(
     the finer run is returned.  `initial` replaces the identity initial
     condition by an arbitrary (dim x k) column block, which evolves the
     given columns only.  With gauge_precondition the model's hermitian frame
-    is integrated instead (identity metric, no gauge term).
+    is integrated instead (identity metric, no gauge term); a moving metric
+    is still scanned, since its frame exists only where it is positive
+    definite.
 
     This is the one-lane case of `_propagate_lanes`, which runs the same
     ladder for many protocols and initial conditions of one model at once.

@@ -20,6 +20,15 @@ gauge term.  A moving metric (the two-level system) also declares
 which the propagator reads for the gauge term and its positive-definiteness
 scan.
 
+A model may also declare its hermitian frame, hermitian_frame(v) = S H S^-1
+with S = metric(v)^(1/2), in closed form; the propagator and the two-time
+measurement then integrate and measure in it with the identity metric.  In
+the frame of a moving metric the generator gains the connection
+(S' S^-1 - S^-1 S')/2, so a moving-metric model may declare a frame only
+where that connection vanishes, as it does when S and its rate commute.
+The frame exists only where the metric is positive definite; outside, its
+entries are NaN.
+
 hamiltonian, hermitian_frame and the metric methods also take a 1-D array
 of control values and then return the stack of the scalar results, (k, d, d)
 matrices or (k,) numbers, so the propagator can build a block of steps in
@@ -109,8 +118,21 @@ class TwoLevel:
 
     def metric_min_eigenvalue(self, v):
         # metric eigenvalues are 2 (1 +/- v/coupling)
-        m = 2.0 * (1.0 - np.abs(v) / self.coupling)
+        m = 2.0 * (1.0 - np.abs(v) / abs(self.coupling))
         return float(m) if np.ndim(m) == 0 else m
+
+    def hermitian_frame(self, v) -> np.ndarray:
+        """sqrt(coupling^2 - v^2) sigma_x (signed as the coupling): S H S^-1 for S = metric(v)^(1/2).
+
+        S and its rate are both functions of sigma_y, so they commute and
+        the frame has no connection.  NaN where |v| >= |coupling|, at and
+        past the exceptional point, where the metric is not positive
+        definite and no frame exists.
+        """
+        v = np.asarray(v, dtype=float)
+        c = self.coupling
+        r = np.copysign(np.sqrt(np.where(np.abs(v) < abs(c), c * c - v * v, np.nan)), c)
+        return _two_by_two(v.shape, 0.0, r, r, 0.0)
 
 
 @dataclass(frozen=True)

@@ -395,18 +395,31 @@ class TwoTimeResult:
 
 
 def _edge_frame(model, protocol: Protocol, gauge_precondition: bool | None) -> tuple:
-    """(precondition, H at the two window edges, metric at the start) of a two-time measurement.
+    """(precondition, edge matrices, metric at the start, frame error) of a two-time measurement.
 
     precondition says whether the measurement takes the model's hermitian
-    frame, where the metric is the identity.
+    frame, where the metric is the identity; the edge matrices are the
+    measured family at the two window edges.  The frame of a moving metric
+    puts H at the two edges first, so that the raw route's gates run
+    before the frame's edges are measured.  Where that frame is not finite
+    at an edge, only H is given, and frame error holds the error to raise
+    after H's checks; it is None otherwise.
     """
     precondition = (
         hasattr(model, "hermitian_frame") if gauge_precondition is None else gauge_precondition
     )
     edges = protocol.value(np.array([protocol.t_start, protocol.t_end]))
-    if precondition:
-        return precondition, _hermitian_frame(model)(edges), np.eye(model.dimension, dtype=complex)
-    return precondition, model.hamiltonian(edges), _metric_matrix(model.metric(edges[0]))
+    if not precondition:
+        return precondition, model.hamiltonian(edges), _metric_matrix(model.metric(edges[0])), None
+    frame, identity = _hermitian_frame(model), np.eye(model.dimension, dtype=complex)
+    if getattr(model, "metric_is_static", False):
+        return precondition, frame(edges), identity, None
+    H, h = model.hamiltonian(edges), frame(edges)
+    if np.isfinite(h).all():
+        return precondition, np.concatenate([H, h]), identity, None
+    return precondition, H, identity, SingularMetricError(
+        "the hermitian frame is not finite at a window edge, where the metric is not positive definite"
+    )
 
 
 def _initial_state(model, eig0: BiorthogonalEigensystem, G0: np.ndarray, beta: float,
@@ -443,22 +456,27 @@ def _two_time_setup(model, protocol: Protocol, beta: float, tol: Tolerances,
     """Everything `two_time_work` checks and measures before it propagates.
 
     Returns (precondition, eig0, eigT, populations, row levels, column
-    levels, initial columns).  Both window edges are decomposed in one
-    kernel call, unless handed = (edge matrices, (eig0, eigT)) hands over
-    their eigensystems: the edge matrices must be byte-equal to this
-    measurement's, or ValueError is raised.
+    levels, initial columns).  The edge matrices of `_edge_frame` are
+    decomposed in one kernel call, unless handed = (edge matrices,
+    eigensystems) hands over their eigensystems: the edge matrices must be
+    byte-equal to this measurement's, or ValueError is raised.  Every
+    spectrum must be real, H's before its frame's, and the frame's error is
+    raised after H's checks.
     """
-    precondition, H, G0 = _edge_frame(model, protocol, gauge_precondition)
+    precondition, H, G0, frame_error = _edge_frame(model, protocol, gauge_precondition)
     if handed is None:
         if not np.isfinite(H).all():
             raise ValueError("window-edge matrix contains non-finite entries")
-        eig0, eigT = _eigensystems(H, tol)
+        eigs = _eigensystems(H, tol)
     else:
-        edges, (eig0, eigT) = handed
+        edges, eigs = handed
         if edges.dtype != H.dtype or edges.shape != H.shape or edges.tobytes() != H.tobytes():
             raise ValueError("the handed eigensystems decompose other window edges than this measurement's")
-    _require_all_real("initial", eig0, tol)
-    _require_all_real("final", eigT, tol)
+    for label, eig in zip(("initial", "final") * 2, eigs):
+        _require_all_real(label, eig, tol)
+    if frame_error is not None:
+        raise frame_error
+    eig0, eigT = eigs[-2:]
     return precondition, eig0, eigT, *_initial_state(model, eig0, G0, beta, tol)
 
 
@@ -466,9 +484,9 @@ class _Ahead(NamedTuple):
     """What a sweep measured and propagated ahead of one point, handed to its
     `two_time_work` call as `propagation`.
 
-    edges = (eig0, eigT) are the eigensystems of the (2, d, d) window-edge
-    matrices H, from the sweep's one stacked kernel call; propagation is
-    the point's lane, a PropagationResult or the exception the lane raised.
+    edges are the eigensystems of `_edge_frame`'s window-edge matrices H,
+    from the sweep's one stacked kernel call; propagation is the point's
+    lane, a PropagationResult or the exception the lane raised.
     """
 
     H: np.ndarray
@@ -494,7 +512,11 @@ def two_time_work(
     Eigenbases are taken at the protocol window edges.  When the model has
     a hermitian frame (gauge_precondition defaults to using it), dynamics
     and measurements happen in that frame with the identity metric, which
-    is exact for a static metric family.  Truncated models never use the
+    is exact whenever the frame has no connection: always for a static
+    metric, and for a moving one that declares a frame (see `models`).
+    For a moving metric the raw edges first pass every check of the raw
+    route, and the propagation scans the metric over the window, so the
+    frame keeps the raw route's errors.  Truncated models never use the
     top eighth of the spectrum in work sums: those levels are excluded
     from both measurement index sets, while populations stay normalized by
     the full-spectrum partition function, so no probability is invented.

@@ -248,28 +248,49 @@ class TestArtifacts:
         assert len(rows) >= 10
         assert all(r[1] >= 0 for r in rows)
 
-    @pytest.mark.parametrize(
+    _PROTOCOLS = pytest.mark.parametrize(
         "protocol",
         [BASE["protocol"], {"kind": "erf", "start": 0.0, "end": 0.5, "duration": 1.0, "window": 3.0}],
         ids=["linear", "erf"],
     )
+
+    @_PROTOCOLS
     def test_evolve_summary_residual_is_the_last_checkpoint(self, tmp_path, capsys, protocol):
-        cfg_path = write_config(tmp_path, dict(BASE, protocol=protocol))
-        assert main(["evolve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        # the raw route, with the moving metric at every checkpoint
+        self._evolve_summary_residual(tmp_path, capsys, protocol, False)
+
+    @_PROTOCOLS
+    def test_evolve_summary_residual_is_the_last_checkpoint_in_the_frame(self, tmp_path, capsys, protocol):
+        # the default route of a two-level drive: its hermitian frame
+        self._evolve_summary_residual(tmp_path, capsys, protocol, True)
+
+    @staticmethod
+    def _evolve_summary_residual(tmp_path, capsys, protocol, frame):
+        cfg = dict(BASE, protocol=protocol)
+        if not frame:
+            cfg["propagation"] = {"precondition": False}
+        assert main(["evolve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
         _, _, rows = read_csv(tmp_path / "evolve_checkpoints.csv")
         assert f" final_residual={rows[-1][1]:.3e} " in capsys.readouterr().out
         # the last checkpoint is U's residual at the window end, up to rounding
-        result = propagate(TwoLevel(), cli.build_protocol({"protocol": protocol}))
+        result = propagate(TwoLevel(), cli.build_protocol({"protocol": protocol}), gauge_precondition=frame)
         assert rows[-1] == list(result.checkpoints[-1])
         final = unitarity_residual(result.U, result.g_start, result.g_end)
         assert rows[-1][1] == pytest.approx(final, abs=1e-14)
 
+    # collinear knots: the ramp 0 -> 0.4 of a linear protocol
+    RAMP = {"kind": "tabulated", "samples": [[0.0, 0.0], [0.5, 0.2], [1.0, 0.4]]}
+
     def test_evolve_takes_a_tabulated_drive(self, tmp_path):
-        # collinear knots: the ramp 0 -> 0.4 of a linear protocol
-        samples = [[0.0, 0.0], [0.5, 0.2], [1.0, 0.4]]
-        cfg = dict(BASE, protocol={"kind": "tabulated", "samples": samples})
+        cfg = dict(BASE, protocol=self.RAMP, propagation={"precondition": False})
         assert main(["evolve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
         linear = propagate(TwoLevel(), Protocol.linear(0.0, 0.4, 1.0))
+        npt.assert_allclose(load_matrix(tmp_path / "evolve_U.txt"), linear.U, atol=1e-9)
+
+    def test_evolve_takes_a_tabulated_drive_in_the_frame(self, tmp_path):
+        cfg = dict(BASE, protocol=self.RAMP)
+        assert main(["evolve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+        linear = propagate(TwoLevel(), Protocol.linear(0.0, 0.4, 1.0), gauge_precondition=True)
         npt.assert_allclose(load_matrix(tmp_path / "evolve_U.txt"), linear.U, atol=1e-9)
 
     @pytest.mark.parametrize(
@@ -412,10 +433,14 @@ class TestPropagationOptions:
     )
 
     @pytest.mark.parametrize("command", ["work", "evolve"])
-    @pytest.mark.parametrize("value", ["yes", True], ids=["not-a-bool", "no-frame"])
-    def test_bad_precondition_exits_2(self, tmp_path, capsys, command, value):
-        # the two-level model has no hermitian frame to precondition into
-        cfg = dict(BASE, propagation={"precondition": value})
+    @pytest.mark.parametrize(
+        "value, model",
+        [("yes", BASE["model"]), (True, {"kind": "hatano_nelson", "length": 4, "asymmetry": 0.3})],
+        ids=["not-a-bool", "no-frame"],
+    )
+    def test_bad_precondition_exits_2(self, tmp_path, capsys, command, value, model):
+        # the open chain has no hermitian frame to precondition into
+        cfg = dict(BASE, model=model, propagation={"precondition": value})
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
         assert "propagation.precondition" in capsys.readouterr().err
 
@@ -627,8 +652,9 @@ class TestSweeps:
         monkeypatch.setattr(thermo, "_eigensystems", stacked)
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) in (0, 1)
         assert len(seen) == per_point * len(sweep["values"])
-        # every window edge of the sweep in one stacked kernel call, none in the points' own
-        assert stacks == [2 * len(seen)]
+        # every window edge of the sweep in one stacked kernel call, none in
+        # the points' own: H and its hermitian frame at both edges of a point
+        assert stacks == [4 * len(seen)]
         monkeypatch.undo()
         for args, kwargs in seen:
             # the edges and the propagation made ahead give the plain call's result bit for bit

@@ -302,6 +302,27 @@ def test_propagation_across_critical_point_raises():
         propagate(TwoLevel(), Protocol.linear(0.0, 1.2, 1.0))
 
 
+@pytest.mark.parametrize("coupling", [1.0, -1.0])
+def test_frame_propagation_across_critical_point_raises(coupling):
+    # the frame exists only where the metric, of eigenvalues
+    # 2 (1 +/- v / coupling), is positive definite: both routes scan it up
+    # to |v| = |coupling|
+    for frame in (False, True):
+        with pytest.raises(SingularMetricError, match="metric loses positive-definiteness"):
+            propagate(TwoLevel(coupling), Protocol.linear(0.0, 1.2, 1.0), gauge_precondition=frame)
+
+
+def test_a_frame_that_is_not_finite_at_a_step_raises():
+    # a drive can leave the frame's domain between the scan's points; a
+    # model whose scan always passes stands in for it
+    class Unscanned(TwoLevel):
+        def metric_min_eigenvalue(self, v):
+            return np.ones(np.shape(v))
+
+    with pytest.raises(SingularMetricError, match="not finite at control value"):
+        propagate(Unscanned(), Protocol.linear(0.0, 1.2, 1.0), gauge_precondition=True)
+
+
 def test_gauge_preconditioned_oscillator_identity_metric():
     model = Oscillator(omega_ref=1.0, shift=0.5, n_basis=12)
     proto = Protocol.linear(1.0, 1.2, 0.5)
@@ -320,7 +341,7 @@ def test_propagate_rejects_nan_window(t0, t1):
 
 def test_gauge_precondition_needs_hermitian_frame():
     with pytest.raises(ValueError):
-        propagate(TwoLevel(), Protocol.linear(0.0, 0.1, 1.0), gauge_precondition=True)
+        propagate(HatanoNelson(length=4, asymmetry=0.3), Protocol.linear(0.0, 0.1, 1.0), gauge_precondition=True)
 
 
 def test_step_seed_is_respected():

@@ -6,6 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudotherm import (
     DEFAULT,
@@ -55,6 +57,11 @@ class TestTwoLevel:
         assert pseudo_hermiticity_residual(m.hamiltonian(lam), m.metric(lam)) < 1e-12
         assert pseudo_hermiticity_residual(m.hamiltonian(lam), SIGMA_X) < 1e-12
         npt.assert_allclose(m.metric(lam) @ m.metric_inverse(lam), np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("v", [1.0, -1.0, 1.5, np.array([0.2, 1.0, 1.0 + 1e-15, -0.999])])
+    def test_hermitian_frame_exists_below_the_exceptional_point_only(self, v):
+        finite = np.isfinite(TwoLevel().hermitian_frame(v)).all(axis=(-2, -1))
+        npt.assert_array_equal(finite, np.abs(v) < 1.0)
 
     def test_constructed_metric_proportional_to_analytic(self):
         for lam in (-0.8, -0.3, 0.2, 0.7):
@@ -238,6 +245,30 @@ def test_oscillator_terms_are_its_families(model, v):
         npt.assert_array_equal(family(v), kinetic + trap[..., None, None] * X2)
         npt.assert_array_equal(family(v), H0 + f(v)[..., None, None] * H1)
     assert model.hermitian_frame_terms()[0] is model.hermitian_frame_terms()[0]  # cached
+
+
+def _metric_root(model, v) -> np.ndarray:
+    """S = metric(v)^(1/2), from eigh."""
+    w, V = np.linalg.eigh(model.metric(v))
+    return (V * np.sqrt(w)) @ V.conj().T
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coupling=st.floats(0.05, 20.0) | st.floats(-20.0, -0.05),
+    mu=st.tuples(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99)),
+)
+def test_two_level_frame_is_the_image_under_the_metric_root(coupling, mu):
+    # h = S H S^-1 with S = g^(1/2), in closed form; S at any two drive
+    # values commute, so S and its rate do, and the frame has no connection
+    model = TwoLevel(coupling)
+    v1, v2 = (coupling * m for m in mu)
+    S1, S2 = _metric_root(model, v1), _metric_root(model, v2)
+    H = model.hamiltonian(v1)
+    frame = model.hermitian_frame(v1)
+    assert np.max(np.abs(S1 @ H @ np.linalg.inv(S1) - frame)) <= 1e-12 * np.linalg.norm(H)
+    npt.assert_array_equal(frame, frame.conj().T)
+    assert np.max(np.abs(S1 @ S2 - S2 @ S1)) <= 1e-12
 
 
 _BATCHED_METHODS = ("hamiltonian", "hermitian_frame", "metric", "metric_inverse", "metric_min_eigenvalue")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 import warnings
 
 import numpy as np
@@ -19,8 +20,10 @@ from pseudotherm import (
     IsentropeNotFoundError,
     JarzynskiReport,
     NonRealResultError,
+    NonRealSpectrumError,
     Oscillator,
     Protocol,
+    SingularMetricError,
     TwoLevel,
     eigendecompose,
     entropy,
@@ -293,7 +296,8 @@ class TestJarzynski:
 
     def test_precondition_needs_a_hermitian_frame(self):
         with pytest.raises(ValueError, match="no hermitian frame"):
-            two_time_work(TwoLevel(), Protocol.linear(0.0, 0.1, 1.0), 1.0, gauge_precondition=True)
+            two_time_work(HatanoNelson(length=4, asymmetry=0.3), Protocol.linear(0.0, 0.1, 1.0), 1.0,
+                          gauge_precondition=True)
 
     def test_low_temperature_ramp_stays_finite(self):
         # Z0 = e^1000 overflows a float; its log does not, and the excited
@@ -335,11 +339,20 @@ class TestGivenPropagation:
 
     @pytest.mark.parametrize("protocol", [Protocol.linear(0.0, 0.6, 1.0), Protocol.erf(0.1, 0.7, 0.4)])
     def test_a_lane_of_a_shared_propagation_measures_as_the_plain_call(self, protocol):
+        # the raw route: moving metric and gauge term
+        self._lane_measures_as_the_plain_call(protocol, False)
+
+    @pytest.mark.parametrize("protocol", [Protocol.linear(0.0, 0.6, 1.0), Protocol.erf(0.1, 0.7, 0.4)])
+    def test_a_lane_of_a_shared_frame_propagation_measures_as_the_plain_call(self, protocol):
+        self._lane_measures_as_the_plain_call(protocol, True)
+
+    def _lane_measures_as_the_plain_call(self, protocol, frame):
         model = TwoLevel()
-        plain = two_time_work(model, protocol, 1.3)
+        plain = two_time_work(model, protocol, 1.3, gauge_precondition=frame)
         other = Protocol.linear(-0.2, 0.5, 2.0)
-        lanes = dynamics._propagate_lanes(model, [other, protocol], [np.eye(2), plain.propagation.initial])
-        given = two_time_work(model, protocol, 1.3, propagation=lanes[1])
+        lanes = dynamics._propagate_lanes(model, [other, protocol], [np.eye(2), plain.propagation.initial],
+                                          gauge_precondition=frame)
+        given = two_time_work(model, protocol, 1.3, gauge_precondition=frame, propagation=lanes[1])
         assert given.propagation is lanes[1]
         self._same(given, plain)
 
@@ -748,15 +761,18 @@ def test_closed_form_leg_eigensystem_on_diagonal_and_scalar_matrices():
     shape=st.sampled_from(["linear", "erf"]),
     log_tau=st.floats(np.log(0.1), np.log(5.0)),
     log_beta=st.floats(np.log(1e-2), np.log(1e3)),
+    frame=st.sampled_from([False, True]),
 )
-def test_two_level_drives_meet_the_identities(log_coupling, ends, shape, log_tau, log_beta):
+def test_two_level_drives_meet_the_identities(log_coupling, ends, shape, log_tau, log_beta, frame):
     # the paper's identities on generated TwoLevel drives, at default
     # settings: the Jarzynski equality, metric unitarity in the row sums,
-    # a total weight of 1, W_irr >= 0 and real Z, E and S at both edges
+    # a total weight of 1, W_irr >= 0 and real Z, E and S at both edges;
+    # on the raw route (gauge term, moving metric and its scan) and in the
+    # hermitian frame
     coupling, beta = np.exp(log_coupling), np.exp(log_beta)
     start, end = (coupling * v for v in ends)
     protocol = getattr(Protocol, shape)(start, end, np.exp(log_tau))
-    res = two_time_work(TwoLevel(coupling), protocol, beta)
+    res = two_time_work(TwoLevel(coupling), protocol, beta, gauge_precondition=frame)
     rep = res.report
     assert rep.relative_residual <= 1e-5
     assert res.row_sum_defect <= 1e-8
@@ -766,3 +782,53 @@ def test_two_level_drives_meet_the_identities(log_coupling, ends, shape, log_tau
         state = thermal_state(energies, beta)
         assert state.Z.imag == 0.0 and state.log_Z.imag == 0.0
         assert np.isfinite(internal_energy(state)) and np.isfinite(entropy(state))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_coupling=st.floats(np.log(0.5), np.log(2.0)),
+    ends=st.tuples(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99)),
+    shape=st.sampled_from(["linear", "erf"]),
+    log_tau=st.floats(np.log(0.1), np.log(5.0)),
+    log_beta=st.floats(np.log(1e-2), np.log(1e3)),
+)
+def test_two_level_frame_and_raw_routes_agree(log_coupling, ends, shape, log_tau, log_beta):
+    # Both routes accept a propagator whose entries moved by at most
+    # DEFAULT.propagation = 1e-8 under the last step halving, and they
+    # agree within it (at most 1.4e-9 on 3,000 random such drives).  The frame
+    # family sqrt(c^2 - v^2) sigma_x commutes with itself at all times, so
+    # its transitions off the diagonal vanish to rounding.
+    coupling, beta = np.exp(log_coupling), np.exp(log_beta)
+    start, end = (coupling * v for v in ends)
+    protocol = getattr(Protocol, shape)(start, end, np.exp(log_tau))
+    raw = two_time_work(TwoLevel(coupling), protocol, beta, gauge_precondition=False)
+    frame = two_time_work(TwoLevel(coupling), protocol, beta)
+    npt.assert_array_equal(frame.propagation.g_end, np.eye(2))
+    assert np.max(np.abs(frame.p - raw.p)) <= DEFAULT.propagation
+    assert abs(frame.report.irreversible_work - raw.report.irreversible_work) <= DEFAULT.propagation
+    assert max(frame.p[0, 1], frame.p[1, 0]) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "end, error, message",
+    [(1.0, DefectiveMatrixError, "eigenvector condition"), (1.2, NonRealSpectrumError, "final spectrum")],
+    ids=["at-the-exceptional-point", "past-it"],
+)
+def test_the_frame_route_keeps_the_raw_routes_edge_errors(end, error, message):
+    messages = []
+    for frame in (False, None):
+        with pytest.raises(error, match=message) as info:
+            two_time_work(TwoLevel(), Protocol.linear(0.0, end, 1.0), 1.0, gauge_precondition=frame)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_the_frame_route_fails_fast_where_a_drive_crosses_the_exceptional_point():
+    # both edges lie below the exceptional point at 1, and the drive passes
+    # 1.15 mid-window: the model's metric is scanned before the frame is
+    # evaluated at a step, as on the raw route
+    protocol = Protocol.tabulated([(0.0, 0.3), (0.5, 1.15), (1.0, 0.2)])
+    clock = time.perf_counter()
+    with pytest.raises(SingularMetricError, match="metric loses positive-definiteness"):
+        two_time_work(TwoLevel(), protocol, 1.0)
+    assert time.perf_counter() - clock < 5.0
