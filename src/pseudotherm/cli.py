@@ -29,12 +29,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .dynamics import MAX_STEPS, Protocol, _propagate_lanes, propagate
+from .dynamics import MAX_STEPS, Protocol, propagate
 from .errors import ConfigError, PseudothermError
-from .linalg import _eigensystems, build_metric, classify_spectrum, eigendecompose, save_matrix
+from .linalg import build_metric, classify_spectrum, eigendecompose, save_matrix
 from .linalg import pseudo_hermiticity_residual
 from .models import HatanoNelson, Oscillator, TwoLevel, _two_by_two, relaxation_time
-from .thermo import _Ahead, _edge_frame, _initial_state, quasistatic_cycle, two_time_work
+from .thermo import _measure_ahead, quasistatic_cycle, two_time_work
 from .tolerances import DEFAULT
 
 _FIG_PRESETS = {
@@ -186,11 +186,13 @@ def _sweep(cfg: dict, row, required=None, variants=lambda point_cfg: (point_cfg,
     and its row is row(value, *results).  Without a sweep the field is
     "value" and the one row is that of cfg, with value None.  required is
     (command, field) for a command that must sweep that field.  The
-    two-level propagations are made ahead of the measurements, as lanes
-    (`_propagate_ahead`); the measurements then run in sweep order, so the
-    first failing point raises what a serial sweep raises, named by its
-    value.  --workers changes nothing: the points are numpy-bound, so
-    threads contend with the BLAS threads instead of overlapping.
+    configs up to the first that fails or has more than two levels, whose
+    stacked edges could change a point's bits, are set up and propagated
+    ahead by one `thermo._measure_ahead` call; the others by their own.
+    The measurements then run in sweep order, so the first failing point
+    raises what a serial sweep raises, named by its value.  --workers
+    changes nothing: the points are numpy-bound, so threads contend with
+    the BLAS threads instead of overlapping.
     """
     name = None
     if "sweep" in cfg:
@@ -217,7 +219,17 @@ def _sweep(cfg: dict, row, required=None, variants=lambda point_cfg: (point_cfg,
     else:
         points = [(value, _apply_sweep(cfg, name, value)) for value in sorted(values)]
     measured = [variants(point_cfg) for _, point_cfg in points]
-    ahead = iter(_propagate_ahead([c for cfgs in measured for c in cfgs]))
+    cfgs = [c for cfgs in measured for c in cfgs]
+    calls = []
+    for c in cfgs:
+        try:
+            call = _two_time_args(c)
+        except Exception:  # its own measurement raises this again, and the sweep ends there
+            break
+        if call[0].dimension != 2:
+            break
+        calls.append(call)
+    ahead = iter([*_measure_ahead(calls), *[None] * (len(cfgs) - len(calls))])
     rows = []
     for (value, _), cfgs in zip(points, measured):
         try:
@@ -227,66 +239,6 @@ def _sweep(cfg: dict, row, required=None, variants=lambda point_cfg: (point_cfg,
                 raise
             raise type(exc)(f"at {name} = {value:.6g}: {exc}") from exc
     return name or "value", rows
-
-
-def _propagate_ahead(cfgs: list) -> list:
-    """Each two-time config read ahead: (its `_two_time_args`, its `thermo._Ahead`), or None.
-
-    The configs are read in order, up to the first that fails or has more
-    than two levels; it and the configs after it get None and are measured
-    by their own call, so a larger model's sweep holds no model beyond its
-    point.  The window-edge matrices of the configs before it
-    (`thermo._edge_frame`) are decomposed in one stacked kernel call; if
-    that raises, every config gets None and decomposes its own edges in
-    sweep order.  Then the initial columns of each config are measured,
-    once for a run of configs that keep the start, again up to the first
-    that fails or has no frame at an edge.  The configs measured are
-    grouped by model and propagation options, and each group is
-    propagated once, its configs as lanes (`dynamics._propagate_lanes`); a
-    config's lane is its PropagationResult, or the exception the lane
-    raised.
-    """
-    out, read = [None] * len(cfgs), []
-    for cfg in cfgs:
-        try:
-            args = model, protocol, beta, hbar, options = _two_time_args(cfg)
-            if model.dimension != 2:
-                break
-            read.append((args, _edge_frame(model, protocol, options["gauge_precondition"])))
-        except Exception:
-            # its own measurement raises this again, in sweep order, and
-            # the sweep ends there
-            break
-    try:
-        eigs = _eigensystems(np.concatenate([H for _, (_, H, _, _) in read]), DEFAULT) if read else []
-    except Exception:
-        # each point decomposes its own edges, and the first that fails raises in sweep order
-        return out
-    groups, measured, at = {}, None, 0
-    for i, (args, (precondition, H, G0, frame_error)) in enumerate(read):
-        model, protocol, beta, hbar, options = args
-        edges, at = tuple(eigs[at : at + len(H)]), at + len(H)
-        if frame_error is not None:
-            break
-        # a config with the previous one's model, start, metric and beta has its columns
-        start = model, H[-2].tobytes(), G0.tobytes(), beta
-        if start != measured:
-            try:
-                initial = _initial_state(model, edges[-2], G0, beta, DEFAULT)[-1]
-            except Exception:
-                break
-            measured = start
-        out[i] = args, H, edges
-        key = (model, hbar, precondition, options["entry_tol"], options["steps"])
-        groups.setdefault(key, []).append((i, protocol, initial))
-    for (model, hbar, precondition, entry_tol, steps), lanes in groups.items():
-        index, protocols, initials = zip(*lanes)
-        outcomes = _propagate_lanes(model, protocols, initials, hbar, steps, tol=DEFAULT,
-                                    entry_tol=entry_tol, gauge_precondition=precondition)
-        for i, outcome in zip(index, outcomes):
-            args, H, edges = out[i]
-            out[i] = args, _Ahead(H, edges, outcome)
-    return out
 
 
 def _copy_json(value):
@@ -560,18 +512,18 @@ def cmd_evolve(cfg: dict) -> _Report:
 
 
 def _two_time_args(cfg: dict) -> tuple:
-    """(model, protocol, beta, hbar, propagation options) of a two-time config."""
+    """(model, protocol, beta, keywords) of a two-time config: the arguments of its two_time_work call."""
     model = build_model(cfg)
     protocol = build_protocol(cfg)
     options = _propagation_options(cfg, model)
     beta = _as_number(cfg.get("beta", 1.0), "beta", positive=True)
-    return model, protocol, beta, _as_number(cfg.get("hbar", 1.0), "hbar", positive=True), options
+    return model, protocol, beta, {"hbar": _as_number(cfg.get("hbar", 1.0), "hbar", positive=True), **options}
 
 
 def _two_time(cfg: dict, ahead=None):
-    """two_time_work of a config, given what `_propagate_ahead` made of it, if anything."""
-    (model, protocol, beta, hbar, options), handed = ahead or (_two_time_args(cfg), None)
-    return two_time_work(model, protocol, beta, hbar=hbar, propagation=handed, **options)
+    """two_time_work of a config, given what `thermo._measure_ahead` made of it, if anything."""
+    model, protocol, beta, keywords = ahead.call if ahead else _two_time_args(cfg)
+    return two_time_work(model, protocol, beta, ahead=ahead, **keywords)
 
 
 def cmd_work(cfg: dict) -> _Report:
@@ -617,7 +569,9 @@ def cmd_jarzynski(cfg: dict) -> _Report:
     return _Report(
         {"jarzynski.csv": ([field, *_REPORT_COLUMNS, "row_sum_defect", "steps"], rows)},
         f"{len(rows)} row(s)",
-        lambda: _residual_checks(cfg, rows, 3, field),
+        lambda: [*_residual_checks(cfg, rows, 3, field),
+                 *(_Check("row_sum_defect", row[7], _check_value(cfg, "row_sum", 1e-8), {field: row[0]})
+                   for row in rows)],
         ("jarzynski.svg", "Jarzynski residual", field, "relative residual", series, False, True)
         if len(rows) > 1
         else None,

@@ -26,6 +26,7 @@ decomposes the edges of all its two-level points in one.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import PropagationResult, Protocol, _hermitian_frame, propagate
+from .dynamics import PropagationResult, Protocol, _hermitian_frame, _propagate_lanes
 from .errors import (
     ComplexPartitionFunctionError,
     IsentropeNotFoundError,
@@ -451,47 +452,97 @@ def _initial_state(model, eig0: BiorthogonalEigensystem, G0: np.ndarray, beta: f
     return pops, rows, list(range(keep)), _g_normalized_columns(eig0.right[:, rows], G0)
 
 
-def _two_time_setup(model, protocol: Protocol, beta: float, tol: Tolerances,
-                    gauge_precondition: bool | None, handed: tuple | None = None) -> tuple:
-    """Everything `two_time_work` checks and measures before it propagates.
-
-    Returns (precondition, eig0, eigT, populations, row levels, column
-    levels, initial columns).  The edge matrices of `_edge_frame` are
-    decomposed in one kernel call, unless handed = (edge matrices,
-    eigensystems) hands over their eigensystems: the edge matrices must be
-    byte-equal to this measurement's, or ValueError is raised.  Every
-    spectrum must be real, H's before its frame's, and the frame's error is
-    raised after H's checks.
-    """
-    precondition, H, G0, frame_error = _edge_frame(model, protocol, gauge_precondition)
-    if handed is None:
-        if not np.isfinite(H).all():
-            raise ValueError("window-edge matrix contains non-finite entries")
-        eigs = _eigensystems(H, tol)
-    else:
-        edges, eigs = handed
-        if edges.dtype != H.dtype or edges.shape != H.shape or edges.tobytes() != H.tobytes():
-            raise ValueError("the handed eigensystems decompose other window edges than this measurement's")
-    for label, eig in zip(("initial", "final") * 2, eigs):
-        _require_all_real(label, eig, tol)
-    if frame_error is not None:
-        raise frame_error
-    eig0, eigT = eigs[-2:]
-    return precondition, eig0, eigT, *_initial_state(model, eig0, G0, beta, tol)
-
-
 class _Ahead(NamedTuple):
-    """What a sweep measured and propagated ahead of one point, handed to its
-    `two_time_work` call as `propagation`.
+    """What `_measure_ahead` made of one `two_time_work` call.
 
-    edges are the eigensystems of `_edge_frame`'s window-edge matrices H,
-    from the sweep's one stacked kernel call; propagation is the point's
-    lane, a PropagationResult or the exception the lane raised.
+    call is (model, protocol, beta, keywords), keywords holding every
+    keyword of two_time_work; setup is (eig0, eigT, populations, row
+    levels, column levels, initial columns), or the exception the set-up
+    raised; lane is the call's PropagationResult or the exception its lane
+    raised, and None where the set-up failed.
     """
 
-    H: np.ndarray
-    edges: tuple
-    propagation: PropagationResult | Exception
+    call: tuple
+    setup: tuple | Exception
+    lane: PropagationResult | Exception | None
+
+
+def _measure_ahead(calls: list) -> list:
+    """The set-up and propagation of each `two_time_work` call: one `_Ahead` per call.
+
+    A call is (model, protocol, beta, keywords), keywords naming any of
+    two_time_work's keywords.  The set-up of a call reads its window edges
+    (`_edge_frame`).  The finite edges of each run of calls with the same
+    tolerances and dimension are decomposed in one kernel call; if that
+    raises, each call decomposes its own edges and gets the error it gets
+    alone.  Every spectrum must be real, H's before its frame's, and the
+    frame's error is raised after H's checks.  The initial state is
+    measured once for a run of calls that keep the model, start edge,
+    metric, beta and tolerances.  Last, the calls whose set-up passed are
+    propagated as the lanes of `_propagate_lanes`, once for each run of
+    calls with the same model and propagation options.
+
+    At two levels each call's outcome is that of the call alone, bit for
+    bit.  Above two levels a stack of several calls' edges may take
+    another solver than one call's edges (`linalg._eig_batched`), so a
+    caller that needs the plain calls' bits passes those calls alone.
+    """
+    calls = [(model, protocol, beta, {**_KEYWORDS, **keywords}) for model, protocol, beta, keywords in calls]
+    tols = [keywords["tol"] or DEFAULT for *_, keywords in calls]
+    setups, lanes, edges, eigs = [None] * len(calls), [None] * len(calls), {}, {}
+    for i, (model, protocol, beta, keywords) in enumerate(calls):
+        try:
+            _check_beta(beta)
+            frame = _edge_frame(model, protocol, keywords["gauge_precondition"])
+            if not np.isfinite(frame[1]).all():
+                raise ValueError("window-edge matrix contains non-finite entries")
+            edges[i] = frame
+        except Exception as exc:
+            setups[i] = exc
+
+    for (tol, _), run in itertools.groupby(edges, lambda i: (tols[i], edges[i][1].shape[1:])):
+        run = list(run)
+        try:
+            stacked = iter(_eigensystems(np.concatenate([edges[i][1] for i in run]), tol))
+            eigs.update((i, [next(stacked) for _ in edges[i][1]]) for i in run)
+        except Exception:
+            for i in run:
+                try:
+                    eigs[i] = _eigensystems(edges[i][1], tol)
+                except Exception as exc:
+                    setups[i] = exc
+
+    groups, start = [], None
+    for i, eig in eigs.items():
+        (model, protocol, beta, keywords), tol = calls[i], tols[i]
+        precondition, H, G0, frame_error = edges[i]
+        try:
+            for label, e in zip(("initial", "final") * 2, eig):
+                _require_all_real(label, e, tol)
+            if frame_error is not None:
+                raise frame_error
+            key = model, H[-2].tobytes(), G0.tobytes(), beta, tol
+            if key != start:
+                start, state = key, _initial_state(model, eig[-2], G0, beta, tol)
+            setups[i] = *eig[-2:], *state
+        except Exception as exc:
+            setups[i] = exc
+            continue
+        options = {**keywords, "gauge_precondition": precondition}
+        if groups and groups[-1][:2] == (model, options):
+            groups[-1][2].append(i)
+        else:
+            groups.append((model, options, [i]))
+
+    for model, options, run in groups:
+        try:
+            outcomes = _propagate_lanes(model, [calls[i][1] for i in run], [setups[i][-1] for i in run],
+                                        **options)
+        except Exception as exc:  # an hbar or a step seed that every lane refuses
+            outcomes = [exc] * len(run)
+        for i, outcome in zip(run, outcomes):
+            lanes[i] = outcome
+    return [_Ahead(*ahead) for ahead in zip(calls, setups, lanes)]
 
 
 def two_time_work(
@@ -505,7 +556,7 @@ def two_time_work(
     entry_tol: float | None = None,
     gauge_precondition: bool | None = None,
     unitarity_gate: float | None = None,
-    propagation: PropagationResult | _Ahead | None = None,
+    ahead: _Ahead | None = None,
 ) -> TwoTimeResult:
     """Measure, propagate, measure: the two-time work pipeline.
 
@@ -521,41 +572,24 @@ def two_time_work(
     from both measurement index sets, while populations stay normalized by
     the full-spectrum partition function, so no probability is invented.
 
-    A given `propagation` is measured instead of running `propagate`: it
-    must span the protocol's window, with the step size and last
-    checkpoint time that window gives, and start from initial columns
-    bit-equal to this measurement's, or ValueError is raised.  It should
-    come from the same model and propagation options, which it does not
-    record; the result is then that of the call without it, bit for bit.
-    A sweep hands over its look-ahead (`_Ahead`) in its place: the window
-    edges' eigensystems, checked as `_two_time_setup` checks them, and the
-    lane, whose exception is raised after the checks made before
-    propagating.
+    This is the one-call case of `_measure_ahead`, which sets up and
+    propagates many calls at once, as `propagate` is the one-lane case of
+    `_propagate_lanes`.  A sweep hands each call what `_measure_ahead` made
+    of it as ahead; one made for other arguments is refused with
+    ValueError.  A failed set-up raises its exception, then a failed lane
+    its own, and the result is that of the call alone.
     """
-    tol = tol or DEFAULT
-    beta = _check_beta(beta)
-    ahead = propagation if isinstance(propagation, _Ahead) else None
-    precondition, eig0, eigT, pops, rows, cols, psi0 = _two_time_setup(
-        model, protocol, beta, tol, gauge_precondition, ahead and ahead[:2]
-    )
-    if ahead is not None:
-        propagation = ahead.propagation
-        if isinstance(propagation, Exception):
-            raise propagation
-    if propagation is None:
-        propagation = propagate(
-            model,
-            protocol,
-            hbar,
-            steps,
-            tol=tol,
-            entry_tol=entry_tol,
-            initial=psi0,
-            gauge_precondition=precondition,
-            unitarity_gate=unitarity_gate,
-        )
-    else:
-        _check_propagation(propagation, protocol, psi0)
+    call = model, protocol, beta, dict(hbar=hbar, steps=steps, tol=tol, entry_tol=entry_tol,
+                                       gauge_precondition=gauge_precondition, unitarity_gate=unitarity_gate)
+    if ahead is None:
+        (ahead,) = _measure_ahead([call])
+    elif ahead.call != call:
+        raise ValueError("the look-ahead was made for another two-time call than this one")
+    for outcome in ahead[1:]:
+        if isinstance(outcome, Exception):
+            raise outcome
+    eig0, eigT, pops, rows, cols, _ = ahead.setup
+    propagation = ahead.lane
     probs = _final_level_probabilities(eigT.right, propagation.g_end, propagation.U)
     row_sum_defect = float(np.max(np.abs(probs.sum(axis=0) - 1.0)))
     p = probs[cols, :].T * pops[rows][:, None]
@@ -574,18 +608,8 @@ def two_time_work(
     )
 
 
-def _check_propagation(prop: PropagationResult, protocol: Protocol, initial: np.ndarray) -> None:
-    """Refuse a propagation of another window or from other initial columns (ValueError)."""
-    t0, t1 = protocol.t_start, protocol.t_end
-    n = prop.steps_used
-    if prop.step_size != (t1 - t0) / n or prop.checkpoints[-1][0] != t0 + n * ((t1 - t0) / n):
-        raise ValueError(
-            f"the propagation ends at t = {prop.checkpoints[-1][0]:.17g} after {n} steps of "
-            f"{prop.step_size:.17g}, not on the protocol window [{t0:.17g}, {t1:.17g}]"
-        )
-    got = np.asarray(prop.initial)
-    if got.shape != initial.shape or got.dtype != initial.dtype or got.tobytes() != initial.tobytes():
-        raise ValueError("the propagation starts from other initial columns than this measurement's")
+# two_time_work's keywords at their defaults; a call to `_measure_ahead` names those it sets
+_KEYWORDS = {name: value for name, value in two_time_work.__kwdefaults__.items() if name != "ahead"}
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -373,6 +375,8 @@ class TestRunnerContract:
                       {"checks": {"jarzynski_residual": TIGHT}}),
         "jarzynski-sweep": ("jarzynski", dict(BASE, sweep=ENDS), ["jarzynski.csv"],
                             "jarzynski.svg", {"checks": {"jarzynski_residual": TIGHT}}),
+        "jarzynski-row-sum": ("jarzynski", dict(BASE, sweep=ENDS), ["jarzynski.csv"],
+                              "jarzynski.svg", {"checks": {"row_sum": TIGHT}}),
         "carnot": ("carnot", CYCLE, ["carnot_summary.csv", "carnot_trace.csv"],
                    "carnot_trace.svg", {"checks": {"first_law": TIGHT}}),
         "fig1-left": ("fig1-left", BASE, ["fig1_left.csv"], "fig1_left.svg",
@@ -386,7 +390,8 @@ class TestRunnerContract:
                        "fig2_right.svg", {"count": 1}),
     }
     # the sweep field that names the point of each failed per-point check
-    POINTS = {"jarzynski": "value", "jarzynski-sweep": "protocol.end", "fig2-left": "lambda_f"}
+    POINTS = {"jarzynski": "value", "jarzynski-sweep": "protocol.end", "jarzynski-row-sum": "protocol.end",
+              "fig2-left": "lambda_f"}
 
     @staticmethod
     def run(tmp_path, capsys, name, command, cfg, *flags):
@@ -646,9 +651,8 @@ class TestSweeps:
             stacks.append(len(H))
             return eigensystems(H, tol)
 
-        eigensystems = cli._eigensystems
+        eigensystems = thermo._eigensystems
         monkeypatch.setattr(cli, "two_time_work", measured)
-        monkeypatch.setattr(cli, "_eigensystems", stacked)
         monkeypatch.setattr(thermo, "_eigensystems", stacked)
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) in (0, 1)
         assert len(seen) == per_point * len(sweep["values"])
@@ -657,36 +661,77 @@ class TestSweeps:
         assert stacks == [4 * len(seen)]
         monkeypatch.undo()
         for args, kwargs in seen:
-            # the edges and the propagation made ahead give the plain call's result bit for bit
-            assert isinstance(kwargs["propagation"], thermo._Ahead)
+            # the look-ahead gives the plain call's result bit for bit
+            assert isinstance(kwargs["ahead"], thermo._Ahead)
             given = two_time_work(*args, **kwargs)
-            plain = two_time_work(*args, **{k: v for k, v in kwargs.items() if k != "propagation"})
+            plain = two_time_work(*args, **{k: v for k, v in kwargs.items() if k != "ahead"})
             for name in ("p", "energies_initial", "energies_final"):
                 assert getattr(given, name).tobytes() == getattr(plain, name).tobytes(), name
             assert (given.rows, given.cols, given.row_sum_defect, given.report) == (
                 plain.rows, plain.cols, plain.row_sum_defect, plain.report)
             assert given.work.w.tobytes() == plain.work.w.tobytes()
             assert given.propagation.U.tobytes() == plain.propagation.U.tobytes()
-        # a point's hand-off refuses a window of other edges
+        # a point's look-ahead refuses another protocol
         (model, _, beta), kwargs = seen[0]
-        with pytest.raises(ValueError, match="other window edges"):
+        with pytest.raises(ValueError, match="made for another two-time call"):
             two_time_work(model, Protocol.linear(0.1, 0.35, 1.0), beta, **kwargs)
 
     def test_a_defective_edge_hands_nothing_over(self, tmp_path, monkeypatch, capsys):
         # the stacked call over every edge raises at 1, the exceptional
-        # point; each point then decomposes its own edges in sweep order,
-        # so 0.3 is measured before 1 fails and 1.2 is never reached
+        # point, and hands nothing over; each point then decomposes its own
+        # edges, so 0.3 is measured before 1 fails and 1.2 is never reached
         cfg = dict(BASE, sweep={"name": "protocol.end", "values": [1.2, 1.0, 0.3]})
-        handed = []
+        handed, stacks = [], []
 
         def measured(*args, **kwargs):
-            handed.append(kwargs["propagation"])
+            handed.append(kwargs["ahead"])
             return two_time_work(*args, **kwargs)
 
+        def stacked(H, tol):
+            stacks.append(len(H))
+            return eigensystems(H, tol)
+
+        eigensystems = thermo._eigensystems
         monkeypatch.setattr(cli, "two_time_work", measured)
+        monkeypatch.setattr(thermo, "_eigensystems", stacked)
         assert main(["jarzynski", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 3
-        assert handed == [None, None]
+        # 1 and 1.2 have no finite frame at their end, so only H's two edges
+        assert stacks == [8, 4, 2, 2]
+        assert [isinstance(ahead.setup, tuple) for ahead in handed] == [True, False]
+        assert handed[1].lane is None
         assert capsys.readouterr().err.startswith("DefectiveMatrixError: at protocol.end = 1: eigenvector condition")
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.3, 0.9, 0.999, 1.0, 1.2]) | st.floats(-1.3, 1.3), min_size=1,
+                    max_size=4))
+    def test_a_sweep_through_the_exceptional_point_runs_as_its_points(self, tmp_path_factory, ends):
+        # TwoLevel(1.0) breaks PT symmetry at |protocol.end| = 1: a sweep
+        # writes the rows of its points' own runs, or fails as its first
+        # failing point fails alone
+        tmp_path = tmp_path_factory.mktemp("sweep")
+
+        def run(name, cfg):
+            out = tmp_path / name
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                rc = main(["jarzynski", "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                           "--out", str(out)])
+            csv = out / "jarzynski.csv"
+            return rc, err.getvalue(), csv.read_text().splitlines()[2:] if csv.exists() else None
+
+        protocol = dict(BASE["protocol"], end=0.5)
+        rc, err, rows = run("sweep", dict(BASE, protocol=protocol,
+                                          sweep={"name": "protocol.end", "values": ends}))
+        alone = [(end, *run(f"alone{i}", dict(BASE, protocol=dict(protocol, end=end))))
+                 for i, end in enumerate(sorted(ends))]
+        failing = [(end, rc, err) for end, rc, err, _ in alone if rc == 3]
+        if failing:
+            end, own_rc, own_err = failing[0]
+            kind, message = own_err.split(": ", 1)
+            assert (rc, err, rows) == (own_rc, f"{kind}: at protocol.end = {end:.6g}: {message}", None)
+        else:
+            assert rc == max(own_rc for _, own_rc, _, _ in alone)
+            # each row is its point's own row, with the point's value in place of 0
+            assert rows == ["%.17g,%s" % (end, own[0].split(",", 1)[1]) for end, _, _, own in alone]
 
 
 class TestReruns:

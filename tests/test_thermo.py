@@ -24,6 +24,7 @@ from pseudotherm import (
     Oscillator,
     Protocol,
     SingularMetricError,
+    TruncationWarning,
     TwoLevel,
     eigendecompose,
     entropy,
@@ -38,7 +39,7 @@ from pseudotherm import (
     two_time_work,
     work_distribution,
 )
-from pseudotherm import dynamics, linalg, propagate, thermo
+from pseudotherm import linalg, thermo
 from pseudotherm.thermo import _g_normalized_columns
 
 
@@ -294,6 +295,13 @@ class TestJarzynski:
         total = res.work.p.sum()
         assert 1.0 - 1e-7 <= total <= 1.0 + 1e-12
 
+    def test_truncation_warning_names_the_caller(self):
+        # the Gibbs tail of an 8-level trap at beta = 1 reaches its top levels
+        model = Oscillator(omega_ref=1.0, shift=0.0, n_basis=8)
+        with pytest.warns(TruncationWarning) as record:
+            two_time_work(model, Protocol.linear(1.0, 1.2, 0.3), 1.0)
+        assert [w.filename for w in record] == [__file__]
+
     def test_precondition_needs_a_hermitian_frame(self):
         with pytest.raises(ValueError, match="no hermitian frame"):
             two_time_work(HatanoNelson(length=4, asymmetry=0.3), Protocol.linear(0.0, 0.1, 1.0), 1.0,
@@ -338,59 +346,54 @@ class TestGivenPropagation:
         assert a.work.w.tobytes() == b.work.w.tobytes()
 
     @pytest.mark.parametrize("protocol", [Protocol.linear(0.0, 0.6, 1.0), Protocol.erf(0.1, 0.7, 0.4)])
-    def test_a_lane_of_a_shared_propagation_measures_as_the_plain_call(self, protocol):
+    def test_a_lane_of_a_shared_propagation_measures_as_the_plain_call(self, protocol, monkeypatch):
         # the raw route: moving metric and gauge term
-        self._lane_measures_as_the_plain_call(protocol, False)
+        self._lane_measures_as_the_plain_call(protocol, False, monkeypatch)
 
     @pytest.mark.parametrize("protocol", [Protocol.linear(0.0, 0.6, 1.0), Protocol.erf(0.1, 0.7, 0.4)])
-    def test_a_lane_of_a_shared_frame_propagation_measures_as_the_plain_call(self, protocol):
-        self._lane_measures_as_the_plain_call(protocol, True)
+    def test_a_lane_of_a_shared_frame_propagation_measures_as_the_plain_call(self, protocol, monkeypatch):
+        self._lane_measures_as_the_plain_call(protocol, True, monkeypatch)
 
-    def _lane_measures_as_the_plain_call(self, protocol, frame):
+    def _lane_measures_as_the_plain_call(self, protocol, frame, monkeypatch):
         model = TwoLevel()
         plain = two_time_work(model, protocol, 1.3, gauge_precondition=frame)
-        other = Protocol.linear(-0.2, 0.5, 2.0)
-        lanes = dynamics._propagate_lanes(model, [other, protocol], [np.eye(2), plain.propagation.initial],
-                                          gauge_precondition=frame)
-        given = two_time_work(model, protocol, 1.3, gauge_precondition=frame, propagation=lanes[1])
-        assert given.propagation is lanes[1]
+        # a call of another window and start takes the first lane of the same propagation
+        calls = [(model, Protocol.linear(-0.2, 0.5, 2.0), 1.3, {"gauge_precondition": frame}),
+                 (model, protocol, 1.3, {"gauge_precondition": frame})]
+        shared = []
+
+        def lanes(model, protocols, initials, **options):
+            shared.append(len(protocols))
+            return propagate_lanes(model, protocols, initials, **options)
+
+        propagate_lanes = thermo._propagate_lanes
+        monkeypatch.setattr(thermo, "_propagate_lanes", lanes)
+        ahead = thermo._measure_ahead(calls)
+        assert shared == [2]
+        given = two_time_work(model, protocol, 1.3, gauge_precondition=frame, ahead=ahead[1])
+        assert given.propagation is ahead[1].lane
         self._same(given, plain)
+        assert given.propagation.U.tobytes() == plain.propagation.U.tobytes()
 
-    def test_refuses_a_propagation_of_another_window(self):
+    def test_refuses_a_look_ahead_made_for_another_call(self):
         model, protocol = TwoLevel(), Protocol.linear(0.0, 0.6, 1.0)
-        initial = two_time_work(model, protocol, 1.0).propagation.initial
-        for other in (
-            propagate(model, Protocol.linear(0.0, 0.6, 1.5), initial=initial),
-            propagate(model, protocol, initial=initial, t1=protocol.t_end - 0.25),
-            propagate(model, protocol, initial=initial, t0=protocol.t_start + 0.25),
-            # as long as the protocol's window, so of the same step size
-            propagate(model, Protocol.linear(0.0, 0.6, 2.0), initial=initial, t0=0.5, t1=1.5),
+        (ahead,) = thermo._measure_ahead([(model, protocol, 1.0, {})])
+        # equal arguments make the same call
+        given = two_time_work(TwoLevel(), Protocol.linear(0.0, 0.6, 1.0), 1.0, ahead=ahead)
+        self._same(given, two_time_work(model, protocol, 1.0))
+        for args, keywords in (
+            ((model, Protocol.linear(0.0, 0.5, 1.0), 1.0), {}),
+            ((model, protocol, 1.5), {}),
+            ((TwoLevel(1.2), protocol, 1.0), {}),
+            ((model, protocol, 1.0), {"gauge_precondition": False}),
+            ((model, protocol, 1.0), {"hbar": 2.0}),
+            ((model, protocol, 1.0), {"steps": 256}),
+            ((model, protocol, 1.0), {"entry_tol": 1e-9}),
+            ((model, protocol, 1.0), {"unitarity_gate": 1e-6}),
+            ((model, protocol, 1.0), {"tol": DEFAULT.with_(population_cutoff=0.0)}),
         ):
-            with pytest.raises(ValueError, match="not on the protocol window"):
-                two_time_work(model, protocol, 1.0, propagation=other)
-
-    def test_refuses_a_propagation_of_other_initial_columns(self):
-        model, protocol = TwoLevel(), Protocol.linear(0.0, 0.6, 1.0)
-        initial = two_time_work(model, protocol, 1.0).propagation.initial
-        nudged = initial.copy()
-        nudged[0, 0] *= 1.0 + 2.0**-52
-        for other in (nudged, initial[:, :1], np.eye(2)):
-            with pytest.raises(ValueError, match="other initial columns"):
-                two_time_work(model, protocol, 1.0, propagation=propagate(model, protocol, initial=other))
-
-
-    def test_refuses_eigensystems_of_other_window_edges(self):
-        model, protocol = TwoLevel(), Protocol.linear(0.0, 0.6, 1.0)
-        plain = two_time_work(model, protocol, 1.0)
-        H = thermo._edge_frame(model, protocol, None)[1]
-        ahead = thermo._Ahead(H, tuple(linalg._eigensystems(H, DEFAULT)), plain.propagation)
-        TestGivenPropagation._same(two_time_work(model, protocol, 1.0, propagation=ahead), plain)
-        nudged = H.copy()
-        nudged[1, 0, 1] *= 1.0 + 2.0**-52
-        other = thermo._edge_frame(model, Protocol.linear(0.0, 0.5, 1.0), None)[1]
-        for edges in (nudged, other, H[:, :1, :1], H.real):
-            with pytest.raises(ValueError, match="other window edges"):
-                two_time_work(model, protocol, 1.0, propagation=ahead._replace(H=edges))
+            with pytest.raises(ValueError, match="made for another two-time call"):
+                two_time_work(*args, ahead=ahead, **keywords)
 
 
 class TestQuasistaticCycle:
