@@ -188,9 +188,11 @@ def _sweep(cfg: dict, row, required=None, variants=lambda point_cfg: (point_cfg,
     (command, field) for a command that must sweep that field.  The
     configs up to the first that fails or has more than two levels, whose
     stacked edges could change a point's bits, are set up and propagated
-    ahead by one `thermo._measure_ahead` call; the others by their own.
-    The measurements then run in sweep order, so the first failing point
-    raises what a serial sweep raises, named by its value.  --workers
+    ahead by one `thermo._measure_ahead` call, which stops at the first
+    config whose set-up fails: no config after it is propagated.  The
+    others are measured by their own calls.  The measurements then run in
+    sweep order, so the first failing point raises what a serial sweep
+    raises, named by its value.  --workers
     changes nothing: the points are numpy-bound, so threads contend with
     the BLAS threads instead of overlapping.
     """
@@ -229,7 +231,8 @@ def _sweep(cfg: dict, row, required=None, variants=lambda point_cfg: (point_cfg,
         if call[0].dimension != 2:
             break
         calls.append(call)
-    ahead = iter([*_measure_ahead(calls), *[None] * (len(cfgs) - len(calls))])
+    ahead = _measure_ahead(calls)
+    ahead = iter([*ahead, *[None] * (len(cfgs) - len(ahead))])
     rows = []
     for (value, _), cfgs in zip(points, measured):
         try:

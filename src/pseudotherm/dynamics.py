@@ -37,9 +37,9 @@ and the exponential per batch of their steps, each step with its own
 run's dt, and one residual call for both runs' checkpoints.
 `_propagate_lanes` runs the ladder of
 many propagations of one model at once, and `propagate` is its one-lane
-case: at two levels the runs of a group of lanes at one rung share each
-pass in the same way, so a sweep's points pay the per-call overhead once
-per group and rung rather than once per point.  Larger dimensions hold U
+case: at two levels the runs of all lanes at one rung share each pass in
+the same way, so a sweep's points pay the per-call overhead once per rung
+rather than once per point.  Larger dimensions hold U
 as the rows of each invariant block and advance them step by step, one
 stacked block product per group of equal-sized blocks; no exponential
 larger than a block is formed, and dense U is assembled only at the
@@ -59,7 +59,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -229,10 +229,10 @@ class Rung(NamedTuple):
     n steps; the largest entry change of U against the run before (inf on
     the first run and where either run overflowed); the worst checkpoint
     residual (inf where U overflowed); the wall time of the run.  Where
-    runs share one pass (the first two, and at two levels the runs of a
-    group of lanes at one rung of `_propagate_lanes`), each is given the
-    pass's wall time in proportion to its steps: a third and two thirds
-    for a lone pair.
+    runs share one pass (the first two, and at two levels the runs of all
+    lanes at one rung of `_propagate_lanes`), each is given the pass's wall
+    time in proportion to its steps: a third and two thirds for a lone
+    pair.
     """
 
     n: int
@@ -592,64 +592,16 @@ def _moving_gauge(model, v: np.ndarray, rate: np.ndarray, hbar: float) -> np.nda
     return _gauge(_mul2(ginv, dg) if model.dimension == 2 else ginv @ dg, hbar)
 
 
-class _MetricFamily:
-    """Adapter bundling the metric callables a model exposes.
+def _scan_positive_definite(model, protocol: Protocol, t0: float, t1: float, tol: Tolerances):
+    """Refuse to integrate a moving metric into a region where it degenerates.
 
-    Three cases: the identity (hermitian frame), a static metric, and a
-    metric that moves with the drive, the only one with a gauge term.
-    `moving` says whether the model's own metric moves: its frame exists
-    only where it is positive definite, so it is scanned in the frame too.
+    The metric is scanned in its hermitian frame as well, where the frame
+    would otherwise be evaluated outside its domain.
     """
-
-    def __init__(self, model, protocol: Protocol, identity: bool):
-        self.identity = identity
-        self._model = model
-        self._protocol = protocol
-        self.moving = not getattr(model, "metric_is_static", False)
-        self.static = identity or not self.moving
-        if identity:
-            self._g0 = np.eye(model.dimension, dtype=complex)
-        elif self.static:
-            self._g0 = model.metric(protocol.value(protocol.t_start))
-
-    def g(self, t) -> np.ndarray:
-        """Metric at time t; a static one is returned as is, a moving one stacks over an array of times."""
-        if self.static:
-            return self._g0
-        return self._model.metric(self._protocol.value(t))
-
-    def gauge(self, ts: np.ndarray, v: np.ndarray, hbar: float):
-        """Gauge terms at the times ts (control values v); None when they vanish identically."""
-        if self.static:
-            return None
-        return _moving_gauge(self._model, v, self._protocol.rate(ts), hbar)
-
-    def min_eigenvalue(self, ts: np.ndarray) -> np.ndarray:
-        """Smallest metric eigenvalue at each of the times ts (moving metric)."""
-        v = self._protocol.value(ts)
-        fn = getattr(self._model, "metric_min_eigenvalue", None)
-        if fn is not None:
-            return np.asarray(fn(v))
-        return _min_eigenvalue(self._model.metric(v))
-
-
-def _scan_positive_definite(family: _MetricFamily, t0: float, t1: float, tol: Tolerances):
-    """Refuse to integrate into a region where the model's metric degenerates.
-
-    A moving metric is scanned in its hermitian frame as well, where the
-    frame would otherwise be evaluated outside its domain.
-    """
-    if family.identity and not family.moving:
-        return
-    if not family.moving:
-        m = float(_min_eigenvalue(family.g(t0)))
-        if m <= tol.metric_min_eig:
-            raise SingularMetricError(
-                f"static metric is not positive definite (min eigenvalue {m:.3e})"
-            )
-        return
     ts = np.linspace(t0, t1, 1025)
-    m = family.min_eigenvalue(ts)
+    v = protocol.value(ts)
+    fn = getattr(model, "metric_min_eigenvalue", None)
+    m = np.asarray(fn(v)) if fn is not None else _min_eigenvalue(model.metric(v))
     bad = np.flatnonzero(m <= tol.metric_min_eig)
     if bad.size:
         i = bad[0]
@@ -659,23 +611,25 @@ def _scan_positive_definite(family: _MetricFamily, t0: float, t1: float, tol: To
         )
 
 
+@dataclass(frozen=True, eq=False)
 class _Lane:
     """One propagation among the lanes of `_propagate_lanes`.
 
-    Holds the window [t0, t1], the protocol and its metric family, the
-    initial columns X0 with their metric Gram matrix M0, the metric at the
-    window edges and the unitarity gate; `ladder` is set to the lane's
-    doubling ladder once it is open.
+    The window [t0, t1], the protocol, the initial columns X0 with their
+    metric Gram matrix M0, the metric at the window edges, the unitarity
+    gate and the lane's doubling ladder (`_ladder`).  Lanes compare by
+    identity, as `_by_lane` groups them.
     """
 
-    def __init__(self, protocol, t0, t1, X0, family, unitarity_gate, tol: Tolerances):
-        self.protocol, self.t0, self.t1, self.X0, self.family = protocol, t0, t1, X0, family
-        g_start, g_end = (family.g(t0),) * 2 if family.static else family.g(np.array([t0, t1]))
-        self.g_start, self.g_end = g_start, g_end
-        self.M0 = X0.conj().T @ g_start @ X0
-        self.gate = unitarity_gate
-        if unitarity_gate is None:
-            self.gate = tol.propagation * max(1.0, float(np.linalg.norm(g_start)))
+    protocol: Protocol
+    t0: float
+    t1: float
+    X0: np.ndarray
+    M0: np.ndarray
+    g_start: np.ndarray
+    g_end: np.ndarray
+    gate: float
+    ladder: Generator
 
 
 def _ladder(n: int, max_steps: int, entry_tol: float, gate: float):
@@ -897,17 +851,23 @@ def _propagate_lanes(
     that call raises, at index i.  An hbar or a step seed that propagate
     refuses raises here for all lanes.  Each lane keeps its own window,
     initial columns, metric scan, step sizes, checkpoints and ladder
-    (`_ladder`).  At two levels the lanes open and climb in groups of as
-    many as fill one batch with their first two runs, n + 2 n steps each,
-    so a pass holds one batch's worth of lanes however many there are.
-    Every pass serves the group's lanes still climbing, at the same rung,
-    so they share each batch's evaluations (`_two_level_pass`) and the
-    pass's residual call, and each run is given the pass's wall time in
-    proportion to its steps.  Above two
-    levels the lanes run one after another (`_block_run`): the Taylor
-    kernel picks one degree per batch, so a shared batch would change the
-    bits.  A pass that raises is run again lane by lane, so only the lanes
-    that fail alone take the exception.
+    (`_ladder`).  Every lane opens first, and then all of them climb
+    together: every pass serves the lanes still climbing, at the same
+    rung.  At two levels they share each batch's evaluations
+    (`_two_level_pass`), which cuts a pass into batches of at most
+    _block_steps(2) steps however many lanes it serves, and the pass's
+    residual call; each run is given the pass's wall time in proportion to
+    its steps.  Above two levels each lane of a pass runs alone
+    (`_block_run`): the Taylor kernel picks one degree per batch, so a
+    shared batch would change the bits.  A pass that raises is run again
+    lane by lane, so only the lanes that fail alone take the exception.
+
+    A lane's metric is decided once, when it opens.  In the hermitian frame
+    (gauge_precondition) it is the identity; a static metric is the model's
+    at the protocol's start, refused unless positive definite; a moving one
+    is the model's at t0 and t1, and the only one with a gauge term.  The
+    metric of a moving model is scanned over the window in its frame too,
+    where the frame exists only while it is positive definite.
     """
     tol = tol or DEFAULT
     entry_tol = tol.propagation if entry_tol is None else float(entry_tol)
@@ -925,7 +885,8 @@ def _propagate_lanes(
         h_of, frame_error = None, exc
     terms_of = getattr(model, f"{family_name}_terms", None)
     dim = model.dimension
-    moving = not (gauge_precondition or getattr(model, "metric_is_static", False))
+    static = getattr(model, "metric_is_static", False)
+    moving = not (gauge_precondition or static)  # the integrated family has a gauge term
     affine = dim > 2 and not moving and terms_of is not None
     terms = terms_of() if affine and h_of is not None else None
     block = _block_steps(dim)
@@ -938,18 +899,29 @@ def _propagate_lanes(
             raise ValueError("t1 must exceed t0")
         if h_of is None:
             raise frame_error
-        family = _MetricFamily(model, protocol, identity=gauge_precondition)
-        _scan_positive_definite(family, t0, t1, tol)
+        if not static:
+            _scan_positive_definite(model, protocol, t0, t1, tol)
+        if gauge_precondition:
+            g_start = g_end = np.eye(dim, dtype=complex)
+        elif moving:
+            g_start, g_end = model.metric(protocol.value(np.array([t0, t1])))
+        else:
+            g_start = g_end = model.metric(protocol.value(protocol.t_start))
+            m = float(_min_eigenvalue(g_start))
+            if m <= tol.metric_min_eig:
+                raise SingularMetricError(f"static metric is not positive definite (min eigenvalue {m:.3e})")
         X0 = np.eye(dim, dtype=complex) if initial is None else np.asarray(initial, dtype=complex)
         if X0.ndim != 2 or X0.shape[0] != dim:
             raise ValueError(f"initial condition must be ({dim} x k), got {X0.shape}")
         if X0.shape[1] == 0 or not np.isfinite(X0).all():
             raise ValueError("initial condition must be finite and have at least one column")
-        lane = _Lane(protocol, t0, t1, X0, family, unitarity_gate, tol)
         if affine:
             _check_terms(h_of, terms, protocol.value(np.array([t0, t1])), family_name)
-        lane.ladder = _ladder(n, max_steps, entry_tol, lane.gate)
-        return lane
+        gate = unitarity_gate
+        if gate is None:
+            gate = tol.propagation * max(1.0, float(np.linalg.norm(g_start)))
+        return _Lane(protocol, t0, t1, X0, X0.conj().T @ g_start @ X0, g_start, g_end, gate,
+                     _ladder(n, max_steps, entry_tol, gate))
 
     if dim == 2:
         def run_pass(runs):
@@ -962,9 +934,10 @@ def _propagate_lanes(
         chunk = block * max(1, _BLOCK_ENTRIES // 3 // block)
 
         def run_pass(runs):
-            return [_block_run(lane, n, h_of, hbar, blocks, affine, chunk, block) for lane, n in runs]
+            return [_block_run(lane, n, h_of, model, hbar, moving, blocks, affine, chunk, block)
+                    for lane, n in runs]
 
-    def one_pass(lanes: dict, wants: dict) -> dict:
+    def one_pass(wants: dict) -> dict:
         """One pass over the runs that each lane in wants (index -> step counts) asks for.
 
         Maps each index to its (U, checkpoints, seconds) per run.
@@ -976,69 +949,60 @@ def _propagate_lanes(
         per_step = (time.perf_counter() - clock) / sum(m for _, m in runs)
         return {i: [(*next(results), per_step * m) for m in ns] for i, ns in wants.items()}
 
-    def serve(lanes: dict, wants: dict) -> dict:
+    def serve(wants: dict) -> dict:
         """one_pass, or where it raises, one pass per lane: each index maps to its runs or its exception."""
         try:
-            return one_pass(lanes, wants)
+            return one_pass(wants)
         except Exception as exc:
             if len(wants) == 1:
                 return dict.fromkeys(wants, exc)
         alone = {}
         for i, ns in wants.items():
             try:
-                alone.update(one_pass(lanes, {i: ns}))
+                alone.update(one_pass({i: ns}))
             except Exception as exc:
                 alone[i] = exc
         return alone
 
-    def climb(lanes: dict) -> None:
-        """Run the ladders of lanes (index -> _Lane) to their end, every pass shared by all of them."""
-        wants = {i: next(lane.ladder) for i, lane in lanes.items()}
-        while wants:
-            for i, got in serve(lanes, wants).items():
-                try:
-                    if isinstance(got, Exception):
-                        raise got
-                    wants[i] = lanes[i].ladder.send(got)
-                    continue
-                except StopIteration as stop:
-                    U, checkpoints, accepted, change, rungs = stop.value
-                    lane = lanes[i]
-                    outcomes[i] = PropagationResult(
-                        U=U,
-                        checkpoints=checkpoints,
-                        steps_used=accepted,
-                        step_size=(lane.t1 - lane.t0) / accepted,
-                        g_start=lane.g_start,
-                        g_end=lane.g_end,
-                        entry_change=change,
-                        unitarity_gate=lane.gate,
-                        rungs=rungs,
-                        initial=lane.X0,
-                    )
-                except Exception as exc:
-                    outcomes[i] = exc
-                del wants[i]
-
-    # the lanes open and climb in groups whose first pass, n + 2 n steps a
-    # lane, fills one batch, so a pass holds one batch's worth of lanes
-    # however many there are
-    size = max(1, block // (3 * n)) if dim == 2 else 1
-    lane_args = list(zip(protocols, initials, windows or [(None, None)] * len(protocols), strict=True))
-    outcomes = [None] * len(lane_args)
-    for first in range(0, len(lane_args), size):
-        lanes = {}
-        for i in range(first, min(first + size, len(lane_args))):
+    lane_args = zip(protocols, initials, windows or [(None, None)] * len(protocols), strict=True)
+    outcomes, lanes = [], {}
+    for i, args in enumerate(lane_args):
+        try:
+            lanes[i] = open_lane(*args)
+            outcomes.append(None)
+        except Exception as exc:
+            outcomes.append(exc)
+    wants = {i: next(lane.ladder) for i, lane in lanes.items()}
+    while wants:
+        for i, got in serve(wants).items():
             try:
-                lanes[i] = open_lane(*lane_args[i])
+                if isinstance(got, Exception):
+                    raise got
+                wants[i] = lanes[i].ladder.send(got)
+                continue
+            except StopIteration as stop:
+                U, checkpoints, accepted, change, rungs = stop.value
+                lane = lanes[i]
+                outcomes[i] = PropagationResult(
+                    U=U,
+                    checkpoints=checkpoints,
+                    steps_used=accepted,
+                    step_size=(lane.t1 - lane.t0) / accepted,
+                    g_start=lane.g_start,
+                    g_end=lane.g_end,
+                    entry_change=change,
+                    unitarity_gate=lane.gate,
+                    rungs=rungs,
+                    initial=lane.X0,
+                )
             except Exception as exc:
                 outcomes[i] = exc
-        climb(lanes)
+            del wants[i]
     return outcomes
 
 
-def _block_run(lane: _Lane, n: int, h_of: Callable, hbar: float, blocks: _BlockExponentials,
-               affine: bool, chunk: int, block: int) -> np.ndarray:
+def _block_run(lane: _Lane, n: int, h_of: Callable, model, hbar: float, moving: bool,
+               blocks: _BlockExponentials, affine: bool, chunk: int, block: int) -> np.ndarray:
     """U at the checkpoints of a run of n steps above two levels, made batch by batch."""
     t0, dt = lane.t0, (lane.t1 - lane.t0) / n
     # alpha and gamma of Omega, with -i/hbar folded in
@@ -1058,8 +1022,9 @@ def _block_run(lane: _Lane, n: int, h_of: Callable, hbar: float, blocks: _BlockE
                 E = blocks.affine(coef[here])
             else:
                 A = h_of(v[here].ravel())
-                G = lane.family.gauge(ts[here].ravel(), v[here].ravel(), hbar)
-                E = blocks(A if G is None else A + G, alpha, gamma)
+                if moving:
+                    A = A + _moving_gauge(model, v[here].ravel(), lane.protocol.rate(ts[here].ravel()), hbar)
+                E = blocks(A, alpha, gamma)
             ends, marks, _ = _pieces(n, first, last)
             at_mark.extend(chain.advance(E, ends, marks))
     return np.stack(at_mark)

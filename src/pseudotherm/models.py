@@ -50,6 +50,7 @@ tight-binding chain is static (its control value is ignored).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -94,6 +95,11 @@ class TwoLevel:
 
     dimension = 2
     metric_is_static = False
+
+    def __post_init__(self):
+        # the metric divides by the coupling
+        if not (math.isfinite(self.coupling) and self.coupling != 0):
+            raise ValueError("coupling must be finite and nonzero")
 
     def hamiltonian(self, v) -> np.ndarray:
         iv = 1j * np.asarray(v)
@@ -157,6 +163,8 @@ class Oscillator:
     is_truncated = True
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.omega_ref, self.shift, self.n_basis, self.mass))):
+            raise ValueError("omega_ref, shift, n_basis and mass must be finite")
         if self.omega_ref <= 0 or self.mass <= 0:
             raise ValueError("omega_ref and mass must be positive")
         if self.n_basis < 8:
@@ -272,6 +280,8 @@ class HatanoNelson:
     metric_is_static = True
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.length, self.hopping, self.asymmetry, *self.potential))):
+            raise ValueError("length, hopping, asymmetry and potential must be finite")
         if self.length < 2:
             raise ValueError("length must be at least 2")
         if self.boundary not in ("open", "periodic"):

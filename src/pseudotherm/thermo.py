@@ -468,7 +468,7 @@ class _Ahead(NamedTuple):
 
 
 def _measure_ahead(calls: list) -> list:
-    """The set-up and propagation of each `two_time_work` call: one `_Ahead` per call.
+    """The set-up and propagation of each `two_time_work` call, up to the first whose set-up fails.
 
     A call is (model, protocol, beta, keywords), keywords naming any of
     two_time_work's keywords.  The set-up of a call reads its window edges
@@ -481,6 +481,10 @@ def _measure_ahead(calls: list) -> list:
     metric, beta and tolerances.  Last, the calls whose set-up passed are
     propagated as the lanes of `_propagate_lanes`, once for each run of
     calls with the same model and propagation options.
+
+    Every stage stops at the first call whose set-up fails, so no later
+    call is set up further or propagated, and the list returned holds one
+    `_Ahead` per call up to and including that one.
 
     At two levels each call's outcome is that of the call alone, bit for
     bit.  Above two levels a stack of several calls' edges may take
@@ -499,6 +503,7 @@ def _measure_ahead(calls: list) -> list:
             edges[i] = frame
         except Exception as exc:
             setups[i] = exc
+            break
 
     for (tol, _), run in itertools.groupby(edges, lambda i: (tols[i], edges[i][1].shape[1:])):
         run = list(run)
@@ -511,6 +516,9 @@ def _measure_ahead(calls: list) -> list:
                     eigs[i] = _eigensystems(edges[i][1], tol)
                 except Exception as exc:
                     setups[i] = exc
+                    break
+            if i not in eigs:  # the run's failing call ends the look-ahead
+                break
 
     groups, start = [], None
     for i, eig in eigs.items():
@@ -527,7 +535,7 @@ def _measure_ahead(calls: list) -> list:
             setups[i] = *eig[-2:], *state
         except Exception as exc:
             setups[i] = exc
-            continue
+            break
         options = {**keywords, "gauge_precondition": precondition}
         if groups and groups[-1][:2] == (model, options):
             groups[-1][2].append(i)
@@ -542,7 +550,8 @@ def _measure_ahead(calls: list) -> list:
             outcomes = [exc] * len(run)
         for i, outcome in zip(run, outcomes):
             lanes[i] = outcome
-    return [_Ahead(*ahead) for ahead in zip(calls, setups, lanes)]
+    end = next((i + 1 for i, setup in enumerate(setups) if isinstance(setup, Exception)), len(calls))
+    return [_Ahead(*ahead) for ahead in zip(calls[:end], setups, lanes)]
 
 
 def two_time_work(

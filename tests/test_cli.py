@@ -679,7 +679,8 @@ class TestSweeps:
     def test_a_defective_edge_hands_nothing_over(self, tmp_path, monkeypatch, capsys):
         # the stacked call over every edge raises at 1, the exceptional
         # point, and hands nothing over; each point then decomposes its own
-        # edges, so 0.3 is measured before 1 fails and 1.2 is never reached
+        # edges up to the first that fails, so 0.3 is measured before 1
+        # fails and 1.2 is never set up
         cfg = dict(BASE, sweep={"name": "protocol.end", "values": [1.2, 1.0, 0.3]})
         handed, stacks = [], []
 
@@ -696,10 +697,39 @@ class TestSweeps:
         monkeypatch.setattr(thermo, "_eigensystems", stacked)
         assert main(["jarzynski", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 3
         # 1 and 1.2 have no finite frame at their end, so only H's two edges
-        assert stacks == [8, 4, 2, 2]
+        assert stacks == [8, 4, 2]
         assert [isinstance(ahead.setup, tuple) for ahead in handed] == [True, False]
         assert handed[1].lane is None
         assert capsys.readouterr().err.startswith("DefectiveMatrixError: at protocol.end = 1: eigenvector condition")
+
+    @pytest.mark.parametrize("first, kind", [(-1.0, "DefectiveMatrixError"), (-1.2, "NonRealSpectrumError")],
+                             ids=["kernel-refusal", "non-real"])
+    def test_a_sweep_propagates_nothing_after_its_first_failing_set_up(self, tmp_path, monkeypatch, first,
+                                                                      kind):
+        # -1 is the exceptional point, whose edge the kernel refuses; -1.2
+        # lies past it, where the final spectrum is a conjugate pair.  The
+        # 99 points after it pass their set-up, but none is propagated
+        lanes = []
+        propagate_lanes = thermo._propagate_lanes
+
+        def spy(model, protocols, *args, **kwargs):
+            lanes.extend(protocols)
+            return propagate_lanes(model, protocols, *args, **kwargs)
+
+        def run(name, cfg):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                rc = main(["jarzynski", "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                           "--out", str(tmp_path / name)])
+            return rc, err.getvalue()
+
+        monkeypatch.setattr(thermo, "_propagate_lanes", spy)
+        values = [first, *(i / 100 for i in range(1, 100))]
+        rc, err = run("sweep", dict(BASE, sweep={"name": "protocol.end", "values": values}))
+        assert lanes == []
+        own_rc, own_err = run("alone", dict(BASE, protocol=dict(BASE["protocol"], end=first)))
+        own_kind, message = own_err.split(": ", 1)
+        assert (own_rc, own_kind) == (3, kind)
+        assert (rc, err) == (3, f"{kind}: at protocol.end = {first:.6g}: {message}")
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.sampled_from([0.0, 0.3, 0.9, 0.999, 1.0, 1.2]) | st.floats(-1.3, 1.3), min_size=1,

@@ -1241,14 +1241,38 @@ def test_lanes_match_their_solo_propagations(lanes, climber, broken, model, step
         mp.setattr(dynamics, "_two_level_pass", passing)
         got = dynamics._propagate_lanes(model, protocols, initials, **options)
     assert len(got) == len(inputs)
-    # the first pass served, in one piece, every lane that opened among the
-    # first group: as many as fill one batch with their first two runs
-    group = inputs[: dynamics._block_steps(2) // (3 * (steps or 128))]
-    assert len(shared[0]) == len(group) - (model == TwoLevel() and broken < len(group))
+    # the first pass served, in one piece, every lane that opened: all but
+    # the broken one, which the metric scan refuses on TwoLevel()
+    assert len(shared[0]) == len(inputs) - (model == TwoLevel())
     for outcome, protocol, initial in zip(got, protocols, initials):
         _assert_same_outcome(outcome, _solo(model, protocol, initial, **options))
     if model == TwoLevel():
         assert isinstance(got[broken], SingularMetricError)
+
+
+def test_lanes_climb_together_one_pass_per_rung(monkeypatch):
+    # 20 lanes' first two runs at the default seed, 128 + 256 steps each,
+    # fill more than two batches, yet every lane climbs in the same passes;
+    # the longer drives accept up to three rungs later than the shorter
+    protocols = [Protocol.linear(0.0, 0.02 + 0.045 * i, 20.0 * (1.0 + 0.1 * i)) for i in range(20)]
+    assert 20 * 3 * 128 > 2 * dynamics._block_steps(2)
+    passes = []
+    two_level_pass = dynamics._two_level_pass
+
+    def passing(runs, *args):
+        passes.append(sorted({(id(lane), n) for lane, n in runs}))
+        return two_level_pass(runs, *args)
+
+    monkeypatch.setattr(dynamics, "_two_level_pass", passing)
+    got = dynamics._propagate_lanes(TwoLevel(), protocols, [None] * 20)
+    monkeypatch.undo()
+    rungs = max(len(res.rungs) for res in got)
+    assert len(passes) == rungs - 1  # the first pass makes the first two rungs
+    assert len({lane for lane, _ in passes[0]}) == 20
+    assert [sorted({n for _, n in runs}) for runs in passes] == [
+        [128, 256], *([128 << k] for k in range(2, rungs))]
+    for outcome, protocol in zip(got, protocols):
+        _assert_same_outcome(outcome, _solo(TwoLevel(), protocol, None))
 
 
 @pytest.mark.parametrize(

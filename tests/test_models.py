@@ -213,6 +213,33 @@ class TestHatanoNelson:
             HatanoNelson(length=1, hopping=1.0, asymmetry=0.0)
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda x: TwoLevel(x), "coupling"),
+        (lambda x: Oscillator(omega_ref=x), "omega_ref"),
+        (lambda x: Oscillator(omega_ref=1.0, shift=x), "shift"),
+        (lambda x: Oscillator(omega_ref=1.0, mass=x), "mass"),
+        (lambda x: HatanoNelson(length=4, hopping=x), "hopping"),
+        (lambda x: HatanoNelson(length=4, asymmetry=x), "asymmetry"),
+        (lambda x: HatanoNelson(length=2, potential=(0.0, x)), "potential"),
+    ],
+    ids=["two-level-coupling", "omega_ref", "shift", "mass", "hopping", "asymmetry", "potential"],
+)
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_models_refuse_non_finite_parameters(build, match, x):
+    # a non-finite parameter would otherwise surface later as NaN matrices
+    # or an unnamed error, or not at all on the hermitian frame route
+    with pytest.raises(ValueError, match=match):
+        build(x)
+
+
+def test_two_level_refuses_a_zero_coupling():
+    # the metric divides by the coupling
+    with pytest.raises(ValueError, match="coupling must be finite and nonzero"):
+        TwoLevel(0.0)
+
+
 @pytest.mark.parametrize("lam", [0.2, 0.5, 0.8, 0.95])
 def test_relaxation_time_analytic(lam):
     es = eigendecompose(TwoLevel().hamiltonian(lam))
