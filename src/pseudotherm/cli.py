@@ -625,10 +625,13 @@ def cmd_carnot(cfg: dict) -> _Report:
         kind = _as_str(_as_dict(cfg.get("model"), "model").get("kind"), "model.kind")
         if kind != "two_level":
             _fail("cycle.parameter", "coupling sweeps need a two_level model")
-        fixed = _as_number(cyc.get("fixed_value", 0.0), "cycle.fixed_value")
-        report = quasistatic_cycle(_CouplingFamily(fixed), T_hot, T_cold, legs, steps)
+        family = _CouplingFamily(_as_number(cyc.get("fixed_value", 0.0), "cycle.fixed_value"))
     else:
-        report = quasistatic_cycle(build_model(cfg), T_hot, T_cold, legs, steps)
+        family = build_model(cfg)
+    try:
+        report = quasistatic_cycle(family, T_hot, T_cold, legs, steps)
+    except ValueError as exc:  # the temperatures and legs are checked above: legs that make no engine
+        raise ConfigError(f"cycle.legs: {exc}") from exc
 
     # each leg's rows come from one "%" over its interleaved (value, S) pairs
     blocks = [((leg + ",%.17g,%.17g\n") * len(v))[:-1] % tuple(np.column_stack((v, S)).ravel().tolist())

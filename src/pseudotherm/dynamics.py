@@ -25,29 +25,32 @@ the Omegas of a batch are one product of a (k, 3) coefficient array with
 the fixed H0, H1 and [H1, H0] on the blocks, and the coefficients come from
 the control values of a chunk of batches at a time.  Other families are
 evaluated at the Gauss nodes of each batch and run as one dense block of
-all d levels.  A batch holds more steps the smaller the dimension, so a
-two-level run usually fits in one batch.  Two-level runs
-are array arithmetic throughout: 2x2 products are written out entrywise
-(`_mul2`), and the steps between two checkpoints are multiplied by a
-pairwise product tree before they act on U once, the pieces of a batch
-together as the rows of one identity-padded array (`_piece_products`).
-The first two runs of the step-doubling ladder, n and 2n steps, share one
-pass; at two levels that is one evaluation of the family, the gauge term
-and the exponential per batch of their steps, each step with its own
-run's dt, and one residual call for both runs' checkpoints.
-`_propagate_lanes` runs the ladder of
-many propagations of one model at once, and `propagate` is its one-lane
-case: at two levels the runs of all lanes at one rung share each pass in
-the same way, so a sweep's points pay the per-call overhead once per rung
-rather than once per point.  Larger dimensions hold U
-as the rows of each invariant block and advance them step by step, one
-stacked block product per group of equal-sized blocks; no exponential
-larger than a block is formed, and dense U is assembled only at the
-checkpoints.
-The checkpoint residuals of a pass are evaluated in one batched call.  The gauge
-term G_t keeps U metric-unitary, U† g_t U = g_0, when the metric family g_t
-moves with the drive; it vanishes for a static metric.  In the hermitian
-frame (identity metric) i*Omega is hermitian, so every step is unitary to
+all d levels.  One builder, `_Family.generators`, gives every pass its
+node generators: the family plus a moving metric's gauge term, refused
+with SingularMetricError where it is not finite, as the affine path
+refuses a coefficient that is not finite.  A batch holds more steps the
+smaller the dimension, so a two-level run usually fits in one batch.
+Two-level runs are array arithmetic throughout: 2x2 products are written
+out entrywise (`_mul2`), and the steps between two checkpoints are
+multiplied by a pairwise product tree before they act on U once, the
+pieces of a batch together as the rows of one identity-padded array
+(`_piece_products`).  The first two runs of the step-doubling ladder, n
+and 2n steps, share one pass; at two levels that is one evaluation of the
+family, the gauge term and the exponential per batch of their steps, each
+step with its own run's dt, and one residual call for both runs'
+checkpoints.  `_propagate_lanes` runs the ladder of many propagations of
+one model at once, and `propagate` is its one-lane case: at two levels the
+runs of all lanes at one rung share each pass in the same way, so a
+sweep's points pay the per-call overhead once per rung rather than once
+per point.  Above two levels one object, `_BlockExponentials`, owns the
+partition, its buffers and the run: it holds U as the rows of each
+invariant block and advances them step by step, one stacked block product
+per group of equal-sized blocks; no exponential larger than a block is
+formed, and dense U is assembled only at the checkpoints.  The checkpoint
+residuals of a pass are evaluated in one batched call.  The gauge term G_t
+keeps U metric-unitary, U† g_t U = g_0, when the metric family g_t moves
+with the drive; it vanishes for a static metric.  In the hermitian frame
+(identity metric) i*Omega is hermitian, so every step is unitary to
 rounding.
 """
 
@@ -449,25 +452,31 @@ def _invariant_blocks(pattern: np.ndarray) -> list:
 
 
 class _BlockExponentials:
-    """exp(Omega) of batches of d > 2 Magnus steps, invariant block by block.
+    """The run of a d > 2 propagation, invariant block by block.
 
     The partition is fixed when the object is built.  `index` holds one
     (c, b) array per group of equal-sized blocks, each row the sorted levels
-    of one of its c blocks of b levels, and a batch of k steps comes back as
-    one (k, c, b, b) stack per group.  Built from an affine family's terms
+    of one of its c blocks of b levels, and a batch of k steps exponentiates
+    to one (k, c, b, b) stack per group.  Built from an affine family's terms
     (H0, H1, f), the blocks are the connected components of the symmetrised
     nonzero pattern of H0 | H1, and E is formed on the blocks only: the
     exponential of a block-diagonal matrix is block diagonal, and each step
     moves only the rows of U in its own block.  `coefficients` turns the
-    node control values of any number of steps into (k, 3) weights, and
+    node values of f of any number of steps into (k, 3) weights, and
     `affine` makes each Omega one combination of H0, H1 and [H1, H0], taken
     on the blocks once.  Without terms all d levels are one dense block, and
-    `__call__` builds each Omega from the batch's node generators.  The
-    buffers live as long as the object, one `propagate` call, and the stacks
-    returned are overwritten by the next batch.
+    `__call__` builds each Omega from the batch's node generators.  `run`
+    integrates the `_Family` given at construction.  The buffers live as
+    long as the object, one `propagate` call, and the stacks returned are
+    overwritten by the next batch.
     """
 
-    def __init__(self, dim: int, steps: int, terms: tuple | None = None):
+    def __init__(self, dim: int, steps: int, terms: tuple | None = None, family: _Family | None = None):
+        self.family, self._steps, self._f = family, steps, None
+        # the node times, control values and affine coefficients of whole
+        # batches are evaluated a chunk at a time: a bounded array however
+        # long the run
+        self._chunk = steps * max(1, _BLOCK_ENTRIES // 3 // steps)
         if terms is None:
             self.index = [np.arange(dim)[None]]
         else:
@@ -478,10 +487,10 @@ class _BlockExponentials:
             self._terms = [M[:, (idx[:, :, None] * dim + idx[:, None, :]).ravel()] for idx in self.index]
         self._buffers = [np.empty(10 * steps * idx.size * idx.shape[1], dtype=complex) for idx in self.index]
 
-    def coefficients(self, v: np.ndarray, alpha: complex, gamma: float) -> np.ndarray:
-        """Weights of H0, H1 and [H1, H0] in each step's Omega; v stacks each step's two node values."""
+    def coefficients(self, f: np.ndarray, alpha: complex, gamma: float) -> np.ndarray:
+        """Weights of H0, H1 and [H1, H0] in each step's Omega; f stacks each step's two node values of f."""
         # h_1 + h_2 = 2 H0 + (f_1 + f_2) H1 and [h_2, h_1] = (f_2 - f_1) [H1, H0]
-        f1, f2 = np.reshape(self._f(v), (-1, 2)).T
+        f1, f2 = np.reshape(f, (-1, 2)).T
         return np.stack((np.full(f1.shape, 2.0 * alpha), alpha * (f1 + f2), gamma * (f2 - f1)), axis=1)
 
     def affine(self, coef: np.ndarray) -> list:
@@ -514,44 +523,46 @@ class _BlockExponentials:
         omega += C
         return [_expm_taylor(work).reshape(k, 1, d, d)]
 
+    def run(self, lane: _Lane, n: int) -> np.ndarray:
+        """U at the checkpoints of a run of n steps of the lane, made batch by batch.
 
-def _join_rows(rows: list, index: list, dim: int) -> np.ndarray:
-    """U from its row blocks: rows[g] is (c, b, k), holding the rows index[g] of U."""
-    U = np.empty((dim, rows[0].shape[-1]), dtype=complex)
-    for idx, R in zip(index, rows):
-        U[idx.ravel()] = R.reshape(idx.size, -1)
-    return U
-
-
-class _BlockRows:
-    """A d > 2 U held as the row blocks rows[g] = U[index[g]] of a `_BlockExponentials` partition.
-
-    A step moves only the rows of its own blocks, so each group's (c, b, k)
-    rows advance by one stacked product per step, and dense U is assembled
-    only where a checkpoint asks for it.
-    """
-
-    def __init__(self, U: np.ndarray, index: list):
-        self._index, self._dim = index, U.shape[0]
-        self._rows = [U[idx] for idx in index]
-
-    def advance(self, E: list, ends: list, marks: int) -> list:
-        """Apply the batch E, one (k, c, b, b) stack per group of `index`, in pieces that end at `ends`.
-
-        Returns U after each of the first `marks` pieces.
+        U is held as its rows in each group, U[index[g]]: a step moves only
+        the rows of its own blocks, so each group's rows advance by one
+        stacked product per step, and dense U is assembled only at the
+        checkpoints.
         """
-        rows = self._rows
-        at = []
-        start = 0
-        for j, end in enumerate(ends):
-            for g, Eg in enumerate(E):  # the groups' rows move independently
-                R = rows[g]
-                for Ek in Eg[start:end]:
-                    R = Ek @ R
-                rows[g] = R
-            start = end
-            if j < marks:
-                at.append(_join_rows(rows, self._index, self._dim))
+        family, protocol, steps = self.family, lane.protocol, self._steps
+        t0, dt = lane.t0, (lane.t1 - lane.t0) / n
+        # alpha and gamma of Omega, with -i/hbar folded in
+        alpha, gamma = -0.5j * dt / family.hbar, -_COMMUTATOR * dt * dt / (family.hbar * family.hbar)
+        rows = [lane.X0[idx] for idx in self.index]
+        at = np.empty((len(_marks(n)), *lane.X0.shape), dtype=complex)
+        mark = 0
+        for head in range(0, n, self._chunk):
+            tail = min(head + self._chunk, n)
+            ts = t0 + (np.arange(head, tail)[:, None] + _NODES) * dt
+            v = protocol.value(ts)
+            if self._f is not None:
+                coef = self.coefficients(family.refuse_non_finite(self._f(v), v), alpha, gamma)
+            for first in range(head, tail, steps):
+                last = min(first + steps, n)
+                here = slice(first - head, last - head)
+                if self._f is not None:
+                    E = self.affine(coef[here])
+                else:
+                    E = self(family.generators(v[here].ravel(), lambda: protocol.rate(ts[here].ravel())),
+                             alpha, gamma)
+                ends, marks, _ = _pieces(n, first, last)
+                for j, (start, end) in enumerate(zip((0, *ends), ends)):
+                    for g, Eg in enumerate(E):  # the groups' rows move independently
+                        R = rows[g]
+                        for Ek in Eg[start:end]:
+                            R = Ek @ R
+                        rows[g] = R
+                    if j < marks:
+                        for idx, R in zip(self.index, rows):
+                            at[mark, idx.ravel()] = R.reshape(idx.size, -1)
+                        mark += 1
         return at
 
 
@@ -590,6 +601,42 @@ def _moving_gauge(model, v: np.ndarray, rate: np.ndarray, hbar: float) -> np.nda
     dg = model.metric_rate(v, rate)
     ginv = model.metric_inverse(v)
     return _gauge(_mul2(ginv, dg) if model.dimension == 2 else ginv @ dg, hbar)
+
+
+class _Family(NamedTuple):
+    """The family a propagation integrates, as the passes read it at the Gauss nodes.
+
+    h_of is the model's hamiltonian, or its hermitian frame when frame is
+    set; moving says that the model's metric moves, so that the family
+    takes a gauge term.
+    """
+
+    h_of: Callable
+    model: object
+    hbar: float
+    moving: bool
+    frame: bool
+
+    def refuse_non_finite(self, values: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """values, one row per node value in v; SingularMetricError names the first node of a non-finite row."""
+        if not np.isfinite(values).all():
+            v = np.ravel(v)
+            bad = v[~np.isfinite(values).reshape(v.size, -1).all(axis=1)][0]
+            why = "; a hermitian frame exists only where the metric is positive definite" if self.frame else ""
+            raise SingularMetricError(f"the integrated family is not finite at control value {bad:.6g}{why}")
+        return values
+
+    def generators(self, v: np.ndarray, rate: Callable) -> np.ndarray:
+        """The family at the node values v, plus a moving metric's gauge term, whose rates rate() gives.
+
+        Between the metric scan's points a frame may not exist, and a family
+        may not be finite anywhere: a node where the sum is not finite is
+        refused.
+        """
+        A = self.h_of(v)
+        if self.moving:
+            A = A + _moving_gauge(self.model, v, rate(), self.hbar)
+        return self.refuse_non_finite(A, v)
 
 
 def _scan_positive_definite(model, protocol: Protocol, t0: float, t1: float, tol: Tolerances):
@@ -723,12 +770,12 @@ def _pieces(n: int, first: int, last: int) -> tuple:
     return ends, len(inside), ends[0] if len(ends) > 1 and ends[0] < _stride(n) else 0
 
 
-def _two_level_pass(runs: list, h_of: Callable, model, hbar: float, moving: bool, block: int) -> list:
+def _two_level_pass(runs: list, family: _Family, block: int) -> list:
     """U at the checkpoints of each run (lane, n) at two levels, one (marks, 2, k) stack per run.
 
     Each run is cut at every `block` of its steps, and the pieces fill
     batches of at most `block` steps, in order of step count.  A batch
-    takes one node-time array, one family and gauge-term evaluation, one
+    takes one node-time array, one `_Family.generators` call, one
     commutator and one `_expm2` call over all of its steps, each step with
     its own run's dt and its own lane's protocol.  Consecutive pieces of
     equal shape share their product trees and advance their U as one
@@ -758,16 +805,8 @@ def _two_level_pass(runs: list, h_of: Callable, model, hbar: float, moving: bool
         edges = np.cumsum([0, *lengths])
         spans = [(runs[r][0], ts[a:b]) for (r, _, _), a, b in zip(batch, edges, edges[1:])]
         v = _by_lane(spans, lambda lane, t: lane.protocol.value(t)).ravel()
-        A = h_of(v)
-        if not (moving or np.isfinite(A).all()):  # between the scan's points, a frame may not exist
-            bad = v[~np.isfinite(A).all(axis=(1, 2))][0]
-            raise SingularMetricError(
-                f"the integrated family is not finite at control value {bad:.6g}; "
-                "a hermitian frame exists only where the metric is positive definite"
-            )
-        if moving:
-            A = A + _moving_gauge(model, v, _by_lane(spans, lambda lane, t: lane.protocol.rate(t)).ravel(), hbar)
-        A = (-1j / hbar) * A
+        A = family.generators(v, lambda: _by_lane(spans, lambda lane, t: lane.protocol.rate(t)).ravel())
+        A = (-1j / family.hbar) * A
         A1, A2 = A[0::2], A[1::2]
         dt = dt[:, None, None]
         omega = (0.5 * dt) * (A1 + A2) + (_COMMUTATOR * dt * dt) * (_mul2(A2, A1) - _mul2(A1, A2))
@@ -797,7 +836,7 @@ def _two_level_pass(runs: list, h_of: Callable, model, hbar: float, moving: bool
     return [np.concatenate(a) for a in at]
 
 
-def _checkpoint_results(runs: list, stacks: list, model, moving: bool) -> list:
+def _checkpoint_results(runs: list, stacks: list, family: _Family) -> list:
     """(U, checkpoints) of each run (lane, n), given its stack of U at the checkpoints.
 
     Coarse non-hermitian runs can overflow; such a run gives U None and no
@@ -819,8 +858,8 @@ def _checkpoint_results(runs: list, stacks: list, model, moving: bool) -> list:
             return np.concatenate([np.broadcast_to(m, (len(t), *m.shape)) for m, t in zip(matrices, times)])
 
         M0 = per_checkpoint([lane.M0 for lane in lanes])
-        if moving:
-            gt = model.metric(_by_lane(list(zip(lanes, times)), lambda lane, t: lane.protocol.value(t)))
+        if family.moving:
+            gt = family.model.metric(_by_lane(list(zip(lanes, times)), lambda lane, t: lane.protocol.value(t)))
         else:
             gt = per_checkpoint([lane.g_start for lane in lanes])
         residuals = iter(unitarity_residual(np.concatenate([stacks[j] for j in kept]), M0, gt).tolist())
@@ -858,9 +897,10 @@ def _propagate_lanes(
     _block_steps(2) steps however many lanes it serves, and the pass's
     residual call; each run is given the pass's wall time in proportion to
     its steps.  Above two levels each lane of a pass runs alone
-    (`_block_run`): the Taylor kernel picks one degree per batch, so a
-    shared batch would change the bits.  A pass that raises is run again
-    lane by lane, so only the lanes that fail alone take the exception.
+    (`_BlockExponentials.run`): the Taylor kernel picks one degree per
+    batch, so a shared batch would change the bits.  A pass that raises is
+    run again lane by lane, so only the lanes that fail alone take the
+    exception.
 
     A lane's metric is decided once, when it opens.  In the hermitian frame
     (gauge_precondition) it is the identity; a static metric is the model's
@@ -887,8 +927,7 @@ def _propagate_lanes(
     dim = model.dimension
     static = getattr(model, "metric_is_static", False)
     moving = not (gauge_precondition or static)  # the integrated family has a gauge term
-    affine = dim > 2 and not moving and terms_of is not None
-    terms = terms_of() if affine and h_of is not None else None
+    terms = terms_of() if dim > 2 and not moving and terms_of is not None and h_of is not None else None
     block = _block_steps(dim)
 
     def open_lane(protocol, initial, window) -> _Lane:
@@ -915,7 +954,7 @@ def _propagate_lanes(
             raise ValueError(f"initial condition must be ({dim} x k), got {X0.shape}")
         if X0.shape[1] == 0 or not np.isfinite(X0).all():
             raise ValueError("initial condition must be finite and have at least one column")
-        if affine:
+        if terms is not None:
             _check_terms(h_of, terms, protocol.value(np.array([t0, t1])), family_name)
         gate = unitarity_gate
         if gate is None:
@@ -923,19 +962,15 @@ def _propagate_lanes(
         return _Lane(protocol, t0, t1, X0, X0.conj().T @ g_start @ X0, g_start, g_end, gate,
                      _ladder(n, max_steps, entry_tol, gate))
 
+    family = _Family(h_of, model, hbar, moving, gauge_precondition)
     if dim == 2:
         def run_pass(runs):
-            return _two_level_pass(runs, h_of, model, hbar, moving, block)
+            return _two_level_pass(runs, family, block)
     else:
-        blocks = _BlockExponentials(dim, block, terms)
-        # the node times, control values and affine coefficients of whole
-        # batches are evaluated a chunk at a time: a bounded array however
-        # long the run
-        chunk = block * max(1, _BLOCK_ENTRIES // 3 // block)
+        blocks = _BlockExponentials(dim, block, terms, family)
 
         def run_pass(runs):
-            return [_block_run(lane, n, h_of, model, hbar, moving, blocks, affine, chunk, block)
-                    for lane, n in runs]
+            return [blocks.run(lane, n) for lane, n in runs]
 
     def one_pass(wants: dict) -> dict:
         """One pass over the runs that each lane in wants (index -> step counts) asks for.
@@ -945,7 +980,7 @@ def _propagate_lanes(
         runs = [(lanes[i], m) for i, ns in wants.items() for m in ns]
         clock = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
-            results = iter(_checkpoint_results(runs, run_pass(runs), model, moving))
+            results = iter(_checkpoint_results(runs, run_pass(runs), family))
         per_step = (time.perf_counter() - clock) / sum(m for _, m in runs)
         return {i: [(*next(results), per_step * m) for m in ns] for i, ns in wants.items()}
 
@@ -1001,35 +1036,6 @@ def _propagate_lanes(
     return outcomes
 
 
-def _block_run(lane: _Lane, n: int, h_of: Callable, model, hbar: float, moving: bool,
-               blocks: _BlockExponentials, affine: bool, chunk: int, block: int) -> np.ndarray:
-    """U at the checkpoints of a run of n steps above two levels, made batch by batch."""
-    t0, dt = lane.t0, (lane.t1 - lane.t0) / n
-    # alpha and gamma of Omega, with -i/hbar folded in
-    alpha, gamma = -0.5j * dt / hbar, -_COMMUTATOR * dt * dt / (hbar * hbar)
-    at_mark = []
-    chain = _BlockRows(lane.X0, blocks.index)
-    for head in range(0, n, chunk):
-        tail = min(head + chunk, n)
-        ts = t0 + (np.arange(head, tail)[:, None] + _NODES) * dt
-        v = lane.protocol.value(ts)
-        if affine:
-            coef = blocks.coefficients(v, alpha, gamma)
-        for first in range(head, tail, block):
-            last = min(first + block, n)
-            here = slice(first - head, last - head)
-            if affine:
-                E = blocks.affine(coef[here])
-            else:
-                A = h_of(v[here].ravel())
-                if moving:
-                    A = A + _moving_gauge(model, v[here].ravel(), lane.protocol.rate(ts[here].ravel()), hbar)
-                E = blocks(A, alpha, gamma)
-            ends, marks, _ = _pieces(n, first, last)
-            at_mark.extend(chain.advance(E, ends, marks))
-    return np.stack(at_mark)
-
-
 def propagate(
     model,
     protocol: Protocol,
@@ -1047,55 +1053,34 @@ def propagate(
 ) -> PropagationResult:
     """Integrate the metric-corrected Schrodinger equation for U(t1, t0).
 
-    steps seeds the refinement; the count doubles until no entry of U moves
-    by more than entry_tol (relative to the largest entry) under halving the
-    step and the worst checkpoint residual is within unitarity_gate, then
-    the finer run is returned.  `initial` replaces the identity initial
-    condition by an arbitrary (dim x k) column block, which evolves the
-    given columns only.  With gauge_precondition the model's hermitian frame
-    is integrated instead (identity metric, no gauge term); a moving metric
-    is still scanned, since its frame exists only where it is positive
-    definite.
+    U is integrated over [t0, t1], by default the protocol's window, from
+    the identity or from the (dim x k) columns of `initial`, which evolve
+    alone.  With gauge_precondition the model's hermitian frame is
+    integrated instead, with the identity metric and no gauge term; a
+    moving metric is still scanned over the window, since its frame exists
+    only where it is positive definite.  The scheme is the module
+    docstring's; this is the one-lane case of `_propagate_lanes`.
 
-    This is the one-lane case of `_propagate_lanes`, which runs the same
-    ladder for many protocols and initial conditions of one model at once.
-    A run checks U at about 12 evenly spaced steps (every n // 12 steps, and
-    the last).  At two levels the steps between two checkpoints are
-    multiplied by a pairwise product tree of entrywise 2x2 products and
-    advance U once; the trees of a batch's pieces run together, as rows
-    padded with identities to a power of two.  The ladder's first two
-    runs, of n and 2n steps, are made in one pass when 2n <= max_steps, and
-    each run is given the pass's wall time in proportion to its steps.  At
-    two levels their steps fill batches of at most _block_steps(2) steps in
-    order, and each batch takes one call each to the protocol, the family,
-    the gauge term and the exponential, each step with its own run's dt;
-    the pass takes one residual call over both runs' checkpoints.  Each run
-    keeps its own product trees and U, so both come out as if run alone;
-    above two levels the pass makes the runs one after the other.  Larger
-    dimensions exponentiate each batch of steps block by block
-    (_BlockExponentials) and hold U as the rows of each invariant block,
-    which every step moves with one stacked product per group of
-    equal-sized blocks; dense U is assembled at the checkpoints.
-    Above two levels, a static metric and terms for the integrated family
-    (hamiltonian_terms, or hermitian_frame_terms with gauge_precondition)
-    assemble each batch's Omega from the terms on the blocks they leave,
-    with the control values and coefficients of a chunk of batches
-    evaluated at once; otherwise the family is evaluated at every Gauss
-    node, the commutator multiplied out, and all d levels are one block.
-    The terms are checked against the family at the two window edges, and
-    a ValueError names the pair that disagrees.  A non-finite initial
-    condition, or one without columns, raises ValueError before any step,
-    and so do an hbar that is not finite and
-    positive and a step seed (steps, or 128 when not given) above
-    max_steps.  The checkpoint propagators of a run are checked for
-    finiteness, and those of a pass against the metric in one batched
-    call.
+    A run of n steps (steps, by default 128) is checked at about 12 evenly
+    spaced steps and its last.  n doubles until no entry of U moves by more
+    than entry_tol (by default tol.propagation) times max(1, max |U|) under
+    halving the step and the worst checkpoint residual
+    ||U^dagger g_t U - M0||_F, M0 the initial columns' Gram matrix in g_0,
+    is within unitarity_gate (by default tol.propagation *
+    max(1, ||g_0||_F)), and the finer run is returned.
 
-    Raises SingularMetricError when the metric degenerates inside the window
-    and NotConvergedError when max_steps is hit without acceptance, when
-    the entry test has passed on two consecutive doublings while the worst
-    checkpoint still misses the gate, or when the entry change has failed
-    to decrease on two consecutive doublings (entry_tol below the rounding
+    Raises ValueError for an hbar that is not finite and positive, a step
+    seed above max_steps, t1 <= t0, an initial condition that is not
+    (dim x k) with k >= 1 and finite, a model without the frame asked for,
+    or affine terms (hamiltonian_terms, hermitian_frame_terms) that miss
+    their family at the window edges; ProtocolRangeError for a window
+    outside the protocol's.  Raises SingularMetricError for a static metric
+    that is not positive definite, a moving one that degenerates inside the
+    window, or a family that is not finite at a step's node; and
+    NotConvergedError when max_steps is hit without acceptance, when the
+    entry test passed on two consecutive doublings while the worst
+    checkpoint still misses the gate, or when the entry change failed to
+    decrease on two consecutive doublings (entry_tol below the rounding
     floor).
     """
     (outcome,) = _propagate_lanes(

@@ -13,14 +13,16 @@ which telescopes exactly, so energy conservation holds to rounding even
 at coarse step counts.  At every grid point it also checks the energy
 sum_n p_n E_n against tr(rho H), rho = V diag(p) V^-1.
 
-Each cycle leg is a handful of array operations over its whole grid, with
-the grid index last so that sums over levels run along contiguous rows.
-The leg's eigensystems come from linalg's eigen-kernel, the one
-`eigendecompose` views, so every grid point passes the gates a single
-decomposition passes, and a leg that reaches or nears an exceptional point
-raises DefectiveMatrixError naming the control value.  A two-time
-measurement decomposes both window edges in one kernel call, and a sweep
-decomposes the edges of all its two-level points in one.
+The cycle is one loop over a table of its four legs.  Each leg is a
+handful of array operations over its whole grid in one `_cycle_leg` call,
+whose arrays are freed before the next leg is built; the grid index runs
+last, so sums over levels run along contiguous rows.  A leg's eigensystems
+come from linalg's eigen-kernel, the one `eigendecompose` views, so every
+grid point passes the gates a single decomposition passes, and a leg that
+reaches or nears an exceptional point raises DefectiveMatrixError naming
+the control value.  A two-time measurement decomposes both window edges in
+one kernel call, and a sweep decomposes the edges of all its two-level
+points in one.
 """
 
 from __future__ import annotations
@@ -352,7 +354,8 @@ def jarzynski_report(wd: WorkDistribution) -> JarzynskiReport:
     with zero population adds 0 however large e^{-beta w} is; Z_tau/Z_0 is
     exp(ln Z_tau - ln Z_0), and the relative residual divides each term by
     it in the exponent, so it stays finite where either side over- or
-    underflows.  The sums run over the pairs in row-major order.
+    underflows; exp_avg_work and exp_delta_F themselves are inf where they
+    exceed the float range.  The sums run over the pairs in row-major order.
     """
     if not wd.p.size:
         raise ValueError("work distribution has no entries")
@@ -362,9 +365,11 @@ def jarzynski_report(wd: WorkDistribution) -> JarzynskiReport:
         log_terms = np.log(pr) - wd.beta * w
     mean_work = float(np.sum(pr * w))
     delta_F = -log_ratio / wd.beta
+    with np.errstate(over="ignore"):  # e^{-beta W} and Z_tau/Z_0 may exceed the float range
+        exp_avg_work, exp_delta_F = float(np.sum(np.exp(log_terms))), float(np.exp(log_ratio))
     return JarzynskiReport(
-        exp_avg_work=float(np.sum(np.exp(log_terms))),
-        exp_delta_F=float(np.exp(log_ratio)),
+        exp_avg_work=exp_avg_work,
+        exp_delta_F=exp_delta_F,
         relative_residual=abs(float(np.sum(np.exp(log_terms - log_ratio))) - 1.0),
         mean_work=mean_work,
         delta_F=delta_F,
@@ -657,20 +662,6 @@ class CycleReport:
     entropy_mismatch: dict
 
 
-def _leg_spectra(h_of, values: np.ndarray, tol: Tolerances):
-    """Batched eigen-data along one leg of k control values: H, E, VR, VLh.
-
-    h_of maps the array of control values to the (k, d, d) stack.  The grid
-    index runs last in what is returned, H, VR and VLh being (d, d, k) and
-    E (d, k), so sums over levels and products of matrices run along
-    contiguous rows.  The eigen-data come from linalg's eigen-kernel,
-    which raises DefectiveMatrixError naming the first control value that
-    fails a gate.
-    """
-    H = _grid_last(np.asarray(h_of(values), dtype=complex))
-    return (H, *_eig_stack(H, values, tol)[:3])
-
-
 def _entropy_curve(E: np.ndarray, beta, *, slope: bool = False, weights=None):
     """S = beta (U - F) per column for (d, k) eigenvalues and (k,) betas.
 
@@ -698,12 +689,6 @@ def _entropy_curve(E: np.ndarray, beta, *, slope: bool = False, weights=None):
         return S
     var = ((dE - mean) ** 2 * q).sum(axis=0) / total
     return S, -beta * beta * var
-
-
-def _leg_gibbs(E: np.ndarray, beta: np.ndarray):
-    """Populations and entropy per column from one evaluation of the Gibbs weights."""
-    weights = _shifted_weights(E, beta)
-    return weights[1] / weights[2], _entropy_curve(E, beta, weights=weights)
 
 
 def _solve_isentrope(
@@ -796,6 +781,34 @@ def _leg_accounting(H, E, VR, VLh, pops):
     return complex(U[-1] - U[0]) - W, W, cross
 
 
+def _cycle_leg(h_of, name: str, values: np.ndarray, beta, s_target: float | None, tol: Tolerances):
+    """(S, heat, work, crosscheck, isentrope solve) of one Carnot leg over its control values.
+
+    beta is the isotherm's inverse temperature, or for an isentrope the pair
+    (beta_from, beta_land) of `_isentrope_betas`, whose solve for the
+    entropy s_target the leg reports as [evaluations, entropy mismatch]
+    (None on an isotherm).  h_of maps the values to the (k, d, d) stack,
+    and the grid index runs last from there on.  The eigen-data come from
+    linalg's eigen-kernel, which raises DefectiveMatrixError naming the
+    first control value that fails a gate; every spectrum must be real.
+    The leg's arrays live only in this call, and only S and the solve's
+    counts outlive it.
+    """
+    H = _grid_last(np.asarray(h_of(values), dtype=complex))
+    E, VR, VLh = _eig_stack(H, values, tol)[:3]
+    r = float(np.max(np.abs(E.imag) / (1.0 + np.abs(E))))
+    if r > tol.spectrum_imag:
+        raise NonRealResultError(f"spectrum on leg {name} has imaginary parts up to {r:.3e}")
+    solved = None
+    if isinstance(beta, tuple):
+        beta, *solved = _isentrope_betas(E, name, s_target, *beta, tol)
+    else:
+        beta = np.full(values.size, beta)
+    weights = _shifted_weights(E, beta)
+    return (_entropy_curve(E, beta, weights=weights),
+            *_leg_accounting(H, E, VR, VLh, weights[1] / weights[2]), solved)
+
+
 def quasistatic_cycle(
     model,
     T_hot: float,
@@ -837,41 +850,21 @@ def quasistatic_cycle(
 
     n = max(int(steps) // 4, 100)
     beta_h, beta_c = 1.0 / T_hot, 1.0 / T_cold
-
-    heats, works, imag_worst, cross_worst = {}, {}, 0.0, 0.0
-    trace: list = []
-    evaluations, mismatch = {}, {}
-
-    def isentrope(E, name, s_target, beta_from, beta_land):
-        """_isentrope_betas, keeping its solver's evaluation count and entropy mismatch."""
-        beta, evaluations[name], mismatch[name] = _isentrope_betas(
-            E, name, s_target, beta_from, beta_land, tol
-        )
-        return beta
-
-    def run_leg(name, v_from, v_to, beta_of):
-        """Spectra, reality gate, beta(lambda) = beta_of(E), Gibbs weights, trace, accounting."""
-        nonlocal imag_worst, cross_worst
+    legs = (("hot", vA, vB, beta_h), ("cool", vB, vC, (beta_h, beta_c)),
+            ("cold", vC, vD, beta_c), ("heat", vD, vA, (beta_c, beta_h)))
+    heats, works, trace, evaluations, mismatch = {}, {}, [], {}, {}
+    imag_worst = cross_worst = 0.0
+    s_end = None  # the entropy where the leg before ended, an isentrope's target
+    for name, v_from, v_to, beta in legs:
         values = np.linspace(v_from, v_to, n + 1)
-        H, E, VR, VLh = _leg_spectra(h_of, values, tol)
-        r = float(np.max(np.abs(E.imag) / (1.0 + np.abs(E))))
-        if r > tol.spectrum_imag:
-            raise NonRealResultError(
-                f"spectrum on leg {name} has imaginary parts up to {r:.3e}"
-            )
-        pops, S = _leg_gibbs(E, beta_of(E))
-        imag_worst = max(imag_worst, float(np.max(np.abs(S.imag))))
+        S, q, w, cross, solved = _cycle_leg(h_of, name, values, beta, s_end, tol)
+        if solved is not None:
+            evaluations[name], mismatch[name] = solved
+        imag_worst = max(imag_worst, float(np.max(np.abs(S.imag))), abs(q.imag), abs(w.imag))
         trace.append((name, values, S.real))
-        q, w, cross = _leg_accounting(H, E, VR, VLh, pops)
-        imag_worst = max(imag_worst, abs(q.imag), abs(w.imag))
         heats[name], works[name] = q.real, w.real
         cross_worst = max(cross_worst, cross)
-        return float(S[-1].real)
-
-    s_B = run_leg("hot", vA, vB, lambda E: np.full(n + 1, beta_h))
-    run_leg("cool", vB, vC, lambda E: isentrope(E, "cool", s_B, beta_h, beta_c))
-    s_D = run_leg("cold", vC, vD, lambda E: np.full(n + 1, beta_c))
-    run_leg("heat", vD, vA, lambda E: isentrope(E, "heat", s_D, beta_c, beta_h))
+        s_end = float(S[-1].real)
 
     if imag_worst > tol.reality * 10:
         raise NonRealResultError(

@@ -135,6 +135,24 @@ class TestConfigValidation:
         assert "config error: cycle.T_hot: must exceed cycle.T_cold" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_carnot_legs_that_make_no_engine_exit_2(self, tmp_path, capsys):
+        cfg = dict(CYCLE, cycle=dict(CYCLE["cycle"], legs=[0.75, 1.0, 0.5, 0.375]))
+        assert main(["carnot", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: cycle.legs: hot isotherm released heat (Q_hot = -0.0905677); "
+            "leg order does not describe an engine\n")
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_a_sweep_point_that_fails_validation_exits_2(self, tmp_path, capsys):
+        cfg = dict(BASE, sweep={"name": "beta", "values": [1, -1]})
+        assert main(["jarzynski", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: at beta = -1: beta: must be positive, got -1.0\n"
+
+    def test_fig1_right_must_sweep_the_duration(self, tmp_path, capsys):
+        cfg = dict(BASE, protocol=ERF, sweep={"name": "protocol.end", "values": [0.5]})
+        assert main(["fig1-right", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: sweep.name: fig1-right sweeps protocol.duration\n"
+
     def test_chain_potential_of_the_wrong_length_exits_2(self, tmp_path, capsys):
         cfg = {"model": {"kind": "hatano_nelson", "length": 4, "potential": [0.1, 0.2]}}
         assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -24,6 +25,8 @@ from pseudotherm import (
     SingularMetricError,
     TruncationWarning,
     TwoLevel,
+    build_metric,
+    eigendecompose,
     gauge_field,
     hamiltonian_at,
     propagate,
@@ -144,6 +147,15 @@ def test_hamiltonian_at_tracks_protocol():
     npt.assert_allclose(hamiltonian_at(model, proto, 0.6), model.hamiltonian(0.3), atol=1e-15)
 
 
+def test_gauge_field_takes_a_metric_operator():
+    # the operator's inverse against a solve with its matrix
+    operator = build_metric(eigendecompose(TwoLevel().hamiltonian(0.3)))
+    dg = TwoLevel().metric_rate(0.3, 0.7)
+    expected = gauge_field(operator.g, dg, 0.5)
+    assert np.max(np.abs(expected)) > 0.1
+    npt.assert_allclose(gauge_field(operator, dg, 0.5), expected, rtol=0, atol=1e-13)
+
+
 def test_gauge_field_matches_central_difference():
     model = TwoLevel()
     proto = Protocol.linear(0.0, 0.8, 1.0)
@@ -253,8 +265,10 @@ def test_column_block_initial_condition():
         (np.array([[1.0], [np.nan]]), "finite"),
         (np.array([[np.inf, 0.0], [0.0, 1.0]]), "finite"),
         (np.zeros((2, 0)), "at least one column"),
+        (np.eye(3)[:, :1], r"must be \(2 x k\), got \(3, 1\)"),
+        (np.ones(2), r"must be \(2 x k\), got \(2,\)"),
     ],
-    ids=["nan", "inf", "no_columns"],
+    ids=["nan", "inf", "no_columns", "three_rows", "one_dimensional"],
 )
 def test_bad_initial_condition_is_refused_up_front(initial, match):
     with pytest.raises(ValueError, match=match):
@@ -319,8 +333,57 @@ def test_a_frame_that_is_not_finite_at_a_step_raises():
         def metric_min_eigenvalue(self, v):
             return np.ones(np.shape(v))
 
-    with pytest.raises(SingularMetricError, match="not finite at control value"):
+    with pytest.raises(SingularMetricError, match="not finite at control value") as info:
         propagate(Unscanned(), Protocol.linear(0.0, 1.2, 1.0), gauge_precondition=True)
+    assert str(info.value).startswith("the integrated family is not finite at control value ")
+    assert str(info.value).endswith("; a hermitian frame exists only where the metric is positive definite")
+
+
+class _NaNAboveHalf:
+    """A d = 3 family with a static identity metric whose drive term is NaN for v > 0.5."""
+
+    dimension = 3
+    metric_is_static = True
+    H0 = np.diag([0.0, 1.0, 2.5]).astype(complex)
+    H1 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
+
+    @staticmethod
+    def f(v):
+        v = np.asarray(v, dtype=float)
+        return np.where(v > 0.5, np.nan, v)
+
+    def hamiltonian(self, v):
+        return self.H0 + self.f(v)[..., None, None] * self.H1
+
+    def metric(self, v=0.0):
+        return np.eye(3, dtype=complex)
+
+
+class _AffineNaNAboveHalf(_NaNAboveHalf):
+    def hamiltonian_terms(self):
+        return self.H0, self.H1, self.f
+
+
+@pytest.mark.parametrize("model", [_NaNAboveHalf(), _AffineNaNAboveHalf()], ids=["generic", "affine"])
+def test_a_family_that_is_not_finite_inside_the_window_raises_at_once(model):
+    # the drive rises past 0.5 and comes back, so both window edges are
+    # finite; a NaN propagator only overflows each run, so without a refusal
+    # the ladder climbs to MAX_STEPS.  The raw family's message leaves out
+    # the clause about hermitian frames
+    clock = time.perf_counter()
+    with pytest.raises(SingularMetricError) as info:
+        propagate(model, Protocol.tabulated([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]))
+    assert time.perf_counter() - clock < 1.0
+    message = str(info.value)
+    assert message.startswith("the integrated family is not finite at control value ")
+    assert float(message.rsplit(" ", 1)[1]) > 0.5
+
+
+def test_a_static_metric_that_is_not_positive_definite_is_refused():
+    # the periodic chain's metric from its biorthogonal eigenbasis is indefinite
+    with pytest.raises(SingularMetricError) as info:
+        propagate(HatanoNelson(6, asymmetry=0.3, boundary="periodic"), Protocol.linear(0.0, 1.0, 1.0))
+    assert str(info.value) == "static metric is not positive definite (min eigenvalue -1.000e+00)"
 
 
 def test_gauge_preconditioned_oscillator_identity_metric():
@@ -829,7 +892,7 @@ def test_invariant_blocks_of_permuted_block_diagonal_stacks(sizes, seed):
     assert sorted(tuple(row) for idx in exponentials.index for row in idx) == sorted(found)
     alpha, gamma = -0.3j, -0.05
     v = np.array([[0.2, 0.7], [-0.4, 1.1]])  # two steps, two nodes each
-    stacks = exponentials.affine(exponentials.coefficients(v, alpha, gamma))
+    stacks = exponentials.affine(exponentials.coefficients(v + 0.5 * v**2, alpha, gamma))
     A = H0 + (v + 0.5 * v**2).reshape(-1)[:, None, None] * H1
     A1, A2 = A[0::2], A[1::2]
     dense = scipy.linalg.expm(alpha * (A1 + A2) + gamma * (A2 @ A1 - A1 @ A2))

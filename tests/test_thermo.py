@@ -325,6 +325,24 @@ class TestJarzynski:
         rep = jarzynski_report(work_distribution(p, es, es, 400.0))
         assert rep.exp_avg_work == 1.0 and rep.relative_residual == 0.0
 
+    def test_ratios_beyond_the_float_range_are_inf_without_a_warning(self):
+        # beta = e^6.5: ln Z_tau/Z_0 = 710.8, past ln(max float) = 709.8;
+        # the residual divides in the exponent and stays exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = two_time_work(TwoLevel(2.0), Protocol.linear(1.77, 0.0, 1.0), np.exp(6.5))
+        assert res.work.log_Ztau - res.work.log_Z0 > 710.0
+        rep = res.report
+        assert rep.exp_delta_F == np.inf and rep.exp_avg_work == np.inf
+        assert rep.relative_residual <= 1e-10
+
+    def test_an_hbar_that_every_lane_refuses_fails_each_call(self):
+        calls = [(TwoLevel(), Protocol.linear(0.0, end, 1.0), 1.0, {"hbar": -1.0}) for end in (0.3, 0.6)]
+        ahead = thermo._measure_ahead(calls)
+        assert all(isinstance(a.lane, ValueError) for a in ahead)
+        with pytest.raises(ValueError, match=r"hbar must be finite and positive, got -1\.0"):
+            two_time_work(TwoLevel(), Protocol.linear(0.0, 0.3, 1.0), 1.0, hbar=-1)
+
     def test_report_identity_protocol(self):
         wd = work_distribution(np.diag([0.7, 0.3]).astype(float),
                                eigendecompose(TwoLevel().hamiltonian(0.2)),
@@ -431,6 +449,20 @@ class TestQuasistaticCycle:
             for n in (1000, 4000)
         ]
         assert err[1] < err[0] / 8  # expect ~16x for a 4x refinement
+
+    def test_conjugate_paired_legs_are_refused(self):
+        # past the exceptional point the spectrum is a conjugate pair; the
+        # cycle's first law and isentropes take only real spectra
+        with pytest.raises(NonRealResultError) as info:
+            quasistatic_cycle(TwoLevel(1.0), 2, 1, (1.05, 1.3, 1.4, 1.1))
+        assert str(info.value) == "spectrum on leg hot has imaginary parts up to 4.537e-01"
+
+    def test_legs_that_make_no_engine_raise(self):
+        def family(gamma):
+            return TwoLevel(coupling=gamma).hamiltonian(0.0)
+
+        with pytest.raises(ValueError, match=r"hot isotherm released heat \(Q_hot = -0\.0905677\)"):
+            quasistatic_cycle(family, 2.0, 1.0, (0.75, 1.0, 0.5, 0.375))
 
     def test_infeasible_legs_raise(self):
         with pytest.raises(IsentropeNotFoundError):
@@ -653,7 +685,8 @@ def test_leg_gibbs_kernels_match_the_scalar_path(E, log_beta):
     # thermal_state warns at no beta, though Z itself may overflow
     beta = np.exp(log_beta[: E.shape[1]])
     for spectrum in (E, E.astype(complex)):
-        pops, S = thermo._leg_gibbs(spectrum, beta)
+        _, q, total = weights = thermo._shifted_weights(spectrum, beta)
+        pops, S = q / total, thermo._entropy_curve(spectrum, beta, weights=weights)
         npt.assert_array_equal(S, thermo._entropy_curve(spectrum, beta))
         for j, b in enumerate(beta):
             with warnings.catch_warnings():
@@ -702,7 +735,8 @@ def test_leg_accounting_matches_the_four_contraction_first_law(d, k, seed, log_b
     VLh = np.linalg.inv(VR)
     H = VR @ (E[:, :, None] * VLh) + noise * cplx(k + 1, d, d)
     H, VR, VLh, E = (linalg._grid_last(A) for A in (H, VR, VLh, E))
-    pops, _ = thermo._leg_gibbs(E, np.full(k + 1, np.exp(log_beta)))
+    _, q, total = thermo._shifted_weights(E, np.full(k + 1, np.exp(log_beta)))
+    pops = q / total
     got = thermo._leg_accounting(H, E, VR, VLh, pops)
     want = _four_contraction_accounting(H, E, VR, VLh, pops)
     # relative to the magnitude of the terms summed, sum_k sum_n |p_n| |VLh H VR|_nn
