@@ -633,9 +633,9 @@ def cmd_carnot(cfg: dict) -> _Report:
     except ValueError as exc:  # the temperatures and legs are checked above: legs that make no engine
         raise ConfigError(f"cycle.legs: {exc}") from exc
 
-    # each leg's rows come from one "%" over its interleaved (value, S) pairs
-    blocks = [((leg + ",%.17g,%.17g\n") * len(v))[:-1] % tuple(np.column_stack((v, S)).ravel().tolist())
-              for leg, v, S in report.entropy_trace]
+    from ._format import format_rows  # imported here: only a trace needs its digit tables
+
+    blocks = [format_rows(leg, (v, S)) for leg, v, S in report.entropy_trace]
     summary = [tuple(getattr(report, name) for name in _SUMMARY_COLUMNS)]
 
     def checks():

@@ -790,7 +790,8 @@ def _cycle_leg(h_of, name: str, values: np.ndarray, beta, s_target: float | None
     (None on an isotherm).  h_of maps the values to the (k, d, d) stack,
     and the grid index runs last from there on.  The eigen-data come from
     linalg's eigen-kernel, which raises DefectiveMatrixError naming the
-    first control value that fails a gate; every spectrum must be real.
+    first control value that fails a gate; every spectrum must be real, and
+    so must S, the heat and the work, which come back as their real parts.
     The leg's arrays live only in this call, and only S and the solve's
     counts outlive it.
     """
@@ -805,8 +806,12 @@ def _cycle_leg(h_of, name: str, values: np.ndarray, beta, s_target: float | None
     else:
         beta = np.full(values.size, beta)
     weights = _shifted_weights(E, beta)
-    return (_entropy_curve(E, beta, weights=weights),
-            *_leg_accounting(H, E, VR, VLh, weights[1] / weights[2]), solved)
+    S = _entropy_curve(E, beta, weights=weights)
+    q, w, cross = _leg_accounting(H, E, VR, VLh, weights[1] / weights[2])
+    r = max(float(np.max(np.abs(S.imag))), abs(q.imag), abs(w.imag))
+    if r > tol.reality * 10:
+        raise NonRealResultError(f"cycle accounting on leg {name} produced imaginary parts up to {r:.3e}")
+    return S.real, q.real, w.real, cross, solved
 
 
 def quasistatic_cycle(
@@ -826,7 +831,9 @@ def quasistatic_cycle(
     line between the two isotherms' ln beta, and must land on the opposite
     isotherm's temperature; a mismatch raises IsentropeNotFoundError, which
     is how an infeasible leg geometry announces itself.  A leg that reaches an
-    exceptional point raises DefectiveMatrixError.  steps is the total
+    exceptional point raises DefectiveMatrixError.  A hot isotherm that
+    releases heat raises ValueError as soon as it is done, before the other
+    legs are built: those legs make no engine.  steps is the total
     budget, split evenly across the four legs; g_trace_crosscheck is
     taken at every grid point.
 
@@ -853,33 +860,27 @@ def quasistatic_cycle(
     legs = (("hot", vA, vB, beta_h), ("cool", vB, vC, (beta_h, beta_c)),
             ("cold", vC, vD, beta_c), ("heat", vD, vA, (beta_c, beta_h)))
     heats, works, trace, evaluations, mismatch = {}, {}, [], {}, {}
-    imag_worst = cross_worst = 0.0
+    cross_worst = 0.0
     s_end = None  # the entropy where the leg before ended, an isentrope's target
     for name, v_from, v_to, beta in legs:
         values = np.linspace(v_from, v_to, n + 1)
         S, q, w, cross, solved = _cycle_leg(h_of, name, values, beta, s_end, tol)
+        if name == "hot" and q <= 0:
+            raise ValueError(
+                f"hot isotherm released heat (Q_hot = {q:.6g}); leg order does "
+                "not describe an engine"
+            )
         if solved is not None:
             evaluations[name], mismatch[name] = solved
-        imag_worst = max(imag_worst, float(np.max(np.abs(S.imag))), abs(q.imag), abs(w.imag))
-        trace.append((name, values, S.real))
-        heats[name], works[name] = q.real, w.real
+        trace.append((name, values, S))
+        heats[name], works[name] = q, w
         cross_worst = max(cross_worst, cross)
-        s_end = float(S[-1].real)
-
-    if imag_worst > tol.reality * 10:
-        raise NonRealResultError(
-            f"cycle accounting produced imaginary parts up to {imag_worst:.3e}"
-        )
+        s_end = float(S[-1])
 
     Q_hot = heats["hot"]
     Q_cold = -heats["cold"]
     W_net = -sum(works.values())
     first_law = abs(W_net - (Q_hot - Q_cold))
-    if Q_hot <= 0:
-        raise ValueError(
-            f"hot isotherm released heat (Q_hot = {Q_hot:.6g}); leg order does "
-            "not describe an engine"
-        )
     return CycleReport(
         T_hot=T_hot,
         T_cold=T_cold,

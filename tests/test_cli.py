@@ -143,6 +143,20 @@ class TestConfigValidation:
             "leg order does not describe an engine\n")
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "cycle, model, message",
+        [
+            ({"legs": [0.1, 0.2, 0.3]}, {"kind": "two_level"}, "cycle.legs: expected [A, B, C, D] control values"),
+            ({}, {"kind": "oscillator"}, "cycle.parameter: coupling sweeps need a two_level model"),
+        ],
+        ids=["three-legs", "coupling-oscillator"],
+    )
+    def test_carnot_config_refusals_exit_2(self, tmp_path, capsys, cycle, model, message):
+        cfg = {"model": model, "cycle": dict(CYCLE["cycle"], **cycle)}
+        assert main(["carnot", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_a_sweep_point_that_fails_validation_exits_2(self, tmp_path, capsys):
         cfg = dict(BASE, sweep={"name": "beta", "values": [1, -1]})
         assert main(["jarzynski", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
@@ -226,6 +240,15 @@ class TestArtifacts:
         # the isentrope solver's records stay out of the CSVs
         assert set(report.files["carnot_summary.csv"][0]) == set(cli._SUMMARY_COLUMNS)
         assert not {"isentrope_evaluations", "entropy_mismatch"} & set(cli._SUMMARY_COLUMNS)
+
+    def test_carnot_trace_reads_back_bit_exact(self, tmp_path):
+        # read_csv gives the leg names back as text and every float to the bit
+        assert main(["carnot", "--config", write_config(tmp_path, CYCLE), "--out", str(tmp_path)]) == 0
+        _, header, rows = read_csv(tmp_path / "carnot_trace.csv")
+        trace = cli.cmd_carnot(CYCLE).svg[-1]
+        assert header == ["leg", "value", "entropy"]
+        assert [row[0] for row in rows] == [leg for leg, values, _ in trace for _ in values]
+        npt.assert_array_equal([row[1:] for row in rows], np.concatenate([np.column_stack(t[1:]) for t in trace]))
 
     def test_coupling_family_is_the_stacked_two_level_hamiltonian(self):
         gammas = np.linspace(0.2, 1.3, 7)

@@ -464,6 +464,24 @@ class TestQuasistaticCycle:
         with pytest.raises(ValueError, match=r"hot isotherm released heat \(Q_hot = -0\.0905677\)"):
             quasistatic_cycle(family, 2.0, 1.0, (0.75, 1.0, 0.5, 0.375))
 
+    @pytest.mark.parametrize(
+        "legs", [(0.75, 1.0, 0.5, 0.375), (0.543, 0.666, 1.11, 0.65)], ids=["landing", "cool-misses"]
+    )
+    def test_a_hot_leg_that_releases_heat_raises_before_the_other_legs(self, monkeypatch, legs):
+        # the hot isotherm alone decides that the legs make no engine; in the
+        # second geometry the cool isentrope could not land either
+        names = []
+
+        def leg(h_of, name, *args):
+            names.append(name)
+            return cycle_leg(h_of, name, *args)
+
+        cycle_leg = thermo._cycle_leg
+        monkeypatch.setattr(thermo, "_cycle_leg", leg)
+        with pytest.raises(ValueError, match="hot isotherm released heat"):
+            quasistatic_cycle(lambda g: TwoLevel(coupling=g).hamiltonian(0.0), 2.0, 1.0, legs, 2000)
+        assert names == ["hot"]
+
     def test_infeasible_legs_raise(self):
         with pytest.raises(IsentropeNotFoundError):
             quasistatic_cycle(TwoLevel(coupling=1.0), 2.0, 1.0, (0.0, 0.4, 0.8, 0.7), 2000)

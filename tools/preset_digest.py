@@ -3,7 +3,8 @@
     python3 tools/preset_digest.py [--root DIR] [--compare OTHER_ROOT]
 
 Runs the four figure presets (`fig1-left`, `fig1-right`, `fig2-left`,
-`fig2-right`), one two-level `carnot` config, two-level `spectrum` (in
+`fig2-right`), two `carnot` configs (the pseudo-hermitian two-level value
+family and the hermitian coupling family), two-level `spectrum` (in
 the broken regime) and `metric` (in the unbroken one) configs, an
 `evolve` config on an open Hatano-Nelson chain, and a two-level
 `jarzynski` sweep over the drive's duration, each with --svg, with the
@@ -42,6 +43,13 @@ CARNOT = {
         "legs": [0.0, 0.4, math.sqrt(0.85**2 - 0.375**2), math.sqrt(0.85**2 - 0.425**2)],
     },
 }
+# The hermitian coupling family [[0, c], [c, 0]]: E = +/- c, the hot isotherm
+# narrows the gap 1 -> 0.75 at T = 2 and the cold one widens it 0.375 -> 0.5
+# at T = 1.
+CARNOT_COUPLING = {
+    "model": {"kind": "two_level"},
+    "cycle": {"T_hot": 2.0, "T_cold": 1.0, "legs": [1.0, 0.75, 0.375, 0.5], "parameter": "coupling"},
+}
 # The PT qubit E = +/- sqrt(1 - v^2) on either side of its exceptional point:
 # a conjugate pair at v = 1.3, a positive-definite metric at v = 0.6.
 SPECTRUM = {"model": {"kind": "two_level", "coupling": 1.0}, "at": 1.3}
@@ -66,16 +74,18 @@ JARZYNSKI = {
     "beta": 1.5,
     "sweep": {"name": "protocol.duration", "values": [0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]},
 }
+# run name: (subcommand, config or None for a packaged preset)
 RUNS = {
-    "fig1-left": None,
-    "fig1-right": None,
-    "fig2-left": None,
-    "fig2-right": None,
-    "carnot": CARNOT,
-    "spectrum": SPECTRUM,
-    "metric": METRIC,
-    "evolve": EVOLVE,
-    "jarzynski": JARZYNSKI,
+    "fig1-left": ("fig1-left", None),
+    "fig1-right": ("fig1-right", None),
+    "fig2-left": ("fig2-left", None),
+    "fig2-right": ("fig2-right", None),
+    "carnot": ("carnot", CARNOT),
+    "carnot-coupling": ("carnot", CARNOT_COUPLING),
+    "spectrum": ("spectrum", SPECTRUM),
+    "metric": ("metric", METRIC),
+    "evolve": ("evolve", EVOLVE),
+    "jarzynski": ("jarzynski", JARZYNSKI),
 }
 
 
@@ -84,8 +94,8 @@ def run_all(root: Path, workdir: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.pop("PSEUDOTHERM_OUT", None)
     results = {}
-    for name, cfg in RUNS.items():
-        argv = [sys.executable, "-m", "pseudotherm.cli", name, "--out", name, "--svg"]
+    for name, (command, cfg) in RUNS.items():
+        argv = [sys.executable, "-m", "pseudotherm.cli", command, "--out", name, "--svg"]
         if cfg is not None:
             (workdir / f"{name}.json").write_text(json.dumps(cfg))
             argv += ["--config", f"{name}.json"]
