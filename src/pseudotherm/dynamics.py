@@ -310,11 +310,14 @@ def unitarity_residual(U, g0, gt):
 
     A stack of propagators (and of metrics g_t) broadcasts over the leading
     axes and gives an array of defects; a single propagator gives a float.
+    Square two-level propagators take the entrywise product `_mul2`.
     """
     Um = np.asarray(U, dtype=complex)
     G0 = g0.g if isinstance(g0, MetricOperator) else np.asarray(g0, dtype=complex)
     Gt = gt.g if isinstance(gt, MetricOperator) else np.asarray(gt, dtype=complex)
-    defect = np.linalg.norm(np.swapaxes(Um.conj(), -1, -2) @ Gt @ Um - G0, axis=(-2, -1))
+    Uh = np.swapaxes(Um.conj(), -1, -2)
+    UgU = _mul2(_mul2(Uh, Gt), Um) if Um.shape[-2:] == Gt.shape[-2:] == (2, 2) else Uh @ Gt @ Um
+    defect = np.linalg.norm(UgU - G0, axis=(-2, -1))
     return float(defect) if defect.ndim == 0 else defect
 
 
@@ -566,6 +569,29 @@ class _BlockExponentials:
         return at
 
 
+def _each(items: list, fn: Callable, stop: bool = False) -> list:
+    """fn(items), one outcome per item; where that raises, fn([item]) of each item alone.
+
+    fn is a stacked stage that treats its items independently, so each item
+    gets what it gets alone.  An item that raises alone has its exception
+    as its outcome, and with stop the outcomes end at the first such item.
+    """
+    try:
+        return fn(items)
+    except Exception as exc:
+        if len(items) == 1:
+            return [exc]
+    outcomes = []
+    for item in items:
+        try:
+            outcomes.extend(fn([item]))
+        except Exception as exc:
+            outcomes.append(exc)
+            if stop:
+                break
+    return outcomes
+
+
 def _hermitian_frame(model) -> Callable:
     """The model's hermitian_frame; ValueError when it has none."""
     frame = getattr(model, "hermitian_frame", None)
@@ -639,23 +665,45 @@ class _Family(NamedTuple):
         return self.refuse_non_finite(A, v)
 
 
-def _scan_positive_definite(model, protocol: Protocol, t0: float, t1: float, tol: Tolerances):
-    """Refuse to integrate a moving metric into a region where it degenerates.
+def _scan_times(t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """np.linspace(t0[i], t1[i], 1025) as row i, bit for bit: the metric scan's times of each window."""
+    y, delta = np.arange(1025.0), t1 - t0
+    step = delta / 1024
+    ts = y * step[:, None]
+    zero = step == 0  # a subnormal window, which linspace scales by delta instead
+    ts[zero] = (y / 1024) * delta[zero, None]
+    ts += t0[:, None]
+    ts[:, -1] = t1
+    return ts
 
-    The metric is scanned in its hermitian frame as well, where the frame
-    would otherwise be evaluated outside its domain.
+
+def _scan_positive_definite(model, windows: list, tol: Tolerances) -> list:
+    """Refuse to integrate a moving metric into a region where it degenerates: one outcome per window.
+
+    Each (protocol, t0, t1) window is scanned at 1025 evenly spaced times,
+    all windows' control values in one call of the model's
+    metric_min_eigenvalue, or else of its metric; a window's outcome is
+    None, or the SingularMetricError naming its first time where the
+    metric's least eigenvalue is at most metric_min_eig.  The metric is
+    scanned in its hermitian frame as well, where the frame would
+    otherwise be evaluated outside its domain.
     """
-    ts = np.linspace(t0, t1, 1025)
-    v = protocol.value(ts)
+    protocols, t0, t1 = zip(*windows)
+    t0, t1 = np.array(t0), np.array(t1)
+    v = _scan_times(t0, t1)
+    for row, protocol in zip(v, protocols):  # each window's times, overwritten by its control values
+        row[:] = protocol.value(row)
     fn = getattr(model, "metric_min_eigenvalue", None)
-    m = np.asarray(fn(v)) if fn is not None else _min_eigenvalue(model.metric(v))
-    bad = np.flatnonzero(m <= tol.metric_min_eig)
-    if bad.size:
-        i = bad[0]
-        raise SingularMetricError(
-            f"metric loses positive-definiteness at t = {ts[i]:.6g} "
-            f"(min eigenvalue {m[i]:.3e}); cannot propagate through"
-        )
+    m = (np.asarray(fn(v.ravel())) if fn is not None else _min_eigenvalue(model.metric(v.ravel()))).reshape(v.shape)
+    bad = m <= tol.metric_min_eig
+    first = bad.argmax(axis=1)
+    return [
+        SingularMetricError(
+            f"metric loses positive-definiteness at t = {_scan_times(t0[k : k + 1], t1[k : k + 1])[0, i]:.6g} "
+            f"(min eigenvalue {m[k, i]:.3e}); cannot propagate through"
+        ) if bad[k, i] else None
+        for k, i in enumerate(first.tolist())
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -842,7 +890,7 @@ def _checkpoint_results(runs: list, stacks: list, family: _Family) -> list:
     Coarse non-hermitian runs can overflow; such a run gives U None and no
     checkpoints, so the doubling ladder just keeps refining.  The residuals
     of the finite runs with k columns take one metric evaluation and one
-    `unitarity_residual` call.
+    `unitarity_residual` call, each lane's M0 repeated once per checkpoint.
     """
     results = [(None, ())] * len(runs)
     by_columns = {}
@@ -852,16 +900,12 @@ def _checkpoint_results(runs: list, stacks: list, family: _Family) -> list:
     for kept in by_columns.values():
         lanes = [runs[j][0] for j in kept]
         times = [lane.t0 + _marks(n) * ((lane.t1 - lane.t0) / n) for lane, n in (runs[j] for j in kept)]
-
-        def per_checkpoint(matrices):
-            """The lanes' matrices, one per checkpoint."""
-            return np.concatenate([np.broadcast_to(m, (len(t), *m.shape)) for m, t in zip(matrices, times)])
-
-        M0 = per_checkpoint([lane.M0 for lane in lanes])
+        counts = [len(t) for t in times]
+        M0 = np.repeat(np.stack([lane.M0 for lane in lanes]), counts, axis=0)
         if family.moving:
             gt = family.model.metric(_by_lane(list(zip(lanes, times)), lambda lane, t: lane.protocol.value(t)))
         else:
-            gt = per_checkpoint([lane.g_start for lane in lanes])
+            gt = np.repeat(np.stack([lane.g_start for lane in lanes]), counts, axis=0)
         residuals = iter(unitarity_residual(np.concatenate([stacks[j] for j in kept]), M0, gt).tolist())
         for j, tj in zip(kept, times):  # the last checkpoint is the last step; a copy keeps no stack alive
             results[j] = stacks[j][-1].copy(), tuple(zip(tj.tolist(), itertools.islice(residuals, len(tj))))
@@ -890,17 +934,17 @@ def _propagate_lanes(
     that call raises, at index i.  An hbar or a step seed that propagate
     refuses raises here for all lanes.  Each lane keeps its own window,
     initial columns, metric scan, step sizes, checkpoints and ladder
-    (`_ladder`).  Every lane opens first, and then all of them climb
-    together: every pass serves the lanes still climbing, at the same
+    (`_ladder`).  Every lane opens first, the metric scans of all lanes in
+    one stack, and then all of them climb together: every pass serves the lanes still climbing, at the same
     rung.  At two levels they share each batch's evaluations
     (`_two_level_pass`), which cuts a pass into batches of at most
     _block_steps(2) steps however many lanes it serves, and the pass's
     residual call; each run is given the pass's wall time in proportion to
     its steps.  Above two levels each lane of a pass runs alone
     (`_BlockExponentials.run`): the Taylor kernel picks one degree per
-    batch, so a shared batch would change the bits.  A pass that raises is
-    run again lane by lane, so only the lanes that fail alone take the
-    exception.
+    batch, so a shared batch would change the bits.  A scan or a pass that
+    raises is run again lane by lane (`_each`), so only the lanes that fail
+    alone take the exception.
 
     A lane's metric is decided once, when it opens.  In the hermitian frame
     (gauge_precondition) it is the identity; a static metric is the model's
@@ -930,7 +974,8 @@ def _propagate_lanes(
     terms = terms_of() if dim > 2 and not moving and terms_of is not None and h_of is not None else None
     block = _block_steps(dim)
 
-    def open_lane(protocol, initial, window) -> _Lane:
+    def span_of(protocol, window) -> tuple:
+        """(protocol, t0, t1) of a lane, its checks before the metric scan passed."""
         t0, t1 = window
         t0 = protocol.t_start if t0 is None else float(t0)
         t1 = protocol.t_end if t1 is None else float(t1)
@@ -938,8 +983,11 @@ def _propagate_lanes(
             raise ValueError("t1 must exceed t0")
         if h_of is None:
             raise frame_error
-        if not static:
-            _scan_positive_definite(model, protocol, t0, t1, tol)
+        return protocol, t0, t1
+
+    def open_lane(protocol, t0, t1, initial, scanned) -> _Lane:
+        if scanned is not None:
+            raise scanned
         if gauge_precondition:
             g_start = g_end = np.eye(dim, dtype=complex)
         elif moving:
@@ -972,44 +1020,36 @@ def _propagate_lanes(
         def run_pass(runs):
             return [blocks.run(lane, n) for lane, n in runs]
 
-    def one_pass(wants: dict) -> dict:
-        """One pass over the runs that each lane in wants (index -> step counts) asks for.
+    def one_pass(wants: list) -> list:
+        """One pass over the runs that each (lane index, step counts) in wants asks for.
 
-        Maps each index to its (U, checkpoints, seconds) per run.
+        Gives each lane its (U, checkpoints, seconds) per run.
         """
-        runs = [(lanes[i], m) for i, ns in wants.items() for m in ns]
+        runs = [(lanes[i], m) for i, ns in wants for m in ns]
         clock = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
             results = iter(_checkpoint_results(runs, run_pass(runs), family))
         per_step = (time.perf_counter() - clock) / sum(m for _, m in runs)
-        return {i: [(*next(results), per_step * m) for m in ns] for i, ns in wants.items()}
+        return [[(*next(results), per_step * m) for m in ns] for _, ns in wants]
 
-    def serve(wants: dict) -> dict:
-        """one_pass, or where it raises, one pass per lane: each index maps to its runs or its exception."""
+    args = list(zip(protocols, initials, windows or [(None, None)] * len(protocols), strict=True))
+    outcomes, spans, lanes = [None] * len(args), {}, {}
+    for i, (protocol, _, span) in enumerate(args):
         try:
-            return one_pass(wants)
+            spans[i] = span_of(protocol, span)
         except Exception as exc:
-            if len(wants) == 1:
-                return dict.fromkeys(wants, exc)
-        alone = {}
-        for i, ns in wants.items():
-            try:
-                alone.update(one_pass({i: ns}))
-            except Exception as exc:
-                alone[i] = exc
-        return alone
-
-    lane_args = zip(protocols, initials, windows or [(None, None)] * len(protocols), strict=True)
-    outcomes, lanes = [], {}
-    for i, args in enumerate(lane_args):
+            outcomes[i] = exc
+    scans = [None] * len(spans)
+    if spans and not static:
+        scans = _each(list(spans.values()), lambda windows: _scan_positive_definite(model, windows, tol))
+    for (i, span), scanned in zip(spans.items(), scans):
         try:
-            lanes[i] = open_lane(*args)
-            outcomes.append(None)
+            lanes[i] = open_lane(*span, args[i][1], scanned)
         except Exception as exc:
-            outcomes.append(exc)
+            outcomes[i] = exc
     wants = {i: next(lane.ladder) for i, lane in lanes.items()}
     while wants:
-        for i, got in serve(wants).items():
+        for i, got in zip(list(wants), _each(list(wants.items()), one_pass)):
             try:
                 if isinstance(got, Exception):
                     raise got

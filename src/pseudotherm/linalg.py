@@ -328,27 +328,28 @@ def conjugate_pairing(eigs: Sequence[complex], tol: float) -> np.ndarray | None:
 
     Returns an involutive index array (real eigenvalues map to themselves),
     or None if some complex eigenvalue has no partner within tolerance.
+    In index order, each unmatched eigenvalue takes the nearest unmatched
+    one to its conjugate, the first of equally near ones, from one matrix
+    of distances.
     """
     w = np.asarray(eigs, dtype=complex)
-    n = w.size
-    pairing = np.full(n, -1, dtype=int)
-    for i in range(n):
-        if abs(w[i].imag) < tol:
-            pairing[i] = i
-    unmatched = [i for i in range(n) if pairing[i] < 0]
-    while unmatched:
-        i = unmatched.pop(0)
-        target = np.conj(w[i])
-        best, best_d = -1, np.inf
-        for j in unmatched:
-            d = abs(w[j] - target)
-            if d < best_d:
-                best, best_d = j, d
-        if best < 0 or best_d > tol * (1.0 + abs(w[i])):
+    pairing = np.where(np.abs(w.imag) < tol, np.arange(w.size), -1)
+    free = pairing < 0
+    with np.errstate(invalid="ignore"):
+        d = w[None, :] - np.conj(w)[:, None]
+        distance = np.hypot(d.real, d.imag)  # abs of each complex scalar, to the bit; np.abs may differ by an ulp
+    distance[np.isnan(distance)] = np.inf  # a NaN distance is never the nearest
+    distance[:, ~free] = np.inf  # nor is a level that is taken
+    for i in np.flatnonzero(free).tolist():
+        if pairing[i] >= 0:
+            continue
+        distance[:, i] = np.inf
+        row = distance[i]
+        best = int(row.argmin())
+        if row[best] == np.inf or row[best] > tol * (1.0 + abs(w[i])):
             return None
-        pairing[i] = best
-        pairing[best] = i
-        unmatched.remove(best)
+        pairing[i], pairing[best] = best, i
+        distance[:, best] = np.inf
     return pairing
 
 

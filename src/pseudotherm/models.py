@@ -335,8 +335,10 @@ def relaxation_time(eigenvalues) -> float:
     w = np.asarray(eigenvalues, dtype=complex)
     if w.size < 2:
         raise ValueError("need at least two eigenvalues")
+    # |w_i - w_j| = |w_j - w_i| exactly, so the off-diagonal minimum is the upper triangle's
     diffs = np.abs(w[:, None] - w[None, :])
-    gap = np.min(diffs[np.triu_indices(w.size, k=1)])
+    np.fill_diagonal(diffs, np.inf)
+    gap = diffs.min()
     if gap == 0.0:
         return np.inf
     return float(1.0 / gap)

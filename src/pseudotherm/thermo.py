@@ -21,8 +21,10 @@ come from linalg's eigen-kernel, the one `eigendecompose` views, so every
 grid point passes the gates a single decomposition passes, and a leg that
 reaches or nears an exceptional point raises DefectiveMatrixError naming
 the control value.  A two-time measurement decomposes both window edges in
-one kernel call, and a sweep decomposes the edges of all its two-level
-points in one.
+one kernel call, and a sweep of two-level points runs each stage of the
+measurement once, over the stack of its points (`_measure_ahead`): the
+window edges, their decomposition and reality check, the propagation and
+the tail from the final-level probabilities to the Jarzynski report.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import PropagationResult, Protocol, _hermitian_frame, _propagate_lanes
+from .dynamics import PropagationResult, Protocol, _each, _hermitian_frame, _propagate_lanes
 from .errors import (
     ComplexPartitionFunctionError,
     IsentropeNotFoundError,
@@ -222,21 +224,27 @@ def projector(n: int, eigsys: BiorthogonalEigensystem) -> np.ndarray:
 
 
 def _g_normalized_columns(V: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Scale each column v to <v, G v> = 1; G must be positive on them."""
-    norms = np.einsum("in,ij,jn->n", V.conj(), G, V).real
-    if np.any(norms <= 0):
-        bad = int(np.argmin(norms))
+    """Scale each column v to <v, G v> = 1; G must be positive on them.
+
+    Stacks of V and G broadcast over their leading axes; the error names the
+    column of least norm in the first matrix that has a nonpositive one.
+    """
+    norms = np.einsum("...in,...ij,...jn->...n", V.conj(), G, V).real
+    nonpositive = (norms <= 0).any(axis=-1)
+    if nonpositive.any():
+        first = norms[np.unravel_index(nonpositive.argmax(), nonpositive.shape)]
+        bad = int(np.argmin(first))
         raise SingularMetricError(
-            f"column {bad} has nonpositive metric norm {norms[bad]:.3e}; "
+            f"column {bad} has nonpositive metric norm {first[bad]:.3e}; "
             "the metric is not positive definite on the eigenbasis"
         )
-    return V / np.sqrt(norms)[None, :]
+    return V / np.sqrt(norms)[..., None, :]
 
 
 def _final_level_probabilities(right: np.ndarray, G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """|<psi'_m, G x_j>|^2, psi'_m the G-normalized columns of `right`: (m, j)."""
+    """|<psi'_m, G x_j>|^2, psi'_m the G-normalized columns of `right`: (m, j), or a stack of them."""
     psi = _g_normalized_columns(right, G)
-    return np.abs(psi.conj().T @ (G @ X)) ** 2
+    return np.abs(np.swapaxes(psi.conj(), -1, -2) @ (G @ X)) ** 2
 
 
 def _require_all_real(label: str, eigsys: BiorthogonalEigensystem, tol: Tolerances):
@@ -299,10 +307,16 @@ class WorkDistribution:
     log_Ztau: float
 
 
-def _log_partition(E: np.ndarray, beta: float) -> float:
-    """ln sum_n e^{-beta E_n} of a real spectrum, shifted as `_shifted_weights` is so nothing overflows."""
-    shift, _, total = _shifted_weights(E, beta)
-    return float(np.log(total) - beta * shift)
+def _log_partitions(E: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """ln sum_n e^{-beta_i E_in} of each real (k, d) spectrum row, shifted as `_shifted_weights` is so nothing overflows."""
+    shift = E.min(axis=-1)
+    return np.log(np.exp(-beta[:, None] * (E - shift[:, None])).sum(axis=-1)) - beta * shift
+
+
+def _works(E0: np.ndarray, ET: np.ndarray, beta: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """(w, ln Z_0, ln Z_tau) of k measurements: (k, d) real spectra, (k,) betas, (k, r) rows, (k, c) cols."""
+    w = np.take_along_axis(ET, cols, 1)[:, None, :] - np.take_along_axis(E0, rows, 1)[:, :, None]
+    return w, _log_partitions(E0, beta), _log_partitions(ET, beta)
 
 
 def work_distribution(
@@ -317,23 +331,19 @@ def work_distribution(
     """The work values w_nm = E_m' - E_n beside the transition matrix p_nm.
 
     rows/cols map the axes of p into the eigenvalue lists when p covers
-    only a sub-block (truncated models); by default they are ranges.
+    only a sub-block (truncated models); by default they are ranges.  This
+    is the one-measurement case of `_works`, which `_measure_ahead` runs
+    over the stacked measurements of a sweep.
     """
     beta = _check_beta(beta)
     p = np.asarray(p, dtype=float)
-    E0 = _eigenvalues_of(eig0).real
-    ET = _eigenvalues_of(eigT).real
     rows = np.arange(p.shape[0]) if rows is None else np.asarray(rows, dtype=int)
     cols = np.arange(p.shape[1]) if cols is None else np.asarray(cols, dtype=int)
     if rows.shape[0] != p.shape[0] or cols.shape[0] != p.shape[1]:
         raise ValueError("rows/cols index lists must match the shape of p")
-    return WorkDistribution(
-        w=ET[cols][None, :] - E0[rows][:, None],
-        p=p,
-        beta=beta,
-        log_Z0=_log_partition(E0, beta),
-        log_Ztau=_log_partition(ET, beta),
-    )
+    E0, ET = (_eigenvalues_of(e).real[None] for e in (eig0, eigT))
+    w, log_Z0, log_Ztau = _works(E0, ET, np.array([beta]), rows[None], cols[None])
+    return WorkDistribution(w=w[0], p=p, beta=beta, log_Z0=float(log_Z0[0]), log_Ztau=float(log_Ztau[0]))
 
 
 @dataclass(frozen=True)
@@ -347,6 +357,25 @@ class JarzynskiReport:
     total_weight: float
 
 
+def _reports(w: np.ndarray, p: np.ndarray, beta: np.ndarray, log_Z0: np.ndarray, log_Ztau: np.ndarray) -> list:
+    """The JarzynskiReport of each of k work distributions (see jarzynski_report).
+
+    w and p stack the distributions' values and weights, (k, ...) each;
+    beta, log_Z0 and log_Ztau are (k,).
+    """
+    w, pr = w.reshape(len(beta), -1), p.reshape(len(beta), -1)
+    log_ratio = log_Ztau - log_Z0
+    with np.errstate(divide="ignore"):  # ln 0 = -inf
+        log_terms = np.log(pr) - beta[:, None] * w
+    mean_work = (pr * w).sum(axis=1)
+    delta_F = -log_ratio / beta
+    with np.errstate(over="ignore"):  # e^{-beta W} and Z_tau/Z_0 may exceed the float range
+        exp_avg_work, exp_delta_F = np.exp(log_terms).sum(axis=1), np.exp(log_ratio)
+    residual = np.abs(np.exp(log_terms - log_ratio[:, None]).sum(axis=1) - 1.0)
+    fields = exp_avg_work, exp_delta_F, residual, mean_work, delta_F, mean_work - delta_F, pr.sum(axis=1)
+    return [JarzynskiReport(*report) for report in zip(*(field.tolist() for field in fields))]
+
+
 def jarzynski_report(wd: WorkDistribution) -> JarzynskiReport:
     """<e^{-beta W}> against Z_tau/Z_0, plus mean and irreversible work.
 
@@ -356,26 +385,12 @@ def jarzynski_report(wd: WorkDistribution) -> JarzynskiReport:
     it in the exponent, so it stays finite where either side over- or
     underflows; exp_avg_work and exp_delta_F themselves are inf where they
     exceed the float range.  The sums run over the pairs in row-major order.
+    This is the one-distribution case of `_reports`.
     """
     if not wd.p.size:
         raise ValueError("work distribution has no entries")
-    w, pr = wd.w.ravel(), wd.p.ravel()
-    log_ratio = wd.log_Ztau - wd.log_Z0
-    with np.errstate(divide="ignore"):  # ln 0 = -inf
-        log_terms = np.log(pr) - wd.beta * w
-    mean_work = float(np.sum(pr * w))
-    delta_F = -log_ratio / wd.beta
-    with np.errstate(over="ignore"):  # e^{-beta W} and Z_tau/Z_0 may exceed the float range
-        exp_avg_work, exp_delta_F = float(np.sum(np.exp(log_terms))), float(np.exp(log_ratio))
-    return JarzynskiReport(
-        exp_avg_work=exp_avg_work,
-        exp_delta_F=exp_delta_F,
-        relative_residual=abs(float(np.sum(np.exp(log_terms - log_ratio))) - 1.0),
-        mean_work=mean_work,
-        delta_F=delta_F,
-        irreversible_work=mean_work - delta_F,
-        total_weight=float(np.sum(pr)),
-    )
+    (report,) = _reports(wd.w[None], wd.p[None], *(np.array([x]) for x in (wd.beta, wd.log_Z0, wd.log_Ztau)))
+    return report
 
 
 @dataclass(frozen=True)
@@ -400,32 +415,54 @@ class TwoTimeResult:
     propagation: PropagationResult
 
 
-def _edge_frame(model, protocol: Protocol, gauge_precondition: bool | None) -> tuple:
-    """(precondition, edge matrices, metric at the start, frame error) of a two-time measurement.
+def _edge_frames(model, protocols: list, precondition: bool) -> list:
+    """(edge matrices, metric at the start, frame error) of a two-time measurement under each protocol.
 
-    precondition says whether the measurement takes the model's hermitian
+    precondition says whether the measurements take the model's hermitian
     frame, where the metric is the identity; the edge matrices are the
-    measured family at the two window edges.  The frame of a moving metric
-    puts H at the two edges first, so that the raw route's gates run
+    measured family at the two window edges, and the edges of every
+    protocol go through one call of each family.  The frame of a moving
+    metric puts H at the two edges first, so that the raw route's gates run
     before the frame's edges are measured.  Where that frame is not finite
     at an edge, only H is given, and frame error holds the error to raise
-    after H's checks; it is None otherwise.
+    after H's checks; it is None otherwise.  Edge matrices that are not
+    finite raise ValueError.
     """
-    precondition = (
-        hasattr(model, "hermitian_frame") if gauge_precondition is None else gauge_precondition
-    )
-    edges = protocol.value(np.array([protocol.t_start, protocol.t_end]))
+    values = np.concatenate([protocol.value(np.array([protocol.t_start, protocol.t_end])) for protocol in protocols])
+    at = [slice(2 * i, 2 * i + 2) for i in range(len(protocols))]
     if not precondition:
-        return precondition, model.hamiltonian(edges), _metric_matrix(model.metric(edges[0])), None
-    frame, identity = _hermitian_frame(model), np.eye(model.dimension, dtype=complex)
-    if getattr(model, "metric_is_static", False):
-        return precondition, frame(edges), identity, None
-    H, h = model.hamiltonian(edges), frame(edges)
-    if np.isfinite(h).all():
-        return precondition, np.concatenate([H, h]), identity, None
-    return precondition, H, identity, SingularMetricError(
-        "the hermitian frame is not finite at a window edge, where the metric is not positive definite"
-    )
+        H = model.hamiltonian(values)
+        frames = [(H[i], _metric_matrix(model.metric(values[i.start])), None) for i in at]
+    else:
+        frame, identity = _hermitian_frame(model), np.eye(model.dimension, dtype=complex)
+        if getattr(model, "metric_is_static", False):
+            h = frame(values)
+            frames = [(h[i], identity, None) for i in at]
+        else:
+            H, h = model.hamiltonian(values), frame(values)
+            frames = []
+            for i, finite in zip(at, np.isfinite(h).reshape(len(at), -1).all(axis=1)):
+                if finite:
+                    frames.append((np.concatenate([H[i], h[i]]), identity, None))
+                else:
+                    frames.append((H[i], identity, SingularMetricError(
+                        "the hermitian frame is not finite at a window edge, where the metric is not positive definite")))
+    if not np.isfinite(np.concatenate([edges for edges, *_ in frames])).all():
+        raise ValueError("window-edge matrix contains non-finite entries")
+    return frames
+
+
+def _decompose(edges: list, tol: Tolerances) -> list:
+    """(eigensystems, all real) of each list of edge matrices, from one kernel call.
+
+    All real is classify_spectrum's ALL_REAL test of every spectrum of the
+    list, taken in one pass over the stacked eigenvalues.
+    """
+    systems = _eigensystems(np.concatenate(edges), tol)
+    E = np.array([e.eigenvalues for e in systems])
+    real = np.isfinite(E).all(axis=1) & (np.abs(E.imag).max(axis=1) < tol.spectrum_imag)
+    ends = np.cumsum([len(H) for H in edges]).tolist()
+    return [(systems[a:b], bool(real[a:b].all())) for a, b in zip([0, *ends], ends)]
 
 
 def _initial_state(model, eig0: BiorthogonalEigensystem, G0: np.ndarray, beta: float,
@@ -457,6 +494,30 @@ def _initial_state(model, eig0: BiorthogonalEigensystem, G0: np.ndarray, beta: f
     return pops, rows, list(range(keep)), _g_normalized_columns(eig0.right[:, rows], G0)
 
 
+def _tails(measured: list) -> list:
+    """The tail of each two-time measurement given as (setup, propagation, beta), formed as one stack.
+
+    One (w, p, beta, ln Z_0, ln Z_tau, row-sum defect, JarzynskiReport) per
+    measurement, w and p its slices of (k, rows, cols) stacks.  The
+    final-level probabilities, the row-sum defect, p, w, ln Z_0, ln Z_tau
+    and the report act on each measurement alone, so each comes out as in a
+    stack of one.
+    """
+    setups, props, beta = zip(*measured)
+    eig0, eigT, pops, rows, cols, _ = zip(*setups)
+    cols = cols[0]
+    probs = _final_level_probabilities(np.stack([e.right for e in eigT]),
+                                       np.stack([prop.g_end for prop in props]), np.stack([prop.U for prop in props]))
+    rows = np.array(rows)
+    p = np.swapaxes(probs[:, cols], 1, 2) * np.take_along_axis(np.stack(pops), rows, 1)[:, :, None]
+    beta = np.array(beta, dtype=float)
+    E0, ET = (np.array([e.eigenvalues.real for e in eigs]) for eigs in (eig0, eigT))
+    w, log_Z0, log_Ztau = _works(E0, ET, beta, rows, np.broadcast_to(cols, (len(setups), len(cols))))
+    defect = np.abs(probs.sum(axis=1) - 1.0).max(axis=1)
+    return list(zip(w, p, beta.tolist(), log_Z0.tolist(), log_Ztau.tolist(), defect.tolist(),
+                    _reports(w, p, beta, log_Z0, log_Ztau)))
+
+
 class _Ahead(NamedTuple):
     """What `_measure_ahead` made of one `two_time_work` call.
 
@@ -464,32 +525,41 @@ class _Ahead(NamedTuple):
     keyword of two_time_work; setup is (eig0, eigT, populations, row
     levels, column levels, initial columns), or the exception the set-up
     raised; lane is the call's PropagationResult or the exception its lane
-    raised, and None where the set-up failed.
+    raised, and None where the set-up failed; tail is what `_tails` made
+    of the call, or the exception it raised, and None where no lane
+    passed.
     """
 
     call: tuple
     setup: tuple | Exception
     lane: PropagationResult | Exception | None
+    tail: tuple | Exception | None
 
 
 def _measure_ahead(calls: list) -> list:
-    """The set-up and propagation of each `two_time_work` call, up to the first whose set-up fails.
+    """The set-up, propagation and tail of each `two_time_work` call, up to the first whose set-up fails.
 
     A call is (model, protocol, beta, keywords), keywords naming any of
-    two_time_work's keywords.  The set-up of a call reads its window edges
-    (`_edge_frame`).  The finite edges of each run of calls with the same
-    tolerances and dimension are decomposed in one kernel call; if that
-    raises, each call decomposes its own edges and gets the error it gets
-    alone.  Every spectrum must be real, H's before its frame's, and the
-    frame's error is raised after H's checks.  The initial state is
-    measured once for a run of calls that keep the model, start edge,
-    metric, beta and tolerances.  Last, the calls whose set-up passed are
-    propagated as the lanes of `_propagate_lanes`, once for each run of
-    calls with the same model and propagation options.
-
-    Every stage stops at the first call whose set-up fails, so no later
-    call is set up further or propagated, and the list returned holds one
-    `_Ahead` per call up to and including that one.
+    two_time_work's keywords.  Each stage runs over stacks of calls:
+    - the window edges of each run of calls with the same model and route
+      in one call of each family (`_edge_frames`);
+    - the finite edges of each run of calls with the same tolerances and
+      dimension in one kernel call, with one pass over the stacked
+      eigenvalues that checks every spectrum is real (`_decompose`); H's
+      spectra are checked before its frame's, and the frame's error is
+      raised after H's checks;
+    - the initial state once for a run of calls that keep the model, start
+      edge, metric, beta and tolerances;
+    - the calls whose set-up passed as the lanes of `_propagate_lanes`,
+      once for each run of calls with the same model and propagation
+      options;
+    - the tail of the calls whose lane passed once for each run of equal
+      shapes (`_tails`).
+    Where a stacked stage raises, its calls run it one by one and each
+    gets the outcome it gets alone (`_each`).  The set-up stages stop at
+    the first call that fails one, so no later call is set up further or
+    propagated, and the list returned holds one `_Ahead` per call up to and
+    including that one.
 
     At two levels each call's outcome is that of the call alone, bit for
     bit.  Above two levels a stack of several calls' edges may take
@@ -498,40 +568,46 @@ def _measure_ahead(calls: list) -> list:
     """
     calls = [(model, protocol, beta, {**_KEYWORDS, **keywords}) for model, protocol, beta, keywords in calls]
     tols = [keywords["tol"] or DEFAULT for *_, keywords in calls]
-    setups, lanes, edges, eigs = [None] * len(calls), [None] * len(calls), {}, {}
+    setups, lanes, tails = ([None] * len(calls) for _ in range(3))
+    routes, edges, eigs = {}, {}, {}
+
+    def staged(run: list, outcomes: list, into: dict) -> bool:
+        """Keep each call's outcome of a set-up stage in into; False at the first that failed, the set-up's end."""
+        for i, outcome in zip(run, outcomes):
+            if isinstance(outcome, Exception):
+                setups[i] = outcome
+                return False
+            into[i] = outcome
+        return True
+
     for i, (model, protocol, beta, keywords) in enumerate(calls):
         try:
             _check_beta(beta)
-            frame = _edge_frame(model, protocol, keywords["gauge_precondition"])
-            if not np.isfinite(frame[1]).all():
-                raise ValueError("window-edge matrix contains non-finite entries")
-            edges[i] = frame
         except Exception as exc:
             setups[i] = exc
             break
+        given = keywords["gauge_precondition"]
+        routes[i] = hasattr(model, "hermitian_frame") if given is None else given
 
-    for (tol, _), run in itertools.groupby(edges, lambda i: (tols[i], edges[i][1].shape[1:])):
+    for (model, precondition), run in itertools.groupby(routes, lambda i: (calls[i][0], routes[i])):
         run = list(run)
-        try:
-            stacked = iter(_eigensystems(np.concatenate([edges[i][1] for i in run]), tol))
-            eigs.update((i, [next(stacked) for _ in edges[i][1]]) for i in run)
-        except Exception:
-            for i in run:
-                try:
-                    eigs[i] = _eigensystems(edges[i][1], tol)
-                except Exception as exc:
-                    setups[i] = exc
-                    break
-            if i not in eigs:  # the run's failing call ends the look-ahead
-                break
+        frames = _each(run, lambda run: _edge_frames(model, [calls[i][1] for i in run], precondition), stop=True)
+        if not staged(run, frames, edges):
+            break
+
+    for (tol, _), run in itertools.groupby(edges, lambda i: (tols[i], edges[i][0].shape[1:])):
+        run = list(run)
+        if not staged(run, _each(run, lambda run: _decompose([edges[i][0] for i in run], tol), stop=True), eigs):
+            break
 
     groups, start = [], None
-    for i, eig in eigs.items():
+    for i, (eig, real) in eigs.items():
         (model, protocol, beta, keywords), tol = calls[i], tols[i]
-        precondition, H, G0, frame_error = edges[i]
+        H, G0, frame_error = edges[i]
         try:
-            for label, e in zip(("initial", "final") * 2, eig):
-                _require_all_real(label, e, tol)
+            if not real:
+                for label, e in zip(("initial", "final") * 2, eig):
+                    _require_all_real(label, e, tol)
             if frame_error is not None:
                 raise frame_error
             key = model, H[-2].tobytes(), G0.tobytes(), beta, tol
@@ -541,7 +617,7 @@ def _measure_ahead(calls: list) -> list:
         except Exception as exc:
             setups[i] = exc
             break
-        options = {**keywords, "gauge_precondition": precondition}
+        options = {**keywords, "gauge_precondition": routes[i]}
         if groups and groups[-1][:2] == (model, options):
             groups[-1][2].append(i)
         else:
@@ -555,8 +631,14 @@ def _measure_ahead(calls: list) -> list:
             outcomes = [exc] * len(run)
         for i, outcome in zip(run, outcomes):
             lanes[i] = outcome
+
+    measured = [i for i, lane in enumerate(lanes) if isinstance(lane, PropagationResult)]
+    for _, run in itertools.groupby(measured, lambda i: (lanes[i].U.shape, tuple(setups[i][4]))):
+        run = list(run)
+        for i, tail in zip(run, _each([(setups[i], lanes[i], calls[i][2]) for i in run], _tails)):
+            tails[i] = tail
     end = next((i + 1 for i, setup in enumerate(setups) if isinstance(setup, Exception)), len(calls))
-    return [_Ahead(*ahead) for ahead in zip(calls[:end], setups, lanes)]
+    return [_Ahead(*ahead) for ahead in zip(calls[:end], setups, lanes, tails)]
 
 
 def two_time_work(
@@ -586,12 +668,13 @@ def two_time_work(
     from both measurement index sets, while populations stay normalized by
     the full-spectrum partition function, so no probability is invented.
 
-    This is the one-call case of `_measure_ahead`, which sets up and
-    propagates many calls at once, as `propagate` is the one-lane case of
-    `_propagate_lanes`.  A sweep hands each call what `_measure_ahead` made
-    of it as ahead; one made for other arguments is refused with
-    ValueError.  A failed set-up raises its exception, then a failed lane
-    its own, and the result is that of the call alone.
+    This is the one-call case of `_measure_ahead`, which sets up,
+    propagates and measures many calls at once, as `propagate` is the
+    one-lane case of `_propagate_lanes`.  A sweep hands each call what
+    `_measure_ahead` made of it as ahead; one made for other arguments is
+    refused with ValueError.  A failed set-up raises its exception, then a
+    failed lane its own, then a failed tail its own, and the result is
+    that of the call alone.
     """
     call = model, protocol, beta, dict(hbar=hbar, steps=steps, tol=tol, entry_tol=entry_tol,
                                        gauge_precondition=gauge_precondition, unitarity_gate=unitarity_gate)
@@ -602,13 +685,9 @@ def two_time_work(
     for outcome in ahead[1:]:
         if isinstance(outcome, Exception):
             raise outcome
-    eig0, eigT, pops, rows, cols, _ = ahead.setup
-    propagation = ahead.lane
-    probs = _final_level_probabilities(eigT.right, propagation.g_end, propagation.U)
-    row_sum_defect = float(np.max(np.abs(probs.sum(axis=0) - 1.0)))
-    p = probs[cols, :].T * pops[rows][:, None]
-
-    work = work_distribution(p, eig0, eigT, beta, rows=rows, cols=cols)
+    eig0, eigT, _, rows, cols, _ = ahead.setup
+    *distribution, row_sum_defect, report = ahead.tail
+    work = WorkDistribution(*distribution)
     return TwoTimeResult(
         rows=tuple(rows),
         cols=tuple(cols),
@@ -617,8 +696,8 @@ def two_time_work(
         energies_initial=eig0.eigenvalues.copy(),
         energies_final=eigT.eigenvalues.copy(),
         work=work,
-        report=jarzynski_report(work),
-        propagation=propagation,
+        report=report,
+        propagation=ahead.lane,
     )
 
 

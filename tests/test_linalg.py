@@ -493,6 +493,60 @@ def test_conjugate_pairing_involution():
     assert conjugate_pairing([1 + 1j, 3.0], 1e-10) is None
 
 
+def _greedy_pairing(eigs, tol):
+    """The reference: each unmatched level in turn scans the others for the nearest to its conjugate."""
+    w = np.asarray(eigs, dtype=complex)
+    n = w.size
+    pairing = np.full(n, -1, dtype=int)
+    for i in range(n):
+        if abs(w[i].imag) < tol:
+            pairing[i] = i
+    unmatched = [i for i in range(n) if pairing[i] < 0]
+    while unmatched:
+        i = unmatched.pop(0)
+        target = np.conj(w[i])
+        best, best_d = -1, np.inf
+        for j in unmatched:
+            d = abs(w[j] - target)
+            if d < best_d:
+                best, best_d = j, d
+        if best < 0 or best_d > tol * (1.0 + abs(w[i])):
+            return None
+        pairing[i] = best
+        pairing[best] = i
+        unmatched.remove(best)
+    return pairing
+
+
+# a few real parts and imaginary parts, so that conjugates, exact ties and
+# near misses within and past the tolerance all occur
+_PARTS = st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e-12, -1e-12, 1.0 + 1e-9, 1e-3]) | st.floats(-3, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels=st.lists(st.builds(complex, _PARTS, _PARTS), max_size=10),
+       mirror=st.lists(st.booleans(), max_size=10),
+       tol=st.sampled_from([1e-10, 1e-8, 1e-6, 1e-2]))
+def test_conjugate_pairing_matches_the_greedy_scan(levels, mirror, tol):
+    # the conjugates of some levels join the spectrum, so most draws pair
+    w = levels + [z.conjugate() for z, m in zip(levels, mirror) if m]
+    expected = _greedy_pairing(w, tol)
+    got = conjugate_pairing(w, tol)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None and got.dtype == expected.dtype
+        npt.assert_array_equal(got, expected)
+
+
+def test_conjugate_pairing_takes_the_first_of_equally_near_partners():
+    w = [1 + 1j, 1 - 1j, 1 - 1j, 1 + 1j]
+    npt.assert_array_equal(conjugate_pairing(w, 1e-10), [1, 0, 3, 2])
+    npt.assert_array_equal(_greedy_pairing(w, 1e-10), [1, 0, 3, 2])
+    assert conjugate_pairing([], 1e-10).size == 0
+    assert conjugate_pairing([1 + 1j, complex("nan+1j")], 1e-10) is None
+
+
 def test_build_metric_matches_analytic_two_level():
     lam = 0.5
     es = eigendecompose(two_level_matrix(lam))

@@ -254,6 +254,24 @@ def test_relaxation_time_diverges_near_critical_point():
     assert t_near / t_far > 60.0
 
 
+@pytest.mark.parametrize("eigenvalues", [[], [0.5]], ids=["none", "one"])
+def test_relaxation_time_needs_two_levels(eigenvalues):
+    with pytest.raises(ValueError, match="^need at least two eigenvalues$"):
+        relaxation_time(eigenvalues)
+
+
+def test_relaxation_time_of_a_coalesced_pair_is_infinite():
+    assert relaxation_time([0.3 + 0.1j, -1.0, 0.3 + 0.1j]) == np.inf
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_relaxation_time_is_the_least_gap_of_distinct_pairs(seed):
+    w = np.random.default_rng(seed).standard_normal(7) + 1j * np.random.default_rng(seed + 10).standard_normal(7)
+    # the upper triangle of the distance matrix, as the gap was first taken
+    gap = np.min(np.abs(w[:, None] - w[None, :])[np.triu_indices(7, k=1)])
+    assert relaxation_time(w) == 1.0 / gap
+
+
 @pytest.mark.parametrize("v", [0.7, np.array([0.3, 1.0, 1.7])])
 @pytest.mark.parametrize("model", [Oscillator(1.0, 0.4, 10), Oscillator(0.2, 1.0, 28, mass=1.5)])
 def test_oscillator_terms_are_its_families(model, v):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import warnings
 
@@ -887,3 +888,134 @@ def test_the_frame_route_fails_fast_where_a_drive_crosses_the_exceptional_point(
     with pytest.raises(SingularMetricError, match="metric loses positive-definiteness"):
         two_time_work(TwoLevel(), protocol, 1.0)
     assert time.perf_counter() - clock < 5.0
+
+
+def _outcome(call):
+    """call() or the exception it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return exc
+
+
+def _assert_same_measurement(given, plain):
+    """The two outcomes of a two-time call agree bit for bit: both results, or the same error."""
+    if isinstance(plain, Exception):
+        assert (type(given), str(given)) == (type(plain), str(plain))
+        return
+    for name in ("p", "energies_initial", "energies_final"):
+        x, y = getattr(given, name), getattr(plain, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert given.work.w.tobytes() == plain.work.w.tobytes()
+    numbers = [(r.row_sum_defect, r.work.beta, r.work.log_Z0, r.work.log_Ztau, *dataclasses.astuple(r.report))
+               for r in (given, plain)]
+    assert np.array(numbers[0]).tobytes() == np.array(numbers[1]).tobytes()
+    assert (given.rows, given.cols) == (plain.rows, plain.cols)
+    assert given.propagation.U.tobytes() == plain.propagation.U.tobytes()
+    assert given.propagation.checkpoints == plain.propagation.checkpoints
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_coupling=st.floats(np.log(0.5), np.log(2.0)),
+    start=st.floats(-0.9, 0.9),
+    points=st.lists(st.tuples(st.sampled_from([0.3, 0.99, 1.0, -1.0, 1.2]) | st.floats(-1.3, 1.3),
+                              st.floats(np.log(1e-2), np.log(1e3))), min_size=1, max_size=6),
+    shape=st.sampled_from(["linear", "erf"]),
+    log_tau=st.floats(np.log(0.1), np.log(5.0)),
+    frame=st.sampled_from([None, False]),
+)
+def test_a_two_level_sweep_measures_each_point_as_its_plain_call(log_coupling, start, points, shape,
+                                                                  log_tau, frame):
+    # a sweep of ends (some at or past the exceptional point, |end| >= 1)
+    # and betas: in sweep order each point's look-ahead gives its plain
+    # call's result bit for bit, and the first point that fails raises what
+    # it raises alone
+    coupling = np.exp(log_coupling)
+    calls = [(TwoLevel(coupling), getattr(Protocol, shape)(coupling * start, coupling * end, np.exp(log_tau)),
+              np.exp(log_beta), {"gauge_precondition": frame}) for end, log_beta in points]
+    ahead = thermo._measure_ahead(calls)
+    for (model, protocol, beta, keywords), made in zip(calls, ahead):
+        plain = _outcome(lambda: two_time_work(model, protocol, beta, **keywords))
+        _assert_same_measurement(_outcome(lambda: two_time_work(model, protocol, beta, ahead=made, **keywords)),
+                                 plain)
+        if isinstance(plain, Exception):
+            break
+    else:  # the look-ahead stops only at a failing set-up
+        assert len(ahead) == len(calls)
+
+
+def test_a_failing_tail_fails_its_call_alone(monkeypatch):
+    # the stacked tail raises for the second call only: it falls back to
+    # one tail per call, and the others measure as their plain calls
+    model = TwoLevel()
+    calls = [(model, Protocol.linear(0.0, end, 1.0), 1.0, {}) for end in (0.2, 0.4, 0.6)]
+    tails = thermo._tails
+    second = thermo._measure_ahead(calls[1:2])[0].setup[1].eigenvalues.tobytes()
+
+    def refuse_the_second(measured):
+        if any(setup[1].eigenvalues.tobytes() == second for setup, _, _ in measured):
+            raise SingularMetricError("refused")
+        return tails(measured)
+
+    monkeypatch.setattr(thermo, "_tails", refuse_the_second)
+    ahead = thermo._measure_ahead(calls)
+    assert isinstance(ahead[1].tail, SingularMetricError)
+    monkeypatch.undo()
+    for (model, protocol, beta, _), made in zip(calls, ahead):
+        if made.tail is ahead[1].tail:
+            continue
+        _assert_same_measurement(two_time_work(model, protocol, beta, ahead=made), two_time_work(model, protocol, beta))
+
+
+def test_a_non_finite_window_edge_is_refused():
+    # a static metric whose hermitian frame is NaN at one edge has no frame
+    # error to defer to, so the edge itself is refused
+    class HoledFrame(HatanoNelson):
+        def hermitian_frame(self, v):
+            v = np.asarray(v, dtype=float)
+            return np.where((v > 0.5)[..., None, None], np.nan, self.hamiltonian(v))
+
+    model = HoledFrame(length=3)
+    with pytest.raises(ValueError, match="^window-edge matrix contains non-finite entries$"):
+        two_time_work(model, Protocol.linear(0.0, 0.6, 1.0), 1.0)
+    # in a sweep the points before it are measured, and it fails as alone
+    calls = [(model, Protocol.linear(0.0, end, 1.0), 1.0, {}) for end in (0.2, 0.6, 0.3)]
+    ahead = thermo._measure_ahead(calls)
+    assert len(ahead) == 2 and isinstance(ahead[0].setup, tuple)
+    assert str(ahead[1].setup) == "window-edge matrix contains non-finite entries"
+
+
+def test_a_moving_metric_whose_frame_is_not_finite_at_an_edge_is_refused_after_h_checks():
+    # H is real at both edges, so the frame's error is the one raised
+    class HoledFrame(TwoLevel):
+        def hermitian_frame(self, v):
+            v = np.asarray(v, dtype=float)
+            return np.where((v > 0.5)[..., None, None], np.nan, super().hermitian_frame(v))
+
+    model = HoledFrame()
+    message = "^the hermitian frame is not finite at a window edge, where the metric is not positive definite$"
+    with pytest.raises(SingularMetricError, match=message):
+        two_time_work(model, Protocol.linear(0.0, 0.6, 1.0), 1.0)
+    calls = [(model, Protocol.linear(0.0, end, 1.0), 1.0, {}) for end in (0.2, 0.6, 0.3)]
+    ahead = thermo._measure_ahead(calls)
+    assert len(ahead) == 2 and isinstance(ahead[0].setup, tuple)
+    assert isinstance(ahead[1].setup, SingularMetricError) and ahead[1].lane is None
+
+
+def test_a_nonpositive_metric_norm_is_refused():
+    V = np.eye(2, dtype=complex)
+    G = np.diag([1.0, -0.5]).astype(complex)
+    message = "^column 1 has nonpositive metric norm -5.000e-01; the metric is not positive definite on the eigenbasis$"
+    with pytest.raises(SingularMetricError, match=message):
+        _g_normalized_columns(V, G)
+    # in a stack the first matrix with a nonpositive norm is named
+    stack = np.stack([np.eye(2), np.diag([-2.0, 1.0]), np.diag([1.0, -3.0])]).astype(complex)
+    with pytest.raises(SingularMetricError, match="^column 0 has nonpositive metric norm -2.000e"):
+        _g_normalized_columns(np.stack([V] * 3), stack)
+
+
+def test_an_empty_work_distribution_has_no_report():
+    es = eigendecompose(TwoLevel().hamiltonian(0.0))
+    with pytest.raises(ValueError, match="^work distribution has no entries$"):
+        jarzynski_report(work_distribution(np.empty((0, 2)), es, es, 1.0, rows=[], cols=[0, 1]))

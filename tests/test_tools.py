@@ -29,3 +29,19 @@ def test_untested_lists_the_statements_a_run_misses(tmp_path):
     assert "return max(1, n // _CHECKPOINTS)" not in missed
     assert "return np.append(np.arange(_stride(n), n, _stride(n)), n)" in missed
     assert not any(text.startswith(("nonlocal ", "global ")) for text in missed)
+
+
+def test_ab_inprocess_prints_one_line_of_pair_figures():
+    root = TOOLS.parent
+    out = subprocess.run(
+        [sys.executable, str(TOOLS / "ab_inprocess.py"), str(root), str(root), "--command", "fig2-left",
+         "--config", str(root / "src" / "pseudotherm" / "presets" / "fig2_left.json"), "--reps", "1"],
+        capture_output=True, text=True, check=True,
+    )
+    (line,) = out.stdout.splitlines()
+    report = json.loads(line)
+    assert set(report) == {"parent", "change", "command", "config", "reps", "exit", "median_s", "ratio_median",
+                           "change_wins"}
+    assert report["exit"] == {"parent": 0, "change": 0}
+    assert set(report["median_s"]) == {"parent", "change"}
+    assert report["ratio_median"] > 0 and report["change_wins"] in (0, 1)
