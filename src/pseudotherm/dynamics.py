@@ -30,10 +30,14 @@ node generators: the family plus a moving metric's gauge term, refused
 with SingularMetricError where it is not finite, as the affine path
 refuses a coefficient that is not finite.  A batch holds more steps the
 smaller the dimension, so a two-level run usually fits in one batch.
-Two-level runs are array arithmetic throughout: 2x2 products are written
-out entrywise (`_mul2`), and the steps between two checkpoints are
-multiplied by a pairwise product tree before they act on U once, the
-pieces of a batch together as the rows of one identity-padded array
+Two-level runs are array arithmetic throughout, on entry-major stacks: a
+batch's node generators are laid out once with one contiguous row per node
+and matrix entry, so Omega, its commutator (2x2 products written out
+entrywise, `_mul2`) and the closed-form exponential (`_expm2`, which skips
+the e^m scale of a traceless stack) read and write whole rows.  The steps
+between two checkpoints are multiplied by a pairwise product tree that
+carries each level's odd factor up, before they act on U once, the equal
+pieces of a batch together
 (`_piece_products`).  The first two runs of the step-doubling ladder, n
 and 2n steps, share one pass; at two levels that is one evaluation of the
 family, the gauge term and the exponential per batch of their steps, each
@@ -340,15 +344,16 @@ def _mul2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B for stacks of 2x2 matrices, entry by entry; leading axes broadcast.
 
     One batched `@` calls BLAS once per 2x2 matrix; eight elementwise
-    products over the whole stack cost a small fraction of that.
+    products over the whole stack cost a small fraction of that.  The
+    product is stored entry-major, as a view of a contiguous (2, 2, ...)
+    array, so each of its entries is one row for the next entrywise
+    operation.
     """
-    a00, a01, a10, a11 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
-    b00, b01, b10, b11 = B[..., 0, 0], B[..., 0, 1], B[..., 1, 0], B[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(A.shape, B.shape), dtype=np.result_type(A, B))
-    out[..., 0, 0] = a00 * b00 + a01 * b10
-    out[..., 0, 1] = a00 * b01 + a01 * b11
-    out[..., 1, 0] = a10 * b00 + a11 * b10
-    out[..., 1, 1] = a10 * b01 + a11 * b11
+    lead = np.broadcast_shapes(A.shape, B.shape)[:-2]
+    out = np.moveaxis(np.empty((2, 2, *lead), dtype=np.result_type(A, B)), (0, 1), (-2, -1))
+    for i, j in itertools.product((0, 1), repeat=2):  # out_ij = A_i0 B_0j + A_i1 B_1j
+        np.multiply(A[..., i, 0], B[..., 0, j], out=out[..., i, j])
+        out[..., i, j] += A[..., i, 1] * B[..., 1, j]
     return out
 
 
@@ -356,25 +361,28 @@ def _piece_products(E: np.ndarray, every: int) -> np.ndarray:
     """Products of the consecutive pieces of `every` steps of a (..., k, 2, 2) stack.
 
     The last piece may be shorter.  Each piece is reduced by a pairwise
-    tree, the later factor on the left, all pieces (of every leading index)
-    at once: they are the rows of one entry-major (2, 2, ..., pieces, 2^L)
-    array padded with identities, 2^L >= every, which L levels halve.
-    I @ X = X exactly for finite X, so the padding pairs as a tree that
-    carries each level's odd factor up unpaired.  Returns a
-    (..., pieces, 2, 2) stack.
+    tree, the later factor on the left, that carries each level's odd
+    factor up unpaired.  The full pieces (of every leading index) are the
+    rows of one entry-major (2, 2, ..., pieces, every) view of E and
+    reduce together; a shorter last piece reduces as a second one.
+    Returns a C-ordered (..., pieces, 2, 2) stack.
     """
-    k, lead = E.shape[-3], E.shape[:-3]
-    pieces = -(-k // every)
-    full = (pieces - 1) * every
-    S = np.zeros((2, 2, *lead, pieces, 1 << (every - 1).bit_length()), dtype=complex)
-    S[0, 0] = S[1, 1] = 1.0
+    k = E.shape[-3]
     entries = np.moveaxis(E, (-2, -1), (0, 1))
-    S[..., :-1, :every] = entries[..., :full].reshape(2, 2, *lead, pieces - 1, every)
-    S[..., -1, : k - full] = entries[..., full:]
-    while S.shape[-1] > 1:
-        A, B = S[..., 1::2], S[..., 0::2]
-        S = A[:, :1] * B[:1] + A[:, 1:] * B[1:]  # entry (i, j): A_i0 B_0j + A_i1 B_1j
-    return np.ascontiguousarray(np.moveaxis(S[..., 0], (0, 1), (-2, -1)))
+    full = k // every * every
+    parts = [entries[..., :full].reshape(*entries.shape[:-1], k // every, every)] if full else []
+    if full < k:
+        parts.append(entries[..., None, full:])
+    products = []
+    for S in parts:
+        while S.shape[-1] > 1:
+            w = S.shape[-1]
+            A, B = S[..., 1:w:2], S[..., 0 : w - 1 : 2]
+            P = A[:, :1] * B[:1] + A[:, 1:] * B[1:]  # entry (i, j): A_i0 B_0j + A_i1 B_1j
+            S = np.concatenate([P, S[..., w - 1 :]], axis=-1) if w % 2 else P  # the odd factor, carried up
+        products.append(S[..., 0])
+    S = products[0] if len(products) == 1 else np.concatenate(products, axis=-1)
+    return np.ascontiguousarray(np.moveaxis(S, (0, 1), (-2, -1)))
 
 
 def _expm2(omega: np.ndarray) -> np.ndarray:
@@ -384,7 +392,8 @@ def _expm2(omega: np.ndarray) -> np.ndarray:
     exp(omega) = e^m [cosh(s) I + (sinh(s)/s) N].  Both functions of s are
     even, so the branch of the root does not matter; sinh(s)/s is set to 1
     at s = 0, where N may be nilpotent without vanishing (an exceptional
-    point).
+    point).  A stack whose traces are all 0 skips the scale e^m = 1.  The
+    result is stored like omega: entry-major for an entry-major stack.
     """
     m = 0.5 * (omega[:, 0, 0] + omega[:, 1, 1])
     a = 0.5 * (omega[:, 0, 0] - omega[:, 1, 1])
@@ -393,14 +402,16 @@ def _expm2(omega: np.ndarray) -> np.ndarray:
     zero = s == 0
     cosh = np.cosh(s)
     sinhc = np.where(zero, 1.0, np.sinh(s) / np.where(zero, 1.0, s))
-    scale = np.exp(m)
-    cosh *= scale
-    sinhc *= scale
+    if m.any():  # else every trace is 0 (a hermitian frame, or H without a gauge term): e^m = 1
+        scale = np.exp(m)
+        cosh *= scale
+        sinhc *= scale
     out = np.empty_like(omega)
-    out[:, 0, 0] = cosh + sinhc * a
-    out[:, 0, 1] = sinhc * b
-    out[:, 1, 0] = sinhc * c
-    out[:, 1, 1] = cosh - sinhc * a
+    diagonal = sinhc * a
+    np.add(cosh, diagonal, out=out[:, 0, 0])
+    np.multiply(sinhc, b, out=out[:, 0, 1])
+    np.multiply(sinhc, c, out=out[:, 1, 0])
+    np.subtract(cosh, diagonal, out=out[:, 1, 1])
     return out
 
 
@@ -825,7 +836,9 @@ def _two_level_pass(runs: list, family: _Family, block: int) -> list:
     batches of at most `block` steps, in order of step count.  A batch
     takes one node-time array, one `_Family.generators` call, one
     commutator and one `_expm2` call over all of its steps, each step with
-    its own run's dt and its own lane's protocol.  Consecutive pieces of
+    its own run's dt and its own lane's protocol; the node generators are
+    stored entry-major, as (node, 2, 2, step) rows, and the helpers get
+    (steps, 2, 2) views of them.  Consecutive pieces of
     equal shape share their product trees and advance their U as one
     stacked product per checkpoint piece; everything is elementwise or per
     matrix, so each run comes out as if alone.
@@ -849,13 +862,15 @@ def _two_level_pass(runs: list, family: _Family, block: int) -> list:
         dt = np.repeat([(runs[r][0].t1 - runs[r][0].t0) / runs[r][1] for r, _, _ in batch], lengths)
         t0 = np.repeat([runs[r][0].t0 for r, _, _ in batch], lengths)
         steps = np.concatenate([np.arange(first, last) for _, first, last in batch])
-        ts = t0[:, None] + (steps[:, None] + _NODES) * dt[:, None]
+        ts = np.empty((len(dt), 2))  # the node times by step, computed as one row per node
+        np.add(t0, (steps + _NODES[:, None]) * dt, out=ts.T)
         edges = np.cumsum([0, *lengths])
         spans = [(runs[r][0], ts[a:b]) for (r, _, _), a, b in zip(batch, edges, edges[1:])]
         v = _by_lane(spans, lambda lane, t: lane.protocol.value(t)).ravel()
         A = family.generators(v, lambda: _by_lane(spans, lambda lane, t: lane.protocol.rate(t)).ravel())
-        A = (-1j / family.hbar) * A
-        A1, A2 = A[0::2], A[1::2]
+        rows = np.empty((2, 2, 2, len(dt)), dtype=complex)  # (node, i, j, step): one row per entry
+        np.multiply(-1j / family.hbar, A.reshape(-1, 2, 2, 2).transpose(1, 2, 3, 0), out=rows)
+        A1, A2 = rows.transpose(0, 3, 1, 2)
         dt = dt[:, None, None]
         omega = (0.5 * dt) * (A1 + A2) + (_COMMUTATOR * dt * dt) * (_mul2(A2, A1) - _mul2(A1, A2))
         E = _expm2(omega)

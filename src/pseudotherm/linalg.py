@@ -131,8 +131,9 @@ def _eigensystems(H: np.ndarray, tol: Tolerances) -> list:
     """The eigensystems of a finite (k, d, d) stack, from one `_eig_stack` call."""
     E, VR, VLh, biortho, completeness = _eig_stack(H.transpose(1, 2, 0), None, tol)
     E, VR = np.ascontiguousarray(E.T), np.ascontiguousarray(VR.transpose(2, 0, 1))
+    VL = np.conj(VLh.transpose(2, 0, 1), order="C")  # VL[i].T: system i's left vectors, as columns
     return [
-        BiorthogonalEigensystem(E[i], VR[i], VLh[..., i].T.conj(), b, c)
+        BiorthogonalEigensystem(E[i], VR[i], VL[i].T, b, c)
         for i, (b, c) in enumerate(zip(biortho.tolist(), completeness.tolist()))
     ]
 

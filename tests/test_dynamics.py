@@ -140,6 +140,20 @@ class TestProtocol:
         with pytest.raises(ValueError):
             Protocol.tabulated([(0.0, 1.0), (0.0, 2.0)])
 
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match=r"^unknown protocol kind 'cubic'$"):
+            Protocol("cubic", 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("window", [0.0, -0.0, -1.5])
+    def test_erf_window_must_be_positive(self, window):
+        with pytest.raises(ValueError, match=r"^erf window must be positive$"):
+            Protocol.erf(0.0, 0.5, 1.0, window=window)
+
+
+def test_gauge_field_refuses_a_singular_metric():
+    with pytest.raises(SingularMetricError, match=r"^metric not invertible: Singular matrix$"):
+        gauge_field(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
+
 
 def test_hamiltonian_at_tracks_protocol():
     model = TwoLevel()
@@ -547,6 +561,39 @@ def test_entrywise_two_by_two_product_matches_matmul(shapes, data):
     norms = np.linalg.norm(A, axis=(-2, -1)) * np.linalg.norm(B, axis=(-2, -1))
     scale = np.maximum(1.0, norms)[..., None, None]
     assert np.all(np.abs(got - expected) <= 1e-15 * scale)
+
+
+def _entry_major_copy(stack):
+    """The values of a (k, 2, 2) stack, stored as the np.moveaxis view of a contiguous (2, 2, k) array."""
+    rows = np.ascontiguousarray(np.moveaxis(stack, 0, -1))
+    return np.moveaxis(rows, -1, 0)
+
+
+def _draw_stack(data, k):
+    """A (k, 2, 2) stack: general, zero-trace or nilpotent (s = 0, N != 0) rows, or all of one kind."""
+    omega = data.draw(arrays(np.complex128, (k, 2, 2), elements=_ENTRIES))
+    kinds = ["general", "traceless", "nilpotent"]
+    every = data.draw(st.sampled_from(["mixed", *kinds]))
+    for row in omega:
+        kind = data.draw(st.sampled_from(kinds)) if every == "mixed" else every
+        if kind == "traceless":
+            row[1, 1] = -row[0, 0]
+        elif kind == "nilpotent":  # the exceptional-point form z [[i, 1], [1, -i]]: a^2 + bc = 0 exactly
+            z = row[0, 1]
+            row[:] = [[1j * z, z], [z, -(1j * z)]]
+    return omega
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 8), data=st.data())
+def test_entrywise_kernels_do_not_depend_on_the_layout(k, data):
+    A, B = _draw_stack(data, k), _draw_stack(data, k)
+    A_rows, B_rows = _entry_major_copy(A), _entry_major_copy(B)
+    assert k == 1 or not A_rows.flags.c_contiguous
+    npt.assert_array_equal(A_rows, A)
+    for got, expected in ((_mul2(A_rows, B_rows), _mul2(A, B)), (_expm2(A_rows), _expm2(A))):
+        assert got.shape == expected.shape == (k, 2, 2)
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 @pytest.mark.parametrize("batch", [(), (3,)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import warnings
 from unittest import mock
 
@@ -440,6 +441,17 @@ def test_near_exceptional_point_is_defective():
         eigendecompose(two_level_matrix(1.0 + 1e-13))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0), (1, 2, 2)])
+def test_non_square_matrices_are_refused(shape):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'expected a square matrix, got shape {shape}')}$"):
+        eigendecompose(np.ones(shape))
+
+
+def test_classify_refuses_an_empty_spectrum():
+    with pytest.raises(ValueError, match=r"^empty spectrum$"):
+        classify_spectrum([])
+
+
 def test_classify_all_real():
     sc = classify_spectrum([1.0, 2.0, 3.0])
     assert sc.kind is SpectrumKind.ALL_REAL
@@ -612,6 +624,25 @@ def test_load_matrix_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("oops\n")
     with pytest.raises(ValueError):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty matrix file"),
+        ("\n  \n", "empty matrix file"),
+        ("2\n1,0 0,0\n", "expected 2 rows after the dimension line"),
+        ("1\n1,0\n0,0\n", "expected 1 rows after the dimension line"),
+        ("2\n1,0 0,0\n0,0\n", "row 1 has 1 entries, expected 2"),
+        ("2\n1,0 0,0 0,0\n0,0 1,0\n", "row 0 has 3 entries, expected 2"),
+    ],
+    ids=["empty", "blank", "too-few-rows", "too-many-rows", "short-row", "long-row"],
+)
+def test_load_matrix_refusals_name_the_file(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_matrix(path)
 
 

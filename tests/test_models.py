@@ -212,6 +212,10 @@ class TestHatanoNelson:
         with pytest.raises(ValueError):
             HatanoNelson(length=1, hopping=1.0, asymmetry=0.0)
 
+    def test_unknown_boundary_is_refused(self):
+        with pytest.raises(ValueError, match=r"^unknown boundary 'twisted'$"):
+            HatanoNelson(length=4, boundary="twisted")
+
 
 @pytest.mark.parametrize(
     "build, match",
